@@ -8,7 +8,9 @@ holding the fully resolved configuration; re-running with the manifest
 as the config reproduces the CSV byte for byte.
 
 Exit codes: 0 success (infeasible policy targets included), 2
-configuration error, 3 numerical accuracy failure.
+configuration error, 3 numerical failure: a quadrature accuracy
+failure, or a degenerate instance whose scores are so extreme that both
+assignment likelihoods underflow to zero.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from . import __version__
 from .model import (
     ConfigurationError,
     Decision,
+    DegenerateInstanceError,
     Instance,
     ReviewerProfile,
     ScorePair,
@@ -365,6 +368,9 @@ def main(argv=None) -> int:
         return 2
     except AccuracyError as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)
+        return 3
+    except DegenerateInstanceError as exc:
+        print(f"degenerate instance: {exc}", file=sys.stderr)
         return 3
     return 0
 

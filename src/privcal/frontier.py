@@ -23,7 +23,7 @@ this one parameterization, so no case split is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
@@ -85,6 +85,13 @@ class InstanceGeometry:
     instances d1 == d2 is the score-determined decision; tie marks the
     doubly degenerate boundary where MAP is indifferent under both
     assignments.
+
+    The derived scalars are computed once, at construction, and take
+    no part in ==, hash or repr: m = min(pu, pv) is the score-only
+    adversary error ceiling, alpha1 and alpha2 are the slopes of the
+    conference error in q1 and q2, ec_intercept is the conference
+    error of the never-truthful policy q1 = q2 = 0, and forced_ec the
+    conference error of the forced decision (part-1 instances).
     """
 
     part2: bool
@@ -95,29 +102,20 @@ class InstanceGeometry:
     d1: Decision
     d2: Decision
     tie: bool = False
+    m: float = field(init=False, repr=False, compare=False)
+    alpha1: float = field(init=False, repr=False, compare=False)
+    alpha2: float = field(init=False, repr=False, compare=False)
+    ec_intercept: float = field(init=False, repr=False, compare=False)
+    forced_ec: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def m(self) -> float:
-        """Score-only adversary error, the ceiling min(pu, pv)."""
-        return min(self.pu, self.pv)
-
-    @property
-    def alpha1(self) -> float:
-        return self.pu * (1.0 - 2.0 * self.phi1)
-
-    @property
-    def alpha2(self) -> float:
-        return self.pv * (2.0 * self.phi2 - 1.0)
-
-    @property
-    def ec_intercept(self) -> float:
-        """Conference error of the never-truthful policy q1 = q2 = 0."""
-        return self.pu * (1.0 - self.phi1) + self.pv * self.phi2
-
-    @property
-    def forced_ec(self) -> float:
-        """Conference error of the forced decision (part-1 instances)."""
-        return self.pu * self.phi1 + self.pv * (1.0 - self.phi2)
+    def __post_init__(self) -> None:
+        pu, pv, phi1, phi2 = self.pu, self.pv, self.phi1, self.phi2
+        setattr_ = object.__setattr__
+        setattr_(self, "m", min(pu, pv))
+        setattr_(self, "alpha1", pu * (1.0 - 2.0 * phi1))
+        setattr_(self, "alpha2", pv * (2.0 * phi2 - 1.0))
+        setattr_(self, "ec_intercept", pu * (1.0 - phi1) + pv * phi2)
+        setattr_(self, "forced_ec", pu * phi1 + pv * (1.0 - phi2))
 
     def conference_error(self, q1: float, q2: float) -> float:
         if not self.part2:
@@ -126,7 +124,26 @@ class InstanceGeometry:
 
 
 def instance_geometry(inst: Instance) -> InstanceGeometry:
-    """Classify an instance and compute its oriented statistics."""
+    """Classify an instance and compute its oriented statistics.
+
+    The geometry is built on the first call and stored on inst; every
+    later call returns that same object. It is not a field, so it
+    takes no part in ==, hash or repr, and an Instance made by
+    dataclasses.replace, swap_papers or swap_reviewers starts without
+    one. Because the result is reused, the maps of a general monotone
+    profile must be pure functions. A call that raises (such as
+    DegenerateInstanceError) stores nothing.
+    """
+    geom = inst.__dict__.get("_geometry")
+    # Two threads that both miss build equal geometries, and either may
+    # be stored; the build is pure, so no lock is needed.
+    if geom is None:
+        geom = _build_geometry(inst)
+        object.__setattr__(inst, "_geometry", geom)
+    return geom
+
+
+def _build_geometry(inst: Instance) -> InstanceGeometry:
     pu, pv = posterior_weights(inst)
     if inst.noiseless:
         s1, s2 = inst.scores.s1, inst.scores.s2

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.integrate import dblquad
 
 from .model import (
     Assignment,
@@ -227,6 +226,10 @@ def zeta_eta(
     thresholds; if its error estimate misses the tolerance a seeded
     Monte Carlo fallback takes over.
     """
+    # Only this function integrates, so scipy loads on its first call
+    # rather than with the package.
+    from scipy.integrate import dblquad
+
     if settings is None:
         settings = QuadratureSettings()
     if not pop.noiseless:

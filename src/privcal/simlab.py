@@ -442,6 +442,8 @@ class StudyConfig:
             raise ConfigurationError("need messy_lo <= accept_top <= messy_hi")
         if self.slope_rate <= 0.0 or self.bias_variance <= 0.0:
             raise ConfigurationError("slope_rate and bias_variance must be positive")
+        if not all(math.isfinite(v) and v >= 0.0 for v in self.noise_variances):
+            raise ConfigurationError("noise_variances must be finite and nonnegative")
 
 
 def messy_middle_error(

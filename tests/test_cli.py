@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -68,6 +69,17 @@ class TestFrontierCommand:
         _, rows = _read_csv(tmp_path / "frontier.csv")
         assert len(rows) == 1 and rows[0][1] == "point"
 
+    @pytest.mark.parametrize("command", ["frontier", "policy", "simulate"])
+    def test_degenerate_instance_exits_3(self, command, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instance.s1": 1e200, "instance.s2": -1e200}))
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("degenerate instance:")
+        assert err.count("\n") == 1
+        assert not (tmp_path / f"{command}.csv").exists()
+
 
 class TestPolicyCommand:
     def test_feasible_reference(self, tmp_path):
@@ -126,6 +138,21 @@ class TestStudyCommand:
         methods = {r[1] for r in rows}
         assert methods == {"no_calibration", "within_conference", "known_parameters"}
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("variance", [-1.0, math.inf, math.nan])
+    def test_invalid_noise_variance_exits_2(self, variance, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.CFG, "study.noise_variances": [0.5, variance]}))
+        assert main(["study", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "noise_variances" in capsys.readouterr().err
+
+    def test_zero_noise_variance_runs(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.CFG, "study.noise_variances": [0.0]}))
+        assert main(["study", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        _, rows = _read_csv(tmp_path / "study.csv")
+        assert len(rows) == 3
+        assert all(float(r[2]) == 0.0 for r in rows)
 
 
 class TestManifestReplay:

@@ -1,5 +1,6 @@
 """Tests for the Pareto frontier and the max-adversary-error curve."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,11 @@ from scipy.optimize import linprog
 from scipy.stats import norm
 
 from privcal import (
+    DegenerateInstanceError,
     Infeasible,
+    Instance,
     ModeError,
+    ScorePair,
     SegmentKind,
     frontier,
     max_adversary_error_curve,
@@ -151,6 +155,65 @@ class TestRelabelingInvariance:
                 assert seg2.end.ea == pytest.approx(seg.end.ea, abs=1e-12)
 
 
+def _fresh(inst, **changes):
+    """A newly constructed Instance equal to inst with changes applied."""
+    kw = {f.name: getattr(inst, f.name) for f in dataclasses.fields(inst)}
+    kw.update(changes)
+    return Instance(**kw)
+
+
+class TestStoredGeometry:
+    """instance_geometry builds the geometry once per Instance and stores it."""
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_second_call_returns_the_stored_object(self, rng, noisy):
+        for _ in range(20):
+            inst = (
+                random_noisy_instance(rng) if noisy else random_noiseless_instance(rng)
+            )
+            assert instance_geometry(inst) is instance_geometry(inst)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_copies_build_their_own_geometry(self, rng, noisy):
+        for _ in range(20):
+            inst = random_part2_instance(rng, noisy=noisy)
+            stored = instance_geometry(inst)
+            moved = ScorePair(inst.scores.s1 + 0.25, inst.scores.s2)
+            copies = [
+                (inst.swap_papers(), _fresh(inst, scores=inst.scores.swapped())),
+                (
+                    inst.swap_reviewers(),
+                    _fresh(inst, reviewer1=inst.reviewer2, reviewer2=inst.reviewer1),
+                ),
+                (dataclasses.replace(inst), _fresh(inst)),
+                (dataclasses.replace(inst, scores=moved), _fresh(inst, scores=moved)),
+            ]
+            for copy, fresh in copies:
+                got = instance_geometry(copy)
+                assert got is not stored
+                # astuple includes the derived scalars, which == skips.
+                assert dataclasses.astuple(got) == dataclasses.astuple(
+                    instance_geometry(fresh)
+                )
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_stored_geometry_is_invisible_to_eq_hash_repr(self, rng, noisy):
+        for _ in range(20):
+            inst = random_part2_instance(rng, noisy=noisy)
+            instance_geometry(inst)
+            fresh = _fresh(inst)
+            assert inst == fresh
+            assert hash(inst) == hash(fresh)
+            assert repr(inst) == repr(fresh)
+
+    @pytest.mark.parametrize("sigma2", [0.0, 0.5])
+    def test_degenerate_instance_raises_on_every_call(self, sigma2):
+        inst = make_instance(1.0, 0.0, 1.0, 1.0, sigma2, 1e200, -1e200)
+        for _ in range(2):
+            with pytest.raises(DegenerateInstanceError):
+                instance_geometry(inst)
+
+
 class TestMaxAdversaryErrorCurve:
     def test_noiseless_trapezoid_reference(self):
         inst = make_instance(1, 0, 1, 1, 0.0, 0.5, 1.0)
@@ -254,6 +317,9 @@ class TestMaxAdversaryErrorCurve:
         are combined: min(max{E_A : E_C <= ec}, max{E_A : E_C >= ec})
         equals the trapezoid value on the rising, flat, and falling
         pieces alike, up to grid resolution.
+
+        The one-sided maxima come from bucketing the grid points between
+        consecutive targets, which needs no sort of the 4 M points.
         """
         q = np.linspace(0.0, 1.0, 2001)
         q1g, q2g = np.meshgrid(q, q, indexing="ij")
@@ -264,18 +330,22 @@ class TestMaxAdversaryErrorCurve:
             inst = random_part2_instance(rng, noisy=noisy)
             geom = instance_geometry(inst)
             ec_all, ea_all = _scenario_errors_grid(geom, q1f, q2f)
-            order = np.argsort(ec_all)
-            ec_sorted = ec_all[order]
-            ea_sorted = ea_all[order]
-            prefix = np.maximum.accumulate(ea_sorted)
-            suffix = np.maximum.accumulate(ea_sorted[::-1])[::-1]
             lo = geom.ec_intercept - geom.alpha1 - geom.alpha2
-            for ec in np.linspace(lo, geom.ec_intercept, 101):
+            targets = np.linspace(lo, geom.ec_intercept, 101)
+            # A point lands in bucket k of below when k targets lie
+            # strictly under its E_C, so it counts towards E_C <= target
+            # for targets k and up; in bucket k of above when k targets
+            # lie at or under its E_C, so it counts towards E_C >= target
+            # for targets below k. E_A >= 0, so a bucket with no point
+            # holds 0, the value of an empty side.
+            below = np.zeros(targets.size + 1)
+            above = np.zeros(targets.size + 1)
+            np.maximum.at(below, np.searchsorted(targets, ec_all, side="left"), ea_all)
+            np.maximum.at(above, np.searchsorted(targets, ec_all, side="right"), ea_all)
+            lefts = np.maximum.accumulate(below)[:-1]
+            rights = np.maximum.accumulate(above[::-1])[::-1][1:]
+            for ec, left, right in zip(targets, lefts, rights):
                 ec = float(ec)
-                i = np.searchsorted(ec_sorted, ec, side="right")
-                left = prefix[i - 1] if i > 0 else 0.0
-                j = np.searchsorted(ec_sorted, ec, side="left")
-                right = suffix[j] if j < ec_sorted.size else 0.0
                 brute = min(left, right)
                 got = max_adversary_error_curve(inst, ec)
                 assert not isinstance(got, Infeasible)

@@ -1,11 +1,16 @@
 """Tests for MAP acceptance and the three calibration policies."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import privcal
 from privcal import (
     Assignment,
     AveragePolicy,
@@ -210,6 +215,31 @@ class TestZetaEta:
         zb, eb, _ = zeta_eta(p2)
         assert za == pytest.approx(zb, abs=2e-6)
         assert ea_ == pytest.approx(eb, abs=2e-6)
+
+    def test_package_import_leaves_scipy_unloaded(self):
+        """scipy loads on the first zeta_eta call, not with the package."""
+        code = (
+            "import sys\n"
+            "import privcal, privcal.cli\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported with privcal'\n"
+            "from privcal import Population, ReviewerProfile, zeta_eta\n"
+            "pop = Population(\n"
+            "    ReviewerProfile.affine(1.0, 0.0), ReviewerProfile.affine(1.0, 1.0), 0.0\n"
+            ")\n"
+            "print(repr(zeta_eta(pop)))\n"
+            "assert 'scipy' in sys.modules\n"
+        )
+        src = str(Path(privcal.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        pop = Population(
+            ReviewerProfile.affine(1.0, 0.0), ReviewerProfile.affine(1.0, 1.0), 0.0
+        )
+        assert proc.stdout.strip() == repr(zeta_eta(pop))
 
 
 class TestAlg2Policy:
