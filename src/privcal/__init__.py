@@ -58,7 +58,6 @@ from .adversary import (
     ScenarioTable,
     map_guess,
     per_instance_errors,
-    piecewise_adversary_error,
     rr_epsilon,
     rr_gamma,
     scenario_table,

@@ -3,10 +3,12 @@
 The adversary observes the scores, the published policy, and the
 accepted paper, and guesses the assignment by maximizing the posterior.
 The scenario table enumerating the four (assignment, decision) outcomes
-is the single source of truth for error probabilities; the consolidated
-piecewise closed form is kept as an independent cross-check. The
-randomized-response bookkeeping for the gamma/epsilon correspondence
-lives here too.
+is the single source of truth for error probabilities: map_guess,
+per_instance_errors and the per-instance simulator all read the MAP
+comparison from _decision_probs and _compare. The independent
+cross-checks (the piecewise closed form and a vectorized grid form) live
+in the test suite, not here. The randomized-response bookkeeping for the
+gamma/epsilon correspondence lives here too.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .model import Assignment, Decision, Instance
 from .frontier import ErrorPair, InstanceGeometry, instance_geometry
@@ -122,28 +122,6 @@ def per_instance_errors(inst: Instance, policy) -> ErrorPair:
     return ErrorPair(ec, ea)
 
 
-def piecewise_adversary_error(inst: Instance, q1: float, q2: float) -> float:
-    """Closed-form adversary error of a policy, bypassing the scenario table.
-
-    Writing w = pu q1 + pv q2, the error is w below the score-only
-    ceiling band, the ceiling min(pu, pv) inside it, and 1 - w above;
-    the case boundaries carry the tie-averaged values, which the
-    min form reproduces exactly.
-    """
-    geom = instance_geometry(inst)
-    if not geom.part2:
-        raise ValueError(
-            "forced instance: the adversary error is constant, use per_instance_errors"
-        )
-    w = geom.pu * q1 + geom.pv * q2
-    small = geom.m
-    if w < small:
-        return w
-    if 1.0 - w < small:
-        return 1.0 - w
-    return small
-
-
 def rr_epsilon(gamma: float) -> float:
     """Privacy parameter of binary randomized response with odds gamma."""
     if not (gamma > 0.0) or not math.isfinite(gamma):
@@ -156,22 +134,3 @@ def rr_gamma(epsilon: float) -> float:
         raise ValueError("epsilon must be finite")
     return math.exp(epsilon)
 
-
-def _scenario_errors_grid(geom: InstanceGeometry, q1, q2):
-    """Vectorized (E_C, E_A) over policy arrays via scenario comparisons.
-
-    Mirrors scenario_table cell by cell using array arithmetic; used by
-    oracle tests and brute-force frontier checks where millions of
-    policies are evaluated per instance.
-    """
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    pu, pv = geom.pu, geom.pv
-    ec = geom.ec_intercept - geom.alpha1 * q1 - geom.alpha2 * q2
-    # Decision d1 observed: likelihoods pu q1 vs pv (1 - q2).
-    l1, l2 = pu * q1, pv * (1.0 - q2)
-    wrong_d1 = np.where(l1 > l2, l2, np.where(l1 < l2, l1, 0.5 * (l1 + l2)))
-    # Decision d2 observed: likelihoods pu (1 - q1) vs pv q2.
-    l1, l2 = pu * (1.0 - q1), pv * q2
-    wrong_d2 = np.where(l1 > l2, l2, np.where(l1 < l2, l1, 0.5 * (l1 + l2)))
-    return ec, wrong_d1 + wrong_d2

@@ -7,6 +7,11 @@ calibration benefit study). Every run writes a CSV and a JSON manifest
 holding the fully resolved configuration; re-running with the manifest
 as the config reproduces the CSV byte for byte.
 
+Each config value is coerced to the type of its default: floats, or
+integers, which must be integral (seeds lie in [0, 2^64)), or for the
+study's noise variances a nonempty list of floats. The study's keys and
+defaults come from the fields of StudyConfig.
+
 Exit codes: 0 success (infeasible policy targets included), 2
 configuration error, 3 numerical failure: a quadrature accuracy
 failure, or a degenerate instance whose scores are so extreme that both
@@ -16,6 +21,7 @@ assignment likelihoods underflow to zero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -53,22 +59,18 @@ _INSTANCE_DEFAULTS = {
     "instance.s2": 1.0,
 }
 
+
+def _study_key(name: str) -> str:
+    return name if name == "seed" else f"study.{name}"
+
+
 _DEFAULTS = {
     "frontier": {**_INSTANCE_DEFAULTS, "grid": 101},
     "policy": {**_INSTANCE_DEFAULTS, "ec": 0.2},
     "simulate": {**_INSTANCE_DEFAULTS, "ec": 0.2, "simulate.n": 200_000, "seed": 0},
     "study": {
-        "study.n_papers": 100,
-        "study.n_reviewers": 100,
-        "study.reviews_per_paper": 3,
-        "study.slope_rate": 1.0,
-        "study.bias_variance": 0.5,
-        "study.noise_variances": [0.25, 0.5, 1.0],
-        "study.iterations": 100,
-        "study.accept_top": 25,
-        "study.messy_lo": 11,
-        "study.messy_hi": 40,
-        "seed": 0,
+        _study_key(f.name): list(f.default) if isinstance(f.default, tuple) else f.default
+        for f in dataclasses.fields(StudyConfig)
     },
 }
 
@@ -90,6 +92,34 @@ def _load_config(path: str) -> dict:
     return data
 
 
+def _coerce(key: str, value, default):
+    """value converted to the type of default, or a ConfigurationError."""
+    if isinstance(default, list):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigurationError(f"{key} must be a nonempty list")
+        return tuple(_coerce(f"{key} entry", v, 0.0) for v in value)
+    kind = "a number" if isinstance(default, float) else "an integer"
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        if isinstance(default, float):
+            return float(value)
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"{key} must be {kind}, got {value!r}") from None
+    if key == "seed" and not 0 <= number < 2**64:
+        raise ConfigurationError(f"seed must lie in [0, 2^64), got {number}")
+    return number
+
+
+def _typed(command: str, cfg: dict) -> dict:
+    """The resolved config with every value coerced to its default's type."""
+    defaults = _DEFAULTS[command]
+    return {key: _coerce(key, value, defaults[key]) for key, value in cfg.items()}
+
+
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     cfg = dict(_DEFAULTS[command])
     if args.config:
@@ -105,7 +135,7 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
                 raise ConfigurationError(f"--{flag} is not accepted by {command}")
             cfg[flag] = value
     if getattr(args, "mode", None) is not None and "instance.sigma2" in cfg:
-        noisy = cfg["instance.sigma2"] > 0.0
+        noisy = _coerce("instance.sigma2", cfg["instance.sigma2"], 0.0) > 0.0
         if (args.mode == "noisy") != noisy:
             raise ConfigurationError(
                 f"--mode {args.mode} conflicts with instance.sigma2="
@@ -115,15 +145,12 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
 
 
 def _build_instance(cfg: dict) -> Instance:
-    try:
-        return Instance(
-            ReviewerProfile.affine(float(cfg["instance.a1"]), float(cfg["instance.b1"])),
-            ReviewerProfile.affine(float(cfg["instance.a2"]), float(cfg["instance.b2"])),
-            float(cfg["instance.sigma2"]),
-            ScorePair(float(cfg["instance.s1"]), float(cfg["instance.s2"])),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"missing required config field: {exc.args[0]}")
+    return Instance(
+        ReviewerProfile.affine(cfg["instance.a1"], cfg["instance.b1"]),
+        ReviewerProfile.affine(cfg["instance.a2"], cfg["instance.b2"]),
+        cfg["instance.sigma2"],
+        ScorePair(cfg["instance.s1"], cfg["instance.s2"]),
+    )
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -171,7 +198,7 @@ def cmd_frontier(cfg: dict, out: Path) -> list[list[str]]:
     geom = instance_geometry(inst)
     lo = seg.min_feasible_ec
     hi = geom.ec_intercept
-    count = int(cfg["grid"])
+    count = cfg["grid"]
     if count < 2:
         raise ConfigurationError("grid must be at least 2")
     for i in range(count):
@@ -220,7 +247,7 @@ def _policy_rows(inst: Instance, ec: float) -> list[list[str]]:
 
 
 def cmd_policy(cfg: dict, out: Path) -> list[list[str]]:
-    return _policy_rows(_build_instance(cfg), float(cfg["ec"]))
+    return _policy_rows(_build_instance(cfg), cfg["ec"])
 
 
 _SIMULATE_HEADER = [
@@ -241,9 +268,7 @@ _SIMULATE_HEADER = [
 
 def cmd_simulate(cfg: dict, out: Path) -> list[list[str]]:
     inst = _build_instance(cfg)
-    ec = float(cfg["ec"])
-    n = int(cfg["simulate.n"])
-    seed = int(cfg["seed"])
+    ec, n, seed = cfg["ec"], cfg["simulate.n"], cfg["seed"]
     schema = "privcal.simulate.v1"
     result = alg1_policy(inst, ec) if inst.noiseless else alg3_policy(inst, ec)
     if isinstance(result, Infeasible):
@@ -282,21 +307,8 @@ _STUDY_HEADER = [
 
 
 def cmd_study(cfg: dict, out: Path) -> list[list[str]]:
-    variances = cfg["study.noise_variances"]
-    if not isinstance(variances, (list, tuple)) or not variances:
-        raise ConfigurationError("study.noise_variances must be a nonempty list")
     study_cfg = StudyConfig(
-        n_papers=int(cfg["study.n_papers"]),
-        n_reviewers=int(cfg["study.n_reviewers"]),
-        reviews_per_paper=int(cfg["study.reviews_per_paper"]),
-        slope_rate=float(cfg["study.slope_rate"]),
-        bias_variance=float(cfg["study.bias_variance"]),
-        noise_variances=tuple(float(v) for v in variances),
-        iterations=int(cfg["study.iterations"]),
-        accept_top=int(cfg["study.accept_top"]),
-        messy_lo=int(cfg["study.messy_lo"]),
-        messy_hi=int(cfg["study.messy_hi"]),
-        seed=int(cfg["seed"]),
+        **{f.name: cfg[_study_key(f.name)] for f in dataclasses.fields(StudyConfig)}
     )
     result = run_calibration_study(study_cfg)
     schema = "privcal.study.v2"
@@ -359,7 +371,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         runner, header = _COMMANDS[args.command]
-        rows = runner(cfg, out)
+        rows = runner(_typed(args.command, cfg), out)
         csv_path = out / f"{args.command}.csv"
         _write_csv(csv_path, header, rows)
         _write_manifest(out, args.command, cfg, started, csv_path)

@@ -34,6 +34,7 @@ from .model import (
     ModeError,
     phi_pair,
     posterior_weights,
+    thresholds,
 )
 
 
@@ -90,8 +91,9 @@ class InstanceGeometry:
     no part in ==, hash or repr: m = min(pu, pv) is the score-only
     adversary error ceiling, alpha1 and alpha2 are the slopes of the
     conference error in q1 and q2, ec_intercept is the conference
-    error of the never-truthful policy q1 = q2 = 0, and forced_ec the
-    conference error of the forced decision (part-1 instances).
+    error of the never-truthful policy q1 = q2 = 0, truthful_ec that of
+    the truthful policy q1 = q2 = 1, and forced_ec the conference error
+    of the forced decision (part-1 instances).
     """
 
     part2: bool
@@ -106,6 +108,7 @@ class InstanceGeometry:
     alpha1: float = field(init=False, repr=False, compare=False)
     alpha2: float = field(init=False, repr=False, compare=False)
     ec_intercept: float = field(init=False, repr=False, compare=False)
+    truthful_ec: float = field(init=False, repr=False, compare=False)
     forced_ec: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -115,6 +118,7 @@ class InstanceGeometry:
         setattr_(self, "alpha1", pu * (1.0 - 2.0 * phi1))
         setattr_(self, "alpha2", pv * (2.0 * phi2 - 1.0))
         setattr_(self, "ec_intercept", pu * (1.0 - phi1) + pv * phi2)
+        setattr_(self, "truthful_ec", self.ec_intercept - self.alpha1 - self.alpha2)
         setattr_(self, "forced_ec", pu * phi1 + pv * (1.0 - phi2))
 
     def conference_error(self, q1: float, q2: float) -> float:
@@ -146,9 +150,8 @@ def instance_geometry(inst: Instance) -> InstanceGeometry:
 def _build_geometry(inst: Instance) -> InstanceGeometry:
     pu, pv = posterior_weights(inst)
     if inst.noiseless:
-        s1, s2 = inst.scores.s1, inst.scores.s2
-        thr_a = inst.reviewer2.apply(inst.reviewer1.invert(s2))
-        thr_b = inst.reviewer1.apply(inst.reviewer2.invert(s2))
+        s1 = inst.scores.s1
+        thr_a, thr_b = thresholds(inst, inst.scores.s2)
         hi, lo = max(thr_a, thr_b), min(thr_a, thr_b)
         if s1 >= hi:
             d = Decision.PAPER1
@@ -212,13 +215,12 @@ def _endpoint(geom: InstanceGeometry) -> tuple[float, tuple[float, float]]:
 
 
 def _segment(geom: InstanceGeometry) -> FrontierSegment:
-    start_ec = geom.ec_intercept - geom.alpha1 - geom.alpha2
     end_ec, _ = _endpoint(geom)
     return FrontierSegment(
         SegmentKind.SEGMENT,
-        ErrorPair(start_ec, 0.0),
+        ErrorPair(geom.truthful_ec, 0.0),
         ErrorPair(end_ec, geom.m),
-        start_ec,
+        geom.truthful_ec,
     )
 
 
@@ -236,21 +238,26 @@ def noiseless_frontier(inst: Instance) -> FrontierSegment:
     """
     if not inst.noiseless:
         raise ModeError("noiseless_frontier requires sigma2 = 0")
-    geom = instance_geometry(inst)
-    return _segment(geom) if geom.part2 else _point(geom)
+    return frontier(inst)
 
 
 def noisy_frontier(inst: Instance) -> FrontierSegment:
     """Pareto frontier in noisy mode (affine profiles, sigma2 > 0)."""
     if inst.noiseless:
         raise ModeError("noisy_frontier requires sigma2 > 0")
-    geom = instance_geometry(inst)
-    return _segment(geom) if geom.part2 else _point(geom)
+    return frontier(inst)
 
 
 def frontier(inst: Instance) -> FrontierSegment:
-    """Mode-dispatching frontier."""
-    return noiseless_frontier(inst) if inst.noiseless else noisy_frontier(inst)
+    """Pareto frontier of one instance, in either noise mode.
+
+    Forced instances give the point (forced_ec, m). Otherwise the
+    frontier is the rising segment from the truthful policy's errors
+    (truthful_ec, 0) to the endpoint where the adversary error reaches
+    the score-only ceiling m.
+    """
+    geom = instance_geometry(inst)
+    return _segment(geom) if geom.part2 else _point(geom)
 
 
 def _w_interval(geom: InstanceGeometry, t: float) -> tuple[float, float, float, float]:
@@ -298,7 +305,7 @@ def max_adversary_error_curve(
         if ec == fec:
             return geom.m
         return Infeasible(fec, fec)
-    lo_ec = geom.ec_intercept - geom.alpha1 - geom.alpha2
+    lo_ec = geom.truthful_ec
     hi_ec = geom.ec_intercept
     if ec < lo_ec or ec > hi_ec:
         return Infeasible(lo_ec, hi_ec)
@@ -325,7 +332,7 @@ def curve_policy(inst: Instance, ec: float) -> Union[tuple[float, float], Infeas
         if ec == geom.forced_ec:
             return (1.0, 1.0)
         return Infeasible(geom.forced_ec, geom.forced_ec)
-    lo_ec = geom.ec_intercept - geom.alpha1 - geom.alpha2
+    lo_ec = geom.truthful_ec
     hi_ec = geom.ec_intercept
     if ec < lo_ec or ec > hi_ec:
         return Infeasible(lo_ec, hi_ec)

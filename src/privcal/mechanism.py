@@ -26,6 +26,7 @@ from .model import (
     ProfileKind,
     log_likelihoods,
     phi_pair,
+    thresholds,
 )
 from .frontier import Infeasible, _endpoint, _w_interval, instance_geometry
 
@@ -166,9 +167,8 @@ def alg3_policy(inst: Instance, ec_max: float) -> Union[Policy, Infeasible]:
     geom = instance_geometry(inst)
     if not geom.part2:
         return Policy(1.0, 1.0, forced=geom.d1)
-    start_ec = geom.ec_intercept - geom.alpha1 - geom.alpha2
-    if ec_max < start_ec:
-        return Infeasible(start_ec, geom.ec_intercept)
+    if ec_max < geom.truthful_ec:
+        return Infeasible(geom.truthful_ec, geom.ec_intercept)
     end_ec, end_q = _endpoint(geom)
     if ec_max >= end_ec:
         return Policy(end_q[0], end_q[1])
@@ -234,27 +234,23 @@ def zeta_eta(
         settings = QuadratureSettings()
     if not pop.noiseless:
         raise ModeError("zeta/eta are defined for the noiseless average case")
-    r1, r2 = pop.reviewer1, pop.reviewer2
     lo, hi = _score_bounds(pop, settings.theta_span)
     integrand = _half_min_likelihood(pop)
 
-    def thr_low(s2: float) -> float:
-        ta = r2.apply(r1.invert(s2))
-        tb = r1.apply(r2.invert(s2))
-        return min(ta, tb)
-
-    def thr_high(s2: float) -> float:
-        ta = r2.apply(r1.invert(s2))
-        tb = r1.apply(r2.invert(s2))
-        return max(ta, tb)
+    def band(s2: float) -> tuple[float, float]:
+        # The randomizing regime at s2: s1 strictly between the thresholds.
+        ta, tb = thresholds(pop, s2)
+        return min(ta, tb), max(ta, tb)
 
     tol = settings.abs_tol / 3.0
-    zeta, zerr = dblquad(integrand, lo, hi, thr_low, thr_high, epsabs=tol)
+    zeta, zerr = dblquad(
+        integrand, lo, hi, lambda s2: band(s2)[0], lambda s2: band(s2)[1], epsabs=tol
+    )
     eta_lo, e1err = dblquad(
-        integrand, lo, hi, lo, lambda s2: max(lo, min(thr_low(s2), hi)), epsabs=tol
+        integrand, lo, hi, lo, lambda s2: max(lo, min(band(s2)[0], hi)), epsabs=tol
     )
     eta_hi, e2err = dblquad(
-        integrand, lo, hi, lambda s2: max(lo, min(thr_high(s2), hi)), hi, epsabs=tol
+        integrand, lo, hi, lambda s2: max(lo, min(band(s2)[1], hi)), hi, epsabs=tol
     )
     eta = eta_lo + eta_hi
     err = zerr + e1err + e2err
@@ -295,8 +291,7 @@ def _zeta_eta_monte_carlo(
     )
     big = np.maximum(logu, logv)
     msc = np.exp(np.minimum(logu, logv) - big) / (1.0 + np.exp(-np.abs(logu - logv)))
-    ta = a2 * (s2 - b1) / a1 + b2
-    tb = a1 * (s2 - b2) / a2 + b1
+    ta, tb = thresholds(pop, s2)
     part2 = (s1 > np.minimum(ta, tb)) & (s1 < np.maximum(ta, tb))
     zeta_samples = np.where(part2, msc, 0.0)
     eta_samples = np.where(part2, 0.0, msc)

@@ -49,7 +49,8 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def _norm_logpdf(x: float, mean: float, var: float) -> float:
+def _norm_logpdf(x, mean: float, var: float):
+    """Normal log-density; x may be a float or an array (element by element)."""
     d = x - mean
     return _LOG_INV_SQRT_2PI - 0.5 * math.log(var) - 0.5 * d * d / var
 
@@ -179,19 +180,13 @@ class ScorePair:
         return ScorePair(self.s2, self.s1)
 
 
-@dataclass(frozen=True)
-class Instance:
-    """A fully specified problem: two profiles, shared noise variance, scores.
+class _NoiseModel:
+    """Noise validation and mode, shared by Instance and Population.
 
     sigma2 = 0 selects noiseless mode. Positive sigma2 requires both
     profiles to be affine, since the noisy closed forms assume affine
     miscalibration.
     """
-
-    reviewer1: ReviewerProfile
-    reviewer2: ReviewerProfile
-    sigma2: float
-    scores: ScorePair
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.sigma2) or self.sigma2 < 0.0:
@@ -207,6 +202,16 @@ class Instance:
     @property
     def noiseless(self) -> bool:
         return self.sigma2 == 0.0
+
+
+@dataclass(frozen=True)
+class Instance(_NoiseModel):
+    """A fully specified problem: two profiles, shared noise variance, scores."""
+
+    reviewer1: ReviewerProfile
+    reviewer2: ReviewerProfile
+    sigma2: float
+    scores: ScorePair
 
     def swap_papers(self) -> "Instance":
         """Relabel the papers: s1 and s2 trade places."""
@@ -218,7 +223,7 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class Population:
+class Population(_NoiseModel):
     """The generative model behind average-case quantities.
 
     Qualities are i.i.d. standard normal, the assignment is uniform,
@@ -228,21 +233,6 @@ class Population:
     reviewer1: ReviewerProfile
     reviewer2: ReviewerProfile
     sigma2: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.sigma2) or self.sigma2 < 0.0:
-            raise ConfigurationError("sigma2 must be finite and nonnegative")
-        if self.sigma2 > 0.0 and not (
-            self.reviewer1.kind is ProfileKind.AFFINE
-            and self.reviewer2.kind is ProfileKind.AFFINE
-        ):
-            raise ConfigurationError(
-                "positive noise variance requires affine reviewer profiles"
-            )
-
-    @property
-    def noiseless(self) -> bool:
-        return self.sigma2 == 0.0
 
     def instance(self, s1: float, s2: float) -> Instance:
         return Instance(self.reviewer1, self.reviewer2, self.sigma2, ScorePair(s1, s2))
@@ -330,6 +320,28 @@ def posterior_weights(inst: Instance) -> tuple[float, float]:
 def assignment_posterior(inst: Instance) -> float:
     """Posterior probability of assignment A1 given the scores (uniform prior)."""
     return posterior_weights(inst)[0]
+
+
+def thresholds(model, s2):
+    """MAP decision thresholds on s1 at paper 2's score s2: (ta, tb).
+
+    Under an assumed A1 the MAP decision accepts paper 1 exactly when
+    s1 > tb; under an assumed A2, exactly when s1 > ta. model is any
+    object with reviewer1, reviewer2 and sigma2 (an Instance or a
+    Population); s2 is a float or an array. Noiseless mode maps s2
+    through one reviewer's inverse and the other's forward map; noisy
+    mode solves Phi1 = 1/2 and Phi2 = 1/2 for s1 (affine profiles).
+    """
+    r1, r2 = model.reviewer1, model.reviewer2
+    if model.sigma2 == 0.0:
+        ta = r2.apply(r1.invert(s2))
+        tb = r1.apply(r2.invert(s2))
+        return ta, tb
+    a1, b1, a2, b2, g2 = r1.a, r1.b, r2.a, r2.b, model.sigma2
+    t1v, t2v = a1 * a1 + g2, a2 * a2 + g2
+    tb = b1 + a2 * t1v * (s2 - b2) / (a1 * t2v)
+    ta = b2 + a1 * t2v * (s2 - b1) / (a2 * t1v)
+    return ta, tb
 
 
 def phi_pair(inst: Instance) -> PhiPair:

@@ -24,14 +24,19 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .model import (
+    _LOG_INV_SQRT_2PI,
     Assignment,
     ConfigurationError,
+    Decision,
     Instance,
     Population,
     ProfileKind,
     ReviewerProfile,
+    _norm_logpdf,
+    thresholds,
 )
 from .frontier import ErrorPair, instance_geometry
+from .adversary import map_guess
 from .mechanism import Policy, QuadratureSettings, alg2_policy
 
 _BLOCK = 1 << 16
@@ -98,8 +103,8 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
 
     Each replicate draws the assignment from its score posterior,
     qualities from the score-conditioned posteriors, runs the
-    randomized decision, and lets the MAP adversary guess. Adversary
-    ties are tallied as half an error.
+    randomized decision, and lets the MAP adversary guess (map_guess,
+    once per decision). Adversary ties are tallied as half an error.
     """
     if n < 1:
         raise ConfigurationError("n must be at least 1")
@@ -127,28 +132,16 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
             ),
         }
 
-    if geom.part2:
-        d1_p1 = geom.d1.value == 1
-        d2_p1 = geom.d2.value == 1
-        q1, q2 = policy.q1, policy.q2
-        prob_p1_a1 = q1 * d1_p1 + (1.0 - q1) * d2_p1
-        prob_p1_a2 = q2 * d2_p1 + (1.0 - q2) * d1_p1
-    else:
-        forced_p1 = geom.d1.value == 1
-        prob_p1_a1 = prob_p1_a2 = (0.5 if geom.tie else float(forced_p1))
+    d1_p1 = geom.d1 is Decision.PAPER1
+    d2_p1 = geom.d2 is Decision.PAPER1
 
-    def wrong_given(observed_p1: bool) -> tuple[float, float]:
-        po1 = prob_p1_a1 if observed_p1 else 1.0 - prob_p1_a1
-        po2 = prob_p1_a2 if observed_p1 else 1.0 - prob_p1_a2
-        l1, l2 = pu * po1, (1.0 - pu) * po2
-        if l1 > l2:
-            return 0.0, 1.0
-        if l1 < l2:
-            return 1.0, 0.0
-        return 0.5, 0.5
+    def adversary_wrong(d: Decision) -> tuple[float, float]:
+        # Probability the guess is wrong when d is accepted, under A1 and A2.
+        guess = map_guess(inst, policy, d)
+        return tuple(guess.wrong_probability(a) for a in (Assignment.A1, Assignment.A2))
 
-    wrong_p1 = wrong_given(True)
-    wrong_p2 = wrong_given(False)
+    wrong_p1 = adversary_wrong(Decision.PAPER1)
+    wrong_p2 = adversary_wrong(Decision.PAPER2)
 
     def worker(block: int, offset: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
@@ -193,7 +186,7 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
         elif geom.tie:
             acc_p1 = tie_coin < 0.5
         else:
-            acc_p1 = np.full(cnt, forced_p1)
+            acc_p1 = np.full(cnt, d1_p1)
 
         conf_wrong = np.where(acc_p1, th1 < th2, th2 < th1)
         adv_wrong = np.where(
@@ -211,13 +204,11 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
 
 
 def _log_density_arr(prof: ReviewerProfile, sigma2: float, s: np.ndarray) -> np.ndarray:
-    c = -0.5 * math.log(2.0 * math.pi)
     if prof.kind is ProfileKind.AFFINE:
-        var = prof.a * prof.a + sigma2
-        return c - 0.5 * math.log(var) - 0.5 * (s - prof.b) ** 2 / var
+        return _norm_logpdf(s, prof.b, prof.a * prof.a + sigma2)
     theta = prof.inverse_fn(s)
     jac = np.abs(prof.inverse_derivative_fn(s))
-    return c - 0.5 * theta * theta + np.log(jac)
+    return _LOG_INV_SQRT_2PI - 0.5 * theta * theta + np.log(jac)
 
 
 def posterior_weight_arrays(
@@ -233,20 +224,6 @@ def posterior_weight_arrays(
     d = logv - logu
     pu = 1.0 / (1.0 + np.exp(np.clip(d, -745.0, 745.0)))
     return pu, 1.0 - pu
-
-
-def _thresholds(pop: Population, s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-score decision thresholds (for the A2-assumed and A1-assumed MAP)."""
-    r1, r2 = pop.reviewer1, pop.reviewer2
-    if pop.noiseless:
-        ta = r2.apply(r1.invert(s2))
-        tb = r1.apply(r2.invert(s2))
-        return ta, tb
-    a1, b1, a2, b2, g2 = r1.a, r1.b, r2.a, r2.b, pop.sigma2
-    t1v, t2v = a1 * a1 + g2, a2 * a2 + g2
-    tb = b1 + a2 * t1v * (s2 - b2) / (a1 * t2v)
-    ta = b2 + a1 * t2v * (s2 - b1) / (a2 * t1v)
-    return ta, tb
 
 
 class TruthfulRule:
@@ -277,7 +254,7 @@ class Alg1Rule:
         # ceiling is then 0 and truthful play is already optimal.
         safe_pv = np.where(pv > 0.0, pv, 1.0)
         q2 = np.where(pv > 0.0, np.clip((w - pu) / safe_pv, 0.0, 1.0), 1.0)
-        ta, tb = _thresholds(self.pop, s2)
+        ta, tb = thresholds(self.pop, s2)
         part2 = (s1 > np.minimum(ta, tb)) & (s1 < np.maximum(ta, tb))
         return np.ones_like(s1), np.where(part2, q2, 1.0)
 
@@ -337,7 +314,7 @@ def simulate_average(
             s1 = s1 + sd * eps[0]
             s2 = s2 + sd * eps[1]
 
-        ta, tb = _thresholds(pop, s2)
+        ta, tb = thresholds(pop, s2)
         d1_p1 = s1 > tb
         d2_p1 = s1 > ta
         part2 = d1_p1 != d2_p1

@@ -114,6 +114,46 @@ def general_policy_errors(inst: Instance, g1: float, g2: float):
     return ec, ea
 
 
+def piecewise_adversary_error(inst: Instance, q1: float, q2: float) -> float:
+    """Closed-form adversary error of a policy, bypassing the scenario table.
+
+    Writing w = pu q1 + pv q2, the error is w below the score-only
+    ceiling band, the ceiling min(pu, pv) inside it, and 1 - w above;
+    the case boundaries carry the tie-averaged values, which the
+    min form reproduces exactly.
+    """
+    geom = instance_geometry(inst)
+    if not geom.part2:
+        raise ValueError(
+            "forced instance: the adversary error is constant, use per_instance_errors"
+        )
+    w = geom.pu * q1 + geom.pv * q2
+    small = geom.m
+    if w < small:
+        return w
+    if 1.0 - w < small:
+        return 1.0 - w
+    return small
+
+
+def _scenario_errors_grid(geom, q1, q2):
+    """Vectorized (E_C, E_A) over policy arrays.
+
+    Under each observed decision the MAP adversary is wrong with the
+    smaller of the two assignment masses (pu q1 vs pv (1 - q2) when d1
+    is observed, pu (1 - q1) vs pv q2 when d2 is); a tie splits the
+    equal masses, which min reproduces. Used by oracle tests and
+    brute-force frontier checks where millions of policies are
+    evaluated per instance.
+    """
+    q1 = np.asarray(q1, dtype=float)
+    q2 = np.asarray(q2, dtype=float)
+    pu, pv = geom.pu, geom.pv
+    ec = geom.ec_intercept - geom.alpha1 * q1 - geom.alpha2 * q2
+    ea = np.minimum(pu * q1, pv * (1.0 - q2)) + np.minimum(pu * (1.0 - q1), pv * q2)
+    return ec, ea
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20230817)

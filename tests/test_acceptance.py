@@ -20,7 +20,6 @@ from privcal import (
     ReviewerProfile,
     StudyConfig,
     per_instance_errors,
-    piecewise_adversary_error,
     rr_epsilon,
     rr_gamma,
     run_calibration_study,
@@ -28,13 +27,15 @@ from privcal import (
     simulate_instance,
     zeta_eta,
 )
-from privcal.adversary import _scenario_errors_grid, scenario_table
+from privcal.adversary import scenario_table
 from privcal.cli import main as cli_main
 from privcal.frontier import instance_geometry, noisy_frontier
 from privcal.mechanism import alg1_policy, alg3_policy
 from privcal.simlab import Alg2Rule
 from conftest import (
+    _scenario_errors_grid,
     make_instance,
+    piecewise_adversary_error,
     random_noiseless_instance,
     random_noisy_instance,
     random_part2_instance,

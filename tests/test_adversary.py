@@ -15,15 +15,18 @@ from privcal import (
     ScenarioTable,
     map_guess,
     per_instance_errors,
-    piecewise_adversary_error,
     rr_epsilon,
     rr_gamma,
     scenario_table,
 )
-from privcal.adversary import _scenario_errors_grid
 from privcal.frontier import instance_geometry
 from privcal.mechanism import alg1_policy
-from conftest import make_instance, random_part2_instance
+from conftest import (
+    _scenario_errors_grid,
+    make_instance,
+    piecewise_adversary_error,
+    random_part2_instance,
+)
 
 unit = st.floats(0.0, 1.0)
 

@@ -43,6 +43,59 @@ class TestConfigResolution:
         cfg.write_text("{not json")
         assert main(["policy", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "command, entries, key",
+        [
+            ("frontier", {"instance.s1": "abc"}, "instance.s1"),
+            ("policy", {"instance.a1": None}, "instance.a1"),
+            ("policy", {"instance.b2": True}, "instance.b2"),
+            ("simulate", {"seed": -1}, "seed"),
+            ("simulate", {"seed": 2**64}, "seed"),
+            ("simulate", {"simulate.n": 2.7}, "simulate.n"),
+            ("simulate", {"simulate.n": "many"}, "simulate.n"),
+            ("frontier", {"grid": 3.9}, "grid"),
+            ("frontier", {"grid": math.inf}, "grid"),
+            ("study", {"seed": -1}, "seed"),
+            ("study", {"study.iterations": 2.5}, "study.iterations"),
+            ("study", {"study.noise_variances": ["abc"]}, "study.noise_variances"),
+            ("study", {"study.noise_variances": [None]}, "study.noise_variances"),
+            ("study", {"study.noise_variances": 0.5}, "study.noise_variances"),
+            ("study", {"study.noise_variances": []}, "study.noise_variances"),
+        ],
+    )
+    def test_uncoercible_value_exits_2(self, command, entries, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {key}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / f"{command}.csv").exists()
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        assert main(["simulate", "--seed", "-3", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: seed")
+
+    def test_non_numeric_sigma2_with_mode_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instance.sigma2": "x"}))
+        args = ["frontier", "--mode", "noisy", "--config", str(cfg), "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert "instance.sigma2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, entries",
+        [
+            ("frontier", {"grid": 11.0}),
+            ("simulate", {"simulate.n": 1000.0, "seed": 2**64 - 1}),
+            ("policy", {"instance.s1": 1, "ec": 0}),
+        ],
+    )
+    def test_integral_and_integer_values_accepted(self, command, entries, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
 
 class TestFrontierCommand:
     def test_default_run_structure(self, tmp_path):

@@ -20,10 +20,11 @@ from privcal import (
     noiseless_frontier,
     noisy_frontier,
 )
-from privcal.adversary import _scenario_errors_grid, per_instance_errors
+from privcal.adversary import per_instance_errors
 from privcal.frontier import curve_policy, instance_geometry
 from privcal.mechanism import Policy
 from conftest import (
+    _scenario_errors_grid,
     make_instance,
     random_noiseless_instance,
     random_noisy_instance,
@@ -129,6 +130,19 @@ class TestNoisyFrontier:
         inst = make_instance(1, 0, 1, 1, 0.0, 0.5, 1.0)
         with pytest.raises(ModeError):
             noisy_frontier(inst)
+
+    @pytest.mark.parametrize("sigma2", [1e-12, 1e-9, 1e-6])
+    def test_tends_to_noiseless_frontier_as_noise_vanishes(self, rng, sigma2):
+        tol = 10.0 * math.sqrt(sigma2)
+        for _ in range(300):
+            inst = random_noiseless_instance(rng)
+            exact = noiseless_frontier(inst)
+            near = noisy_frontier(dataclasses.replace(inst, sigma2=sigma2))
+            assert near.kind is exact.kind
+            for a, b in ((near.start, exact.start), (near.end, exact.end)):
+                assert abs(a.ec - b.ec) <= tol
+                assert abs(a.ea - b.ea) <= tol
+            assert abs(near.min_feasible_ec - exact.min_feasible_ec) <= tol
 
 
 class TestRelabelingInvariance:

@@ -1,5 +1,6 @@
 """Tests for the domain types and score statistics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,9 +22,11 @@ from privcal import (
     phi_pair,
     quality_posterior,
 )
+from privcal.model import Population, thresholds
 from conftest import (
     cubic_profile,
     make_instance,
+    random_noiseless_instance,
     random_noisy_instance,
     sinh_profile,
 )
@@ -250,3 +253,35 @@ class TestQualityPosterior:
         inst = make_instance(1, 0, 1, 1, 0.0, 0.5, 1.0)
         with pytest.raises(ModeError):
             quality_posterior(inst, 1, Assignment.A1)
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_float_and_one_element_array_agree(self, rng, noisy):
+        for _ in range(100):
+            inst = random_noisy_instance(rng) if noisy else random_noiseless_instance(rng)
+            pop = Population(inst.reviewer1, inst.reviewer2, inst.sigma2)
+            s2 = inst.scores.s2
+            for model in (inst, pop):
+                ta, tb = thresholds(model, s2)
+                ta_arr, tb_arr = thresholds(model, np.array([s2]))
+                assert ta_arr.shape == (1,) and tb_arr.shape == (1,)
+                assert ta_arr[0] == ta and tb_arr[0] == tb
+
+    def test_general_monotone_float_and_array_agree(self):
+        pop = Population(sinh_profile(), cubic_profile())
+        s2 = np.linspace(-5.0, 5.0, 41)
+        ta_arr, tb_arr = thresholds(pop, s2)
+        for i, s in enumerate(s2):
+            ta, tb = thresholds(pop, float(s))
+            assert ta_arr[i] == ta and tb_arr[i] == tb
+
+    def test_noisy_thresholds_are_where_phi_crosses_one_half(self, rng):
+        for _ in range(50):
+            inst = random_noisy_instance(rng)
+            s2 = inst.scores.s2
+            ta, tb = thresholds(inst, s2)
+            at_tb = dataclasses.replace(inst, scores=ScorePair(tb, s2))
+            at_ta = dataclasses.replace(inst, scores=ScorePair(ta, s2))
+            assert phi_pair(at_tb).phi1 == pytest.approx(0.5, abs=1e-9)
+            assert phi_pair(at_ta).phi2 == pytest.approx(0.5, abs=1e-9)

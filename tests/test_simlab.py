@@ -26,6 +26,7 @@ from privcal.simlab import (
     TruthfulRule,
     _balanced_assignment,
     _draw_conference,
+    _log_density_arr,
     fit_within_conference,
     posterior_weight_arrays,
     stream,
@@ -170,6 +171,22 @@ class TestPosteriorWeightArrays:
             su, sv = posterior_weights(pop.instance(float(s1[i]), float(s2[i])))
             assert pu[i] == pytest.approx(su, abs=1e-12)
             assert pv[i] == pytest.approx(sv, abs=1e-12)
+
+    @pytest.mark.parametrize("sigma2", [0.0, 0.4])
+    def test_affine_log_likelihoods_match_scalar_exactly(self, rng, sigma2):
+        from privcal.model import log_likelihoods
+
+        pop = Population(
+            ReviewerProfile.affine(1.2, -0.3), ReviewerProfile.affine(0.8, 0.6), sigma2
+        )
+        s1 = rng.normal(0, 3, 200)
+        s2 = rng.normal(0, 3, 200)
+        r1, r2 = pop.reviewer1, pop.reviewer2
+        logu = _log_density_arr(r1, sigma2, s1) + _log_density_arr(r2, sigma2, s2)
+        logv = _log_density_arr(r2, sigma2, s1) + _log_density_arr(r1, sigma2, s2)
+        for i in range(s1.size):
+            lu, lv = log_likelihoods(pop.instance(float(s1[i]), float(s2[i])))
+            assert logu[i] == lu and logv[i] == lv
 
 
 class TestKendallTau:
