@@ -11,6 +11,17 @@ index in the high word). Replicates are processed in fixed-size blocks,
 block i drawing from stream(seed, i), and partial sums are reduced in
 block order, so results are a pure function of (inputs, seed) no matter
 how many worker threads run.
+
+A block reduces its replicates to exact counts: conference errors,
+firm wrong guesses of the adversary, and its ties at half an error.
+Every block total is an integer or half-integer far below 2^53, so it
+equals the float sum of per-replicate errors bit for bit.
+
+Average-case policy rules share the block's arrays: rule.batch(pu, pv,
+part2) maps the posterior weights of the replicates' scores and the
+mask of those in the randomizing regime to (q1, q2), arrays or scalars.
+Outside part2 the decision is forced and q is not read. A rule that
+carries a population (pop) must carry the simulated one.
 """
 
 from __future__ import annotations
@@ -105,21 +116,36 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
     qualities from the score-conditioned posteriors, runs the
     randomized decision, and lets the MAP adversary guess (map_guess,
     once per decision). Adversary ties are tallied as half an error.
+    A block counts its replicates in the four (assignment, accepted
+    paper) cells; each cell's adversary error, and in noiseless mode
+    its conference error, is fixed.
     """
     if n < 1:
         raise ConfigurationError("n must be at least 1")
     geom = instance_geometry(inst)
     pu = geom.pu
     noisy = not inst.noiseless
+    d1_p1 = geom.d1 is Decision.PAPER1
+    # Cell 2 * is_a1 + acc_p1 holds (assignment, accepted paper).
+    cells = [
+        (a, d)
+        for a in (Assignment.A2, Assignment.A1)
+        for d in (Decision.PAPER2, Decision.PAPER1)
+    ]
+    adv_table = np.array(
+        [map_guess(inst, policy, d).wrong_probability(a) for a, d in cells]
+    )
 
     if noisy:
         from .model import quality_posterior
 
-        post = {
-            (p, a): quality_posterior(inst, p, a)
+        # Per paper: its quality posterior's mean and sd under A1 and A2.
+        post = [
+            [quality_posterior(inst, p, a) for a in (Assignment.A1, Assignment.A2)]
             for p in (1, 2)
-            for a in (Assignment.A1, Assignment.A2)
-        }
+        ]
+        means = [(pa1.mean, pa2.mean) for pa1, pa2 in post]
+        sds = [(math.sqrt(pa1.variance), math.sqrt(pa2.variance)) for pa1, pa2 in post]
     else:
         inv = {
             Assignment.A1: (
@@ -131,70 +157,39 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
                 inst.reviewer1.invert(inst.scores.s2),
             ),
         }
-
-    d1_p1 = geom.d1 is Decision.PAPER1
-    d2_p1 = geom.d2 is Decision.PAPER1
-
-    def adversary_wrong(d: Decision) -> tuple[float, float]:
-        # Probability the guess is wrong when d is accepted, under A1 and A2.
-        guess = map_guess(inst, policy, d)
-        return tuple(guess.wrong_probability(a) for a in (Assignment.A1, Assignment.A2))
-
-    wrong_p1 = adversary_wrong(Decision.PAPER1)
-    wrong_p2 = adversary_wrong(Decision.PAPER2)
+        # Accepting a paper is wrong when its quality is the lower one.
+        conf_table = np.array(
+            [
+                inv[a][0] < inv[a][1] if d is Decision.PAPER1 else inv[a][1] < inv[a][0]
+                for a, d in cells
+            ],
+            dtype=float,
+        )
 
     def worker(block: int, offset: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
         is_a1 = rng.random(cnt) < pu
         coin = rng.random(cnt)
-        tie_coin = rng.random(cnt)
-        if noisy:
-            z = rng.standard_normal((2, cnt))
-            m1a = np.where(
-                is_a1,
-                post[(1, Assignment.A1)].mean,
-                post[(1, Assignment.A2)].mean,
-            )
-            s1a = np.where(
-                is_a1,
-                math.sqrt(post[(1, Assignment.A1)].variance),
-                math.sqrt(post[(1, Assignment.A2)].variance),
-            )
-            m2a = np.where(
-                is_a1,
-                post[(2, Assignment.A1)].mean,
-                post[(2, Assignment.A2)].mean,
-            )
-            s2a = np.where(
-                is_a1,
-                math.sqrt(post[(2, Assignment.A1)].variance),
-                math.sqrt(post[(2, Assignment.A2)].variance),
-            )
-            th1 = m1a + s1a * z[0]
-            th2 = m2a + s2a * z[1]
-        else:
-            th1 = np.where(is_a1, inv[Assignment.A1][0], inv[Assignment.A2][0])
-            th2 = np.where(is_a1, inv[Assignment.A1][1], inv[Assignment.A2][1])
-
+        # The last draw of a noiseless block; noisy blocks draw after it.
+        tie_coin = rng.random(cnt) if noisy or geom.tie else None
         if geom.part2:
             truthful = coin < np.where(is_a1, policy.q1, policy.q2)
-            acc_p1 = np.where(
-                truthful,
-                np.where(is_a1, d1_p1, d2_p1),
-                np.where(is_a1, d2_p1, d1_p1),
-            )
+            acc_p1 = d1_p1 ^ (truthful != is_a1)
         elif geom.tie:
             acc_p1 = tie_coin < 0.5
         else:
             acc_p1 = np.full(cnt, d1_p1)
-
-        conf_wrong = np.where(acc_p1, th1 < th2, th2 < th1)
-        adv_wrong = np.where(
-            acc_p1,
-            np.where(is_a1, wrong_p1[0], wrong_p1[1]),
-            np.where(is_a1, wrong_p2[0], wrong_p2[1]),
-        )
-        return np.array([conf_wrong.sum(dtype=float), adv_wrong.sum(dtype=float)])
+        counts = np.bincount(2 * is_a1 + acc_p1, minlength=4)
+        if noisy:
+            z = rng.standard_normal((2, cnt))
+            th1, th2 = (
+                np.where(is_a1, *means[p]) + np.where(is_a1, *sds[p]) * z[p]
+                for p in (0, 1)
+            )
+            conf = np.count_nonzero(np.where(acc_p1, th1 < th2, th2 < th1))
+        else:
+            conf = counts @ conf_table
+        return np.array([conf, counts @ adv_table], dtype=float)
 
     conf_total, adv_total = _run_blocks(n, worker)
     p_ec, p_ea = float(conf_total) / n, float(adv_total) / n
@@ -222,15 +217,17 @@ def posterior_weight_arrays(
     logu = ld1_s1 + ld2_s2
     logv = ld2_s1 + ld1_s2
     d = logv - logu
-    pu = 1.0 / (1.0 + np.exp(np.clip(d, -745.0, 745.0)))
+    # exp overflows to inf above about 709.78, where pu = 0 all the same.
+    with np.errstate(over="ignore"):
+        pu = 1.0 / (1.0 + np.exp(np.clip(d, -745.0, 745.0)))
     return pu, 1.0 - pu
 
 
 class TruthfulRule:
     """Always calibrate under the true assignment."""
 
-    def batch(self, s1: np.ndarray, s2: np.ndarray):
-        return np.ones_like(s1), np.ones_like(s1)
+    def batch(self, pu: np.ndarray, pv: np.ndarray, part2: np.ndarray):
+        return 1.0, 1.0
 
 
 class Alg1Rule:
@@ -246,17 +243,14 @@ class Alg1Rule:
         self.pop = pop
         self.ec_value = float(ec_value)
 
-    def batch(self, s1: np.ndarray, s2: np.ndarray):
-        pu, pv = posterior_weight_arrays(self.pop, s1, s2)
+    def batch(self, pu: np.ndarray, pv: np.ndarray, part2: np.ndarray):
         m = np.minimum(pu, pv)
         w = 1.0 - np.minimum(self.ec_value, m)
         # A posterior weight can underflow to 0 at extreme scores; the
         # ceiling is then 0 and truthful play is already optimal.
         safe_pv = np.where(pv > 0.0, pv, 1.0)
         q2 = np.where(pv > 0.0, np.clip((w - pu) / safe_pv, 0.0, 1.0), 1.0)
-        ta, tb = thresholds(self.pop, s2)
-        part2 = (s1 > np.minimum(ta, tb)) & (s1 < np.maximum(ta, tb))
-        return np.ones_like(s1), np.where(part2, q2, 1.0)
+        return 1.0, np.where(part2, q2, 1.0)
 
 
 class Alg2Rule:
@@ -278,8 +272,8 @@ class Alg2Rule:
         self.average_policy = alg2_policy(pop, ec_avg, settings)
         self._endpoint = Alg1Rule(pop, 1.0)
 
-    def batch(self, s1: np.ndarray, s2: np.ndarray):
-        q1e, q2e = self._endpoint.batch(s1, s2)
+    def batch(self, pu: np.ndarray, pv: np.ndarray, part2: np.ndarray):
+        q1e, q2e = self._endpoint.batch(pu, pv, part2)
         mix = self.average_policy.mix
         return (
             mix * q1e + (1.0 - mix),
@@ -294,10 +288,14 @@ def simulate_average(
 
     Each replicate draws qualities, a uniform assignment, and noise,
     forms scores, applies the per-score policy rule, decides, and lets
-    the adversary guess knowing the rule.
+    the adversary guess knowing the rule. A rule that carries a
+    population (pop) must carry this one, since it reads this
+    population's posterior weights.
     """
     if n < 1:
         raise ConfigurationError("n must be at least 1")
+    if getattr(policy_rule, "pop", pop) != pop:
+        raise ConfigurationError("the policy rule was built for another population")
     r1, r2 = pop.reviewer1, pop.reviewer2
     noisy = not pop.noiseless
     sd = math.sqrt(pop.sigma2)
@@ -318,33 +316,24 @@ def simulate_average(
         d1_p1 = s1 > tb
         d2_p1 = s1 > ta
         part2 = d1_p1 != d2_p1
-        q1, q2 = policy_rule.batch(s1, s2)
+        pu, pv = posterior_weight_arrays(pop, s1, s2)
+        q1, q2 = policy_rule.batch(pu, pv, part2)
 
         truthful = coin < np.where(is_a1, q1, q2)
-        acc_p1 = np.where(
-            part2,
-            np.where(
-                truthful,
-                np.where(is_a1, d1_p1, d2_p1),
-                np.where(is_a1, d2_p1, d1_p1),
-            ),
-            d1_p1,
-        )
-        conf_wrong = np.where(acc_p1, th[0] < th[1], th[1] < th[0])
+        acc_p1 = d1_p1 ^ (part2 & (truthful != is_a1))
+        conf = np.count_nonzero(np.where(acc_p1, th[0] < th[1], th[1] < th[0]))
 
-        pu, pv = posterior_weight_arrays(pop, s1, s2)
         prob_p1_a1 = np.where(part2, q1 * d1_p1 + (1.0 - q1) * d2_p1, d1_p1)
         prob_p1_a2 = np.where(part2, q2 * d2_p1 + (1.0 - q2) * d1_p1, d1_p1)
         po_a1 = np.where(acc_p1, prob_p1_a1, 1.0 - prob_p1_a1)
         po_a2 = np.where(acc_p1, prob_p1_a2, 1.0 - prob_p1_a2)
         l1 = pu * po_a1
         l2 = pv * po_a2
-        adv_wrong = np.where(
-            l1 > l2,
-            (~is_a1).astype(float),
-            np.where(l1 < l2, is_a1.astype(float), 0.5),
-        )
-        return np.array([conf_wrong.sum(dtype=float), adv_wrong.sum()])
+        guess_a1 = l1 > l2
+        guess_a2 = l1 < l2
+        firm = np.count_nonzero(guess_a1 | guess_a2)
+        wrong = np.count_nonzero(guess_a1 & ~is_a1) + np.count_nonzero(guess_a2 & is_a1)
+        return np.array([conf, wrong + 0.5 * (cnt - firm)])
 
     conf_total, adv_total = _run_blocks(n, worker)
     p_ec, p_ea = float(conf_total) / n, float(adv_total) / n
@@ -411,6 +400,9 @@ class StudyConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_papers", "n_reviewers", "reviews_per_paper", "iterations"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be at least 1")
         if (self.reviews_per_paper * self.n_papers) % self.n_reviewers != 0:
             raise ConfigurationError(
                 "total reviews must divide evenly among reviewers"

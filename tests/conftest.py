@@ -15,7 +15,19 @@ from privcal import (
     ScorePair,
     phi_pair,
 )
-from privcal.frontier import instance_geometry
+from privcal.frontier import ErrorPair, instance_geometry
+from privcal.mechanism import Policy
+from privcal.model import ConfigurationError, Population, thresholds
+from privcal.adversary import map_guess
+from privcal.simlab import (
+    Alg1Rule,
+    Alg2Rule,
+    SimResult,
+    _binomial_se,
+    _run_blocks,
+    posterior_weight_arrays,
+    stream,
+)
 
 
 def make_instance(a1, b1, a2, b2, sigma2, s1, s2) -> Instance:
@@ -152,6 +164,192 @@ def _scenario_errors_grid(geom, q1, q2):
     ec = geom.ec_intercept - geom.alpha1 * q1 - geom.alpha2 * q2
     ea = np.minimum(pu * q1, pv * (1.0 - q2)) + np.minimum(pu * (1.0 - q1), pv * q2)
     return ec, ea
+
+
+def reference_simulate_instance(
+    inst: Instance, policy: Policy, n: int, seed: int
+) -> SimResult:
+    """The per-instance simulator as one float array per replicate.
+
+    Every replicate's conference and adversary error is formed as a
+    float and each block sums the arrays. The library reduces a block
+    to exact counts instead; both must give equal results.
+    """
+    if n < 1:
+        raise ConfigurationError("n must be at least 1")
+    geom = instance_geometry(inst)
+    pu = geom.pu
+    noisy = not inst.noiseless
+
+    if noisy:
+        from privcal.model import quality_posterior
+
+        post = {
+            (p, a): quality_posterior(inst, p, a)
+            for p in (1, 2)
+            for a in (Assignment.A1, Assignment.A2)
+        }
+    else:
+        inv = {
+            Assignment.A1: (
+                inst.reviewer1.invert(inst.scores.s1),
+                inst.reviewer2.invert(inst.scores.s2),
+            ),
+            Assignment.A2: (
+                inst.reviewer2.invert(inst.scores.s1),
+                inst.reviewer1.invert(inst.scores.s2),
+            ),
+        }
+
+    d1_p1 = geom.d1 is Decision.PAPER1
+    d2_p1 = geom.d2 is Decision.PAPER1
+
+    def adversary_wrong(d: Decision) -> tuple[float, float]:
+        guess = map_guess(inst, policy, d)
+        return tuple(guess.wrong_probability(a) for a in (Assignment.A1, Assignment.A2))
+
+    wrong_p1 = adversary_wrong(Decision.PAPER1)
+    wrong_p2 = adversary_wrong(Decision.PAPER2)
+
+    def worker(block: int, offset: int, cnt: int) -> np.ndarray:
+        rng = stream(seed, block)
+        is_a1 = rng.random(cnt) < pu
+        coin = rng.random(cnt)
+        tie_coin = rng.random(cnt)
+        if noisy:
+            z = rng.standard_normal((2, cnt))
+            m1a = np.where(
+                is_a1, post[(1, Assignment.A1)].mean, post[(1, Assignment.A2)].mean
+            )
+            s1a = np.where(
+                is_a1,
+                math.sqrt(post[(1, Assignment.A1)].variance),
+                math.sqrt(post[(1, Assignment.A2)].variance),
+            )
+            m2a = np.where(
+                is_a1, post[(2, Assignment.A1)].mean, post[(2, Assignment.A2)].mean
+            )
+            s2a = np.where(
+                is_a1,
+                math.sqrt(post[(2, Assignment.A1)].variance),
+                math.sqrt(post[(2, Assignment.A2)].variance),
+            )
+            th1 = m1a + s1a * z[0]
+            th2 = m2a + s2a * z[1]
+        else:
+            th1 = np.where(is_a1, inv[Assignment.A1][0], inv[Assignment.A2][0])
+            th2 = np.where(is_a1, inv[Assignment.A1][1], inv[Assignment.A2][1])
+
+        if geom.part2:
+            truthful = coin < np.where(is_a1, policy.q1, policy.q2)
+            acc_p1 = np.where(
+                truthful,
+                np.where(is_a1, d1_p1, d2_p1),
+                np.where(is_a1, d2_p1, d1_p1),
+            )
+        elif geom.tie:
+            acc_p1 = tie_coin < 0.5
+        else:
+            acc_p1 = np.full(cnt, d1_p1)
+
+        conf_wrong = np.where(acc_p1, th1 < th2, th2 < th1)
+        adv_wrong = np.where(
+            acc_p1,
+            np.where(is_a1, wrong_p1[0], wrong_p1[1]),
+            np.where(is_a1, wrong_p2[0], wrong_p2[1]),
+        )
+        return np.array([conf_wrong.sum(dtype=float), adv_wrong.sum(dtype=float)])
+
+    conf_total, adv_total = _run_blocks(n, worker)
+    p_ec, p_ea = float(conf_total) / n, float(adv_total) / n
+    return SimResult(
+        ErrorPair(p_ec, p_ea), _binomial_se(p_ec, n), _binomial_se(p_ea, n), n, seed
+    )
+
+
+def _reference_rule_q(rule, s1: np.ndarray, s2: np.ndarray):
+    """(q1, q2) over score arrays, each rule recomputing its own weights
+    and thresholds from the scores."""
+    if isinstance(rule, Alg2Rule):
+        q1e, q2e = _reference_rule_q(Alg1Rule(rule.pop, 1.0), s1, s2)
+        mix = rule.average_policy.mix
+        return mix * q1e + (1.0 - mix), mix * q2e + (1.0 - mix)
+    if isinstance(rule, Alg1Rule):
+        pu, pv = posterior_weight_arrays(rule.pop, s1, s2)
+        m = np.minimum(pu, pv)
+        w = 1.0 - np.minimum(rule.ec_value, m)
+        safe_pv = np.where(pv > 0.0, pv, 1.0)
+        q2 = np.where(pv > 0.0, np.clip((w - pu) / safe_pv, 0.0, 1.0), 1.0)
+        ta, tb = thresholds(rule.pop, s2)
+        part2 = (s1 > np.minimum(ta, tb)) & (s1 < np.maximum(ta, tb))
+        return np.ones_like(s1), np.where(part2, q2, 1.0)
+    return np.ones_like(s1), np.ones_like(s1)
+
+
+def reference_simulate_average(
+    pop: Population, policy_rule, n: int, seed: int
+) -> SimResult:
+    """The average-case simulator as one float array per replicate.
+
+    The rule's q values come from the scores alone (_reference_rule_q),
+    the decision from nested np.where, and the adversary's error from a
+    float array of 0, 1/2 and 1 per replicate.
+    """
+    if n < 1:
+        raise ConfigurationError("n must be at least 1")
+    r1, r2 = pop.reviewer1, pop.reviewer2
+    noisy = not pop.noiseless
+    sd = math.sqrt(pop.sigma2)
+
+    def worker(block: int, offset: int, cnt: int) -> np.ndarray:
+        rng = stream(seed, block)
+        th = rng.standard_normal((2, cnt))
+        is_a1 = rng.random(cnt) < 0.5
+        coin = rng.random(cnt)
+        s1 = np.where(is_a1, r1.apply(th[0]), r2.apply(th[0]))
+        s2 = np.where(is_a1, r2.apply(th[1]), r1.apply(th[1]))
+        if noisy:
+            eps = rng.standard_normal((2, cnt))
+            s1 = s1 + sd * eps[0]
+            s2 = s2 + sd * eps[1]
+
+        ta, tb = thresholds(pop, s2)
+        d1_p1 = s1 > tb
+        d2_p1 = s1 > ta
+        part2 = d1_p1 != d2_p1
+        q1, q2 = _reference_rule_q(policy_rule, s1, s2)
+
+        truthful = coin < np.where(is_a1, q1, q2)
+        acc_p1 = np.where(
+            part2,
+            np.where(
+                truthful,
+                np.where(is_a1, d1_p1, d2_p1),
+                np.where(is_a1, d2_p1, d1_p1),
+            ),
+            d1_p1,
+        )
+        conf_wrong = np.where(acc_p1, th[0] < th[1], th[1] < th[0])
+
+        pu, pv = posterior_weight_arrays(pop, s1, s2)
+        prob_p1_a1 = np.where(part2, q1 * d1_p1 + (1.0 - q1) * d2_p1, d1_p1)
+        prob_p1_a2 = np.where(part2, q2 * d2_p1 + (1.0 - q2) * d1_p1, d1_p1)
+        po_a1 = np.where(acc_p1, prob_p1_a1, 1.0 - prob_p1_a1)
+        po_a2 = np.where(acc_p1, prob_p1_a2, 1.0 - prob_p1_a2)
+        l1 = pu * po_a1
+        l2 = pv * po_a2
+        adv_wrong = np.where(
+            l1 > l2,
+            (~is_a1).astype(float),
+            np.where(l1 < l2, is_a1.astype(float), 0.5),
+        )
+        return np.array([conf_wrong.sum(dtype=float), adv_wrong.sum()])
+
+    conf_total, adv_total = _run_blocks(n, worker)
+    p_ec, p_ea = float(conf_total) / n, float(adv_total) / n
+    return SimResult(
+        ErrorPair(p_ec, p_ea), _binomial_se(p_ec, n), _binomial_se(p_ea, n), n, seed
+    )
 
 
 @pytest.fixture

@@ -199,6 +199,18 @@ class TestStudyCommand:
         assert main(["study", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "noise_variances" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key", ["study.n_reviewers", "study.n_papers", "study.iterations"]
+    )
+    def test_zero_count_exits_2(self, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.CFG, key: 0}))
+        assert main(["study", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {key.split('.')[1]}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "study.csv").exists()
+
     def test_zero_noise_variance_runs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**self.CFG, "study.noise_variances": [0.0]}))

@@ -1,6 +1,7 @@
 """Tests for the simulation harness and the calibration study."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from privcal import (
     zeta_eta,
 )
 from privcal.simlab import (
+    _BLOCK,
     STUDY_METHODS,
     Alg1Rule,
     Alg2Rule,
@@ -34,7 +36,16 @@ from privcal.simlab import (
 from privcal.adversary import per_instance_errors
 from privcal.mechanism import alg1_policy, alg3_policy
 from privcal.frontier import instance_geometry
-from conftest import make_instance, random_part2_instance
+from conftest import (
+    make_instance,
+    random_part2_instance,
+    reference_simulate_average,
+    reference_simulate_instance,
+    sinh_profile,
+)
+
+# One replicate, one partial block, and several blocks with a ragged last one.
+_NS = (1, _BLOCK - 3, 2 * _BLOCK + 1234)
 
 
 def _se(exact_p: float, res, which: str) -> float:
@@ -172,6 +183,17 @@ class TestPosteriorWeightArrays:
             assert pu[i] == pytest.approx(su, abs=1e-12)
             assert pv[i] == pytest.approx(sv, abs=1e-12)
 
+    def test_large_log_ratio_weights_without_overflow_warning(self):
+        # logv - logu = b2 * (s1 - s2) = 720 here: past exp's overflow
+        # point (about 709.78) but inside the +-745 clip.
+        pop = Population(
+            ReviewerProfile.affine(1.0, 0.0), ReviewerProfile.affine(1.0, 1.0), 0.0
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pu, pv = posterior_weight_arrays(pop, np.array([720.0]), np.array([0.0]))
+        assert pu[0] == 0.0 and pv[0] == 1.0
+
     @pytest.mark.parametrize("sigma2", [0.0, 0.4])
     def test_affine_log_likelihoods_match_scalar_exactly(self, rng, sigma2):
         from privcal.model import log_likelihoods
@@ -187,6 +209,106 @@ class TestPosteriorWeightArrays:
         for i in range(s1.size):
             lu, lv = log_likelihoods(pop.instance(float(s1[i]), float(s2[i])))
             assert logu[i] == lu and logv[i] == lv
+
+
+def _oracle_instances() -> dict:
+    rng = np.random.default_rng(31)
+    return {
+        "noiseless_part2": random_part2_instance(rng, noisy=False),
+        "noisy_part2": random_part2_instance(rng, noisy=True),
+        "noiseless_forced": make_instance(1, 0, 1, 1, 0.0, 5.0, 1.0),
+        "noisy_forced": make_instance(1, 0, 1, 1, 0.5, -5.0, 1.0),
+        "noiseless_tie": make_instance(1, 0, 1, 0, 0.0, 0.7, 0.7),
+        "noisy_tie": make_instance(1, 0, 1, 0, 0.5, 0.7, 0.7),
+    }
+
+
+def _oracle_populations() -> dict:
+    aff = ReviewerProfile.affine
+    return {
+        "affine": Population(aff(1.0, 0.0), aff(1.0, 1.0), 0.0),
+        "affine_noisy": Population(aff(1.2, -0.3), aff(0.8, 0.6), 0.4),
+        "identical": Population(aff(1.0, 0.0), aff(1.0, 0.0), 0.0),
+        "sinh": Population(sinh_profile(), aff(1.0, 0.5), 0.0),
+    }
+
+
+class TestKernelsMatchReference:
+    """The count-based kernels equal the per-replicate float oracles of
+    tests/conftest.py, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_oracle_instances()))
+    def test_simulate_instance(self, name):
+        inst = _oracle_instances()[name]
+        rng = np.random.default_rng(len(name))
+        geom = instance_geometry(inst)
+        assert geom.part2 == name.endswith("part2")
+        assert geom.tie == name.endswith("tie")
+        policies = [Policy(0.0, 0.0), Policy(1.0, 1.0), Policy(0.0, 1.0)]
+        policies += [Policy(*(float(q) for q in rng.uniform(0, 1, 2))) for _ in range(2)]
+        for pol in policies:
+            for n in _NS:
+                seed = int(rng.integers(0, 2**63))
+                got = simulate_instance(inst, pol, n, seed)
+                assert got == reference_simulate_instance(inst, pol, n, seed)
+
+    def test_simulate_instance_random_cases(self, rng):
+        for k in range(60):
+            inst = random_part2_instance(rng, noisy=bool(k % 2))
+            pol = Policy(*(float(q) for q in rng.uniform(0, 1, 2)))
+            n = int(rng.integers(1, 3000))
+            seed = int(rng.integers(0, 2**63))
+            got = simulate_instance(inst, pol, n, seed)
+            assert got == reference_simulate_instance(inst, pol, n, seed)
+
+    @pytest.mark.parametrize("name", sorted(_oracle_populations()))
+    def test_simulate_average(self, name):
+        pop = _oracle_populations()[name]
+        rules = [TruthfulRule()]
+        if pop.noiseless:
+            rules += [Alg1Rule(pop, 1.0), Alg1Rule(pop, 0.1)]
+        if name == "affine":
+            rules.append(Alg2Rule(pop, 0.05))
+        for k, rule in enumerate(rules):
+            for n in _NS:
+                got = simulate_average(pop, rule, n, seed=10 * k + n)
+                assert got == reference_simulate_average(pop, rule, n, seed=10 * k + n)
+
+    def test_rule_of_another_population_is_rejected(self):
+        pops = _oracle_populations()
+        rule = Alg1Rule(pops["affine"], 1.0)
+        with pytest.raises(ConfigurationError):
+            simulate_average(pops["identical"], rule, 100, seed=0)
+        # An equal population is the same model, so the rule applies.
+        simulate_average(_oracle_populations()["affine"], rule, 100, seed=0)
+
+
+class TestThreadCount:
+    """Results are bitwise identical for any PRIVCAL_THREADS."""
+
+    N = 3 * _BLOCK + 777
+
+    def _under_threads(self, monkeypatch, run):
+        results = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PRIVCAL_THREADS", threads)
+            results.append(run())
+        return results
+
+    def test_simulate_instance(self, monkeypatch):
+        inst = _oracle_instances()["noisy_part2"]
+        one, two = self._under_threads(
+            monkeypatch, lambda: simulate_instance(inst, Policy(0.6, 0.3), self.N, seed=8)
+        )
+        assert one == two
+
+    def test_simulate_average(self, monkeypatch):
+        pop = _oracle_populations()["affine"]
+        rule = Alg1Rule(pop, 0.1)
+        one, two = self._under_threads(
+            monkeypatch, lambda: simulate_average(pop, rule, self.N, seed=8)
+        )
+        assert one == two
 
 
 class TestKendallTau:
