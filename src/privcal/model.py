@@ -34,11 +34,6 @@ class DegenerateInstanceError(ArithmeticError):
     """Both assignment likelihoods underflowed to zero; scores are too extreme."""
 
 
-def std_normal_pdf(x: float) -> float:
-    """Standard normal density."""
-    return math.exp(_LOG_INV_SQRT_2PI - 0.5 * x * x)
-
-
 def std_normal_cdf(x: float) -> float:
     """Standard normal CDF via erfc.
 

@@ -12,16 +12,20 @@ block i drawing from stream(seed, i), and partial sums are reduced in
 block order, so results are a pure function of (inputs, seed) no matter
 how many worker threads run.
 
-A block reduces its replicates to exact counts: conference errors,
-firm wrong guesses of the adversary, and its ties at half an error.
-Every block total is an integer or half-integer far below 2^53, so it
-equals the float sum of per-replicate errors bit for bit.
+A block draws all its random numbers first, in a fixed order, and then
+evaluates them in slices of _CHUNK replicates, so that the temporaries
+of one slice stay in a core's L2 cache. It reduces its replicates to
+exact counts: conference errors, firm wrong guesses of the adversary,
+and its ties at half an error. Every block total is an integer or
+half-integer far below 2^53, so it equals the float sum of
+per-replicate errors bit for bit.
 
-Average-case policy rules share the block's arrays: rule.batch(pu, pv,
+Average-case policy rules share the chunk's arrays: rule.batch(pu, pv,
 part2) maps the posterior weights of the replicates' scores and the
 mask of those in the randomizing regime to (q1, q2), arrays or scalars.
-Outside part2 the decision is forced and q is not read. A rule that
-carries a population (pop) must carry the simulated one.
+It sees at most _CHUNK replicates per call, so it must act element by
+element. Outside part2 the decision is forced and q is not read. A rule
+that carries a population (pop) must carry the simulated one.
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ from .adversary import map_guess
 from .mechanism import Policy, QuadratureSettings, alg2_policy
 
 _BLOCK = 1 << 16
+# Replicates per slice of a block's arithmetic: each slice's temporaries
+# (a few dozen arrays of 64 KiB) stay in a core's L2 cache.
+_CHUNK = 1 << 13
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
@@ -72,26 +79,36 @@ def _thread_count() -> int:
         return 1
 
 
-def _run_blocks(n: int, worker: Callable[[int, int, int], np.ndarray]) -> np.ndarray:
-    """Run worker(block_index, offset, count) over all blocks, summing in order."""
-    tasks = []
-    off = 0
-    i = 0
-    while off < n:
-        cnt = min(_BLOCK, n - off)
-        tasks.append((i, off, cnt))
-        off += cnt
-        i += 1
+def _select(mask: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.where(mask, x, y) for floats, bit for bit, in about half its time
+    on a random mask, where np.where's branch per element mispredicts."""
+    ones = -np.asarray(mask, dtype=bool).view(np.uint8).astype(np.int64)
+    x, y = (np.asarray(v, dtype=np.float64).view(np.int64) for v in (x, y))
+    return ((x & ones) | (y & ~ones)).view(np.float64)
+
+
+def _count_wrong(acc_p1: np.ndarray, th1: np.ndarray, th2: np.ndarray) -> int:
+    """Replicates whose accepted paper has the lower quality."""
+    wrong = (acc_p1 & (th1 < th2)) | (~acc_p1 & (th2 < th1))
+    return np.count_nonzero(wrong)
+
+
+def _run_blocks(n: int, seed: int, worker: Callable[[int, int, int], np.ndarray]):
+    """Run worker(block_index, offset, count) over all blocks and sum its
+    (conference, adversary) error totals in block order into a SimResult."""
+    offsets = range(0, n, _BLOCK)
+    tasks = [(i, off, min(_BLOCK, n - off)) for i, off in enumerate(offsets)]
     threads = _thread_count()
     if threads == 1 or len(tasks) == 1:
         parts = [worker(*t) for t in tasks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda t: worker(*t), tasks))
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return total
+    conf_total, adv_total = sum(parts[1:], parts[0])
+    p_ec, p_ea = float(conf_total) / n, float(adv_total) / n
+    return SimResult(
+        ErrorPair(p_ec, p_ea), _binomial_se(p_ec, n), _binomial_se(p_ea, n), n, seed
+    )
 
 
 @dataclass(frozen=True)
@@ -139,63 +156,65 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
     if noisy:
         from .model import quality_posterior
 
-        # Per paper: its quality posterior's mean and sd under A1 and A2.
+        # Per paper: its quality posterior's mean and sd, indexed by is_a1
+        # (a table lookup, since np.where on a random mask mispredicts).
         post = [
-            [quality_posterior(inst, p, a) for a in (Assignment.A1, Assignment.A2)]
+            [quality_posterior(inst, p, a) for a in (Assignment.A2, Assignment.A1)]
             for p in (1, 2)
         ]
-        means = [(pa1.mean, pa2.mean) for pa1, pa2 in post]
-        sds = [(math.sqrt(pa1.variance), math.sqrt(pa2.variance)) for pa1, pa2 in post]
+        means = [np.array([q.mean for q in pp]) for pp in post]
+        sds = [np.array([math.sqrt(q.variance) for q in pp]) for pp in post]
     else:
-        inv = {
-            Assignment.A1: (
-                inst.reviewer1.invert(inst.scores.s1),
-                inst.reviewer2.invert(inst.scores.s2),
-            ),
-            Assignment.A2: (
-                inst.reviewer2.invert(inst.scores.s1),
-                inst.reviewer1.invert(inst.scores.s2),
-            ),
+        r1, r2 = inst.reviewer1, inst.reviewer2
+        s1, s2 = inst.scores.s1, inst.scores.s2
+        # The qualities of papers 1 and 2 under each assignment.
+        th = {
+            Assignment.A1: (r1.invert(s1), r2.invert(s2)),
+            Assignment.A2: (r2.invert(s1), r1.invert(s2)),
         }
-        # Accepting a paper is wrong when its quality is the lower one.
         conf_table = np.array(
-            [
-                inv[a][0] < inv[a][1] if d is Decision.PAPER1 else inv[a][1] < inv[a][0]
-                for a, d in cells
-            ],
+            [_count_wrong(np.bool_(d is Decision.PAPER1), *th[a]) for a, d in cells],
             dtype=float,
         )
 
     def worker(block: int, offset: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
         is_a1 = rng.random(cnt) < pu
-        coin = rng.random(cnt)
-        # The last draw of a noiseless block; noisy blocks draw after it.
+        # A noiseless block draws nothing after its coins, so it skips
+        # those it does not read; a noisy block draws its normals last.
+        coin = rng.random(cnt) if noisy or geom.part2 or geom.tie else None
         tie_coin = rng.random(cnt) if noisy or geom.tie else None
-        if geom.part2:
-            truthful = coin < np.where(is_a1, policy.q1, policy.q2)
-            acc_p1 = d1_p1 ^ (truthful != is_a1)
-        elif geom.tie:
-            acc_p1 = tie_coin < 0.5
-        else:
-            acc_p1 = np.full(cnt, d1_p1)
-        counts = np.bincount(2 * is_a1 + acc_p1, minlength=4)
-        if noisy:
-            z = rng.standard_normal((2, cnt))
-            th1, th2 = (
-                np.where(is_a1, *means[p]) + np.where(is_a1, *sds[p]) * z[p]
-                for p in (0, 1)
-            )
-            conf = np.count_nonzero(np.where(acc_p1, th1 < th2, th2 < th1))
-        else:
+        z = rng.standard_normal((2, cnt)) if noisy else None
+        n_a1 = n_acc = n_both = conf = 0
+        for lo in range(0, cnt, _CHUNK):
+            sl = slice(lo, lo + _CHUNK)
+            a1 = is_a1[sl]
+            if geom.part2:
+                c = coin[sl]
+                truthful = (a1 & (c < policy.q1)) | (~a1 & (c < policy.q2))
+                acc_p1 = d1_p1 ^ (truthful != a1)
+            elif geom.tie:
+                acc_p1 = tie_coin[sl] < 0.5
+            else:
+                acc_p1 = np.full(a1.size, d1_p1)
+            n_a1 += np.count_nonzero(a1)
+            n_acc += np.count_nonzero(acc_p1)
+            n_both += np.count_nonzero(a1 & acc_p1)
+            if noisy:
+                # th = m + s * z, written over z.
+                th1, th2 = z[:, sl]
+                for p, th in enumerate((th1, th2)):
+                    th *= sds[p].take(a1)
+                    th += means[p].take(a1)
+                conf += _count_wrong(acc_p1, th1, th2)
+        counts = np.array(
+            [cnt - n_a1 - n_acc + n_both, n_acc - n_both, n_a1 - n_both, n_both]
+        )
+        if not noisy:
             conf = counts @ conf_table
         return np.array([conf, counts @ adv_table], dtype=float)
 
-    conf_total, adv_total = _run_blocks(n, worker)
-    p_ec, p_ea = float(conf_total) / n, float(adv_total) / n
-    return SimResult(
-        ErrorPair(p_ec, p_ea), _binomial_se(p_ec, n), _binomial_se(p_ea, n), n, seed
-    )
+    return _run_blocks(n, seed, worker)
 
 
 def _log_density_arr(prof: ReviewerProfile, sigma2: float, s: np.ndarray) -> np.ndarray:
@@ -250,7 +269,7 @@ class Alg1Rule:
         # ceiling is then 0 and truthful play is already optimal.
         safe_pv = np.where(pv > 0.0, pv, 1.0)
         q2 = np.where(pv > 0.0, np.clip((w - pu) / safe_pv, 0.0, 1.0), 1.0)
-        return 1.0, np.where(part2, q2, 1.0)
+        return 1.0, _select(part2, q2, 1.0)
 
 
 class Alg2Rule:
@@ -305,48 +324,57 @@ def simulate_average(
         th = rng.standard_normal((2, cnt))
         is_a1 = rng.random(cnt) < 0.5
         coin = rng.random(cnt)
-        s1 = np.where(is_a1, r1.apply(th[0]), r2.apply(th[0]))
-        s2 = np.where(is_a1, r2.apply(th[1]), r1.apply(th[1]))
-        if noisy:
-            eps = rng.standard_normal((2, cnt))
-            s1 = s1 + sd * eps[0]
-            s2 = s2 + sd * eps[1]
+        eps = rng.standard_normal((2, cnt)) if noisy else None
+        conf = firm = wrong = 0
+        for lo in range(0, cnt, _CHUNK):
+            sl = slice(lo, lo + _CHUNK)
+            th1, th2, a1 = th[0, sl], th[1, sl], is_a1[sl]
+            s1 = _select(a1, r1.apply(th1), r2.apply(th1))
+            s2 = _select(a1, r2.apply(th2), r1.apply(th2))
+            if noisy:
+                s1 += sd * eps[0, sl]
+                s2 += sd * eps[1, sl]
 
-        ta, tb = thresholds(pop, s2)
-        d1_p1 = s1 > tb
-        d2_p1 = s1 > ta
-        part2 = d1_p1 != d2_p1
-        pu, pv = posterior_weight_arrays(pop, s1, s2)
-        q1, q2 = policy_rule.batch(pu, pv, part2)
+            ta, tb = thresholds(pop, s2)
+            d1_p1 = s1 > tb
+            d2_p1 = s1 > ta
+            part2 = d1_p1 != d2_p1
+            pu, pv = posterior_weight_arrays(pop, s1, s2)
+            q1, q2 = policy_rule.batch(pu, pv, part2)
 
-        truthful = coin < np.where(is_a1, q1, q2)
-        acc_p1 = d1_p1 ^ (part2 & (truthful != is_a1))
-        conf = np.count_nonzero(np.where(acc_p1, th[0] < th[1], th[1] < th[0]))
+            c = coin[sl]
+            truthful = (a1 & (c < q1)) | (~a1 & (c < q2))
+            acc_p1 = d1_p1 ^ (part2 & (truthful != a1))
+            conf += _count_wrong(acc_p1, th1, th2)
 
-        prob_p1_a1 = np.where(part2, q1 * d1_p1 + (1.0 - q1) * d2_p1, d1_p1)
-        prob_p1_a2 = np.where(part2, q2 * d2_p1 + (1.0 - q2) * d1_p1, d1_p1)
-        po_a1 = np.where(acc_p1, prob_p1_a1, 1.0 - prob_p1_a1)
-        po_a2 = np.where(acc_p1, prob_p1_a2, 1.0 - prob_p1_a2)
-        l1 = pu * po_a1
-        l2 = pv * po_a2
-        guess_a1 = l1 > l2
-        guess_a2 = l1 < l2
-        firm = np.count_nonzero(guess_a1 | guess_a2)
-        wrong = np.count_nonzero(guess_a1 & ~is_a1) + np.count_nonzero(guess_a2 & is_a1)
+            # The adversary guesses the assignment with the larger of pu
+            # and pv times the accepted paper's probability under it,
+            # which is 1 for both outside part2: weigh only part2.
+            guess_a1 = pu > pv
+            guess_a2 = pu < pv
+            idx = np.flatnonzero(part2)
+            d1, d2, acc = d1_p1[idx], d2_p1[idx], acc_p1[idx]
+            q1 = q1[idx] if np.ndim(q1) else q1
+            q2 = q2[idx] if np.ndim(q2) else q2
+            prob_p1_a1 = q1 * d1 + (1.0 - q1) * d2
+            prob_p1_a2 = q2 * d2 + (1.0 - q2) * d1
+            l1 = pu[idx] * _select(acc, prob_p1_a1, 1.0 - prob_p1_a1)
+            l2 = pv[idx] * _select(acc, prob_p1_a2, 1.0 - prob_p1_a2)
+            guess_a1[idx] = l1 > l2
+            guess_a2[idx] = l1 < l2
+            firm += np.count_nonzero(guess_a1) + np.count_nonzero(guess_a2)
+            wrong += np.count_nonzero(guess_a1 & ~a1) + np.count_nonzero(guess_a2 & a1)
         return np.array([conf, wrong + 0.5 * (cnt - firm)])
 
-    conf_total, adv_total = _run_blocks(n, worker)
-    p_ec, p_ea = float(conf_total) / n, float(adv_total) / n
-    return SimResult(
-        ErrorPair(p_ec, p_ea), _binomial_se(p_ec, n), _binomial_se(p_ea, n), n, seed
-    )
+    return _run_blocks(n, seed, worker)
 
 
 def kendall_tau_distance(rank_a: Sequence[int], rank_b: Sequence[int]) -> float:
     """Fraction of discordant pairs between two rankings of the same items.
 
-    rank_a[i] and rank_b[i] are item i's positions. Counted with a
-    merge-sort inversion count, O(n log n).
+    rank_a[i] and rank_b[i] are item i's positions. Items are put in
+    rank_a order (ties by index) and every pair whose rank_b order is
+    reversed is counted, all n(n - 1)/2 pairs in one array comparison.
     """
     a = np.asarray(rank_a)
     b = np.asarray(rank_b)
@@ -355,31 +383,8 @@ def kendall_tau_distance(rank_a: Sequence[int], rank_b: Sequence[int]) -> float:
     n = a.size
     if n < 2:
         return 0.0
-    order = np.argsort(a, kind="stable")
-    seq = list(b[order])
-
-    def count(lst: list) -> tuple[list, int]:
-        if len(lst) <= 1:
-            return lst, 0
-        mid = len(lst) // 2
-        left, nl = count(lst[:mid])
-        right, nr = count(lst[mid:])
-        merged = []
-        inv = nl + nr
-        i = j = 0
-        while i < len(left) and j < len(right):
-            if left[i] <= right[j]:
-                merged.append(left[i])
-                i += 1
-            else:
-                merged.append(right[j])
-                j += 1
-                inv += len(left) - i
-        merged.extend(left[i:])
-        merged.extend(right[j:])
-        return merged, inv
-
-    _, inversions = count(seq)
+    s = b[np.argsort(a, kind="stable")]
+    inversions = int(np.count_nonzero(np.triu(s[:, None] > s[None, :], 1)))
     return inversions / (n * (n - 1) / 2)
 
 

@@ -15,7 +15,7 @@ from privcal import (
     ScorePair,
     phi_pair,
 )
-from privcal.frontier import ErrorPair, instance_geometry
+from privcal.frontier import instance_geometry
 from privcal.mechanism import Policy
 from privcal.model import ConfigurationError, Population, thresholds
 from privcal.adversary import map_guess
@@ -23,7 +23,6 @@ from privcal.simlab import (
     Alg1Rule,
     Alg2Rule,
     SimResult,
-    _binomial_se,
     _run_blocks,
     posterior_weight_arrays,
     stream,
@@ -148,6 +147,23 @@ def piecewise_adversary_error(inst: Instance, q1: float, q2: float) -> float:
     return small
 
 
+def kendall_tau_pairs(rank_a, rank_b) -> float:
+    """Kendall-tau distance by visiting every pair of items, O(n^2).
+
+    Items tied in rank_a are ordered by index; a pair is discordant when
+    the item first in that order has the strictly larger rank_b.
+    """
+    n = len(rank_a)
+    if n < 2:
+        return 0.0
+    discordant = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            first, second = (i, j) if rank_a[i] <= rank_a[j] else (j, i)
+            discordant += bool(rank_b[first] > rank_b[second])
+    return discordant / (n * (n - 1) / 2)
+
+
 def _scenario_errors_grid(geom, q1, q2):
     """Vectorized (E_C, E_A) over policy arrays.
 
@@ -260,11 +276,7 @@ def reference_simulate_instance(
         )
         return np.array([conf_wrong.sum(dtype=float), adv_wrong.sum(dtype=float)])
 
-    conf_total, adv_total = _run_blocks(n, worker)
-    p_ec, p_ea = float(conf_total) / n, float(adv_total) / n
-    return SimResult(
-        ErrorPair(p_ec, p_ea), _binomial_se(p_ec, n), _binomial_se(p_ea, n), n, seed
-    )
+    return _run_blocks(n, seed, worker)
 
 
 def _reference_rule_q(rule, s1: np.ndarray, s2: np.ndarray):
@@ -345,11 +357,7 @@ def reference_simulate_average(
         )
         return np.array([conf_wrong.sum(dtype=float), adv_wrong.sum()])
 
-    conf_total, adv_total = _run_blocks(n, worker)
-    p_ec, p_ea = float(conf_total) / n, float(adv_total) / n
-    return SimResult(
-        ErrorPair(p_ec, p_ea), _binomial_se(p_ec, n), _binomial_se(p_ea, n), n, seed
-    )
+    return _run_blocks(n, seed, worker)
 
 
 @pytest.fixture

@@ -336,14 +336,14 @@ class TestMaxAdversaryErrorCurve:
         consecutive targets, which needs no sort of the 4 M points.
         """
         q = np.linspace(0.0, 1.0, 2001)
-        q1g, q2g = np.meshgrid(q, q, indexing="ij")
-        q1f, q2f = q1g.ravel(), q2g.ravel()
         checked = 0
         for _ in range(200):
             noisy = bool(rng.integers(0, 2))
             inst = random_part2_instance(rng, noisy=noisy)
             geom = instance_geometry(inst)
-            ec_all, ea_all = _scenario_errors_grid(geom, q1f, q2f)
+            ec_all, ea_all = (
+                e.ravel() for e in _scenario_errors_grid(geom, q[:, None], q[None, :])
+            )
             lo = geom.ec_intercept - geom.alpha1 - geom.alpha2
             targets = np.linspace(lo, geom.ec_intercept, 101)
             # A point lands in bucket k of below when k targets lie

@@ -22,6 +22,7 @@ from privcal import (
 )
 from privcal.simlab import (
     _BLOCK,
+    _CHUNK,
     STUDY_METHODS,
     Alg1Rule,
     Alg2Rule,
@@ -37,6 +38,7 @@ from privcal.adversary import per_instance_errors
 from privcal.mechanism import alg1_policy, alg3_policy
 from privcal.frontier import instance_geometry
 from conftest import (
+    kendall_tau_pairs,
     make_instance,
     random_part2_instance,
     reference_simulate_average,
@@ -46,6 +48,8 @@ from conftest import (
 
 # One replicate, one partial block, and several blocks with a ragged last one.
 _NS = (1, _BLOCK - 3, 2 * _BLOCK + 1234)
+# Around one chunk, and one chunk past a full block.
+_CHUNK_NS = (_CHUNK - 1, _CHUNK, _CHUNK + 1, _BLOCK + _CHUNK + 1)
 
 
 def _se(exact_p: float, res, which: str) -> float:
@@ -274,6 +278,27 @@ class TestKernelsMatchReference:
                 got = simulate_average(pop, rule, n, seed=10 * k + n)
                 assert got == reference_simulate_average(pop, rule, n, seed=10 * k + n)
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_chunk_boundaries(self, monkeypatch, threads):
+        monkeypatch.setenv("PRIVCAL_THREADS", threads)
+        insts = _oracle_instances()
+        pops = _oracle_populations()
+        rules = [
+            (pops["sinh"], TruthfulRule()),
+            (pops["sinh"], Alg1Rule(pops["sinh"], 0.1)),
+            (pops["affine"], Alg2Rule(pops["affine"], 0.05)),
+            (pops["affine_noisy"], TruthfulRule()),
+        ]
+        for n in _CHUNK_NS:
+            for name in sorted(insts):
+                got = simulate_instance(insts[name], Policy(0.3, 0.8), n, seed=n)
+                assert got == reference_simulate_instance(
+                    insts[name], Policy(0.3, 0.8), n, seed=n
+                )
+            for pop, rule in rules:
+                got = simulate_average(pop, rule, n, seed=n + 1)
+                assert got == reference_simulate_average(pop, rule, n, seed=n + 1)
+
     def test_rule_of_another_population_is_rejected(self):
         pops = _oracle_populations()
         rule = Alg1Rule(pops["affine"], 1.0)
@@ -344,6 +369,18 @@ class TestKendallTau:
             assert kendall_tau_distance(a, b) == pytest.approx(
                 disc / (n * (n - 1) / 2)
             )
+
+    def test_against_pair_count_oracle_with_ties(self, rng):
+        small = [([], []), ([3], [1]), ([1, 2], [1, 2]), ([1, 2], [2, 1])]
+        small += [([1, 1], [2, 1]), ([1, 1], [1, 2]), ([2, 1], [1, 1])]
+        for a, b in small:
+            assert kendall_tau_distance(a, b) == kendall_tau_pairs(a, b)
+        for _ in range(200):
+            n = int(rng.integers(0, 40))
+            hi = int(rng.integers(1, 6))
+            a = rng.integers(0, hi, n)
+            b = rng.integers(0, hi, n)
+            assert kendall_tau_distance(a, b) == kendall_tau_pairs(a, b)
 
     def test_shape_guard(self):
         with pytest.raises(ValueError):
