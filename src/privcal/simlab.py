@@ -10,7 +10,8 @@ streams derived as stream(seed, index) = Philox(key=seed, counter with
 index in the high word). Replicates are processed in fixed-size blocks,
 block i drawing from stream(seed, i), and partial sums are reduced in
 block order, so results are a pure function of (inputs, seed) no matter
-how many worker threads run.
+how many threads run the blocks: PRIVCAL_THREADS, by default one per
+core the process may use, the calling thread among them.
 
 A block draws all its random numbers first, in a fixed order, and then
 evaluates them in slices of _CHUNK replicates, so that the temporaries
@@ -20,20 +21,22 @@ and its ties at half an error. Every block total is an integer or
 half-integer far below 2^53, so it equals the float sum of
 per-replicate errors bit for bit.
 
-Average-case policy rules share the chunk's arrays: rule.batch(pu, pv,
-part2) maps the posterior weights of the replicates' scores and the
-mask of those in the randomizing regime to (q1, q2), arrays or scalars.
-It sees at most _CHUNK replicates per call, so it must act element by
-element. Outside part2 the decision is forced and q is not read. A rule
-that carries a population (pop) must carry the simulated one.
+Average-case policy rules see only the randomizing replicates of a
+chunk: rule.batch(pu, pv) maps the posterior weights of their scores
+to (q1, q2), arrays or scalars. It sees at most _CHUNK replicates per
+call, so it must act element by element. Elsewhere the decision is
+forced and no q is needed. A rule that carries a population (pop) must
+carry the simulated one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -55,9 +58,9 @@ from .adversary import map_guess
 from .mechanism import Policy, QuadratureSettings, alg2_policy
 
 _BLOCK = 1 << 16
-# Replicates per slice of a block's arithmetic: each slice's temporaries
-# (a few dozen arrays of 64 KiB) stay in a core's L2 cache.
-_CHUNK = 1 << 13
+# Replicates per slice of a block's arithmetic: a slice's live arrays of
+# 128 KiB fit a core's L2 cache, and fewer slices make fewer GIL-held calls.
+_CHUNK = 1 << 14
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
@@ -72,11 +75,14 @@ def stream(seed: int, index: int) -> np.random.Generator:
 
 
 def _thread_count() -> int:
-    raw = os.environ.get("PRIVCAL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """PRIVCAL_THREADS if set, else the number of cores this process may use."""
+    raw = os.environ.get("PRIVCAL_THREADS")
+    if not raw:
+        affinity = getattr(os, "sched_getaffinity", None)
+        return len(affinity(0)) if affinity else os.cpu_count() or 1
+    if not (raw.isdecimal() and int(raw) >= 1):
+        raise ConfigurationError(f"PRIVCAL_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _select(mask: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -93,17 +99,37 @@ def _count_wrong(acc_p1: np.ndarray, th1: np.ndarray, th2: np.ndarray) -> int:
     return np.count_nonzero(wrong)
 
 
+@functools.cache
+def _helpers(count: int) -> ThreadPoolExecutor:
+    """Threads kept for the process: one started per call may get a new malloc arena."""
+    return ThreadPoolExecutor(count)
+
+
 def _run_blocks(n: int, seed: int, worker: Callable[[int, int, int], np.ndarray]):
-    """Run worker(block_index, offset, count) over all blocks and sum its
-    (conference, adversary) error totals in block order into a SimResult."""
-    offsets = range(0, n, _BLOCK)
-    tasks = [(i, off, min(_BLOCK, n - off)) for i, off in enumerate(offsets)]
+    """Run worker(block_index, offset, count) on every block, from the calling
+    thread and helpers that take block indices from one locked iterator, and
+    sum its (conference, adversary) totals in block order into a SimResult."""
+    parts = [None] * -(-n // _BLOCK)
+    blocks, lock = iter(range(len(parts))), threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                i = next(blocks, None)
+            if i is None:
+                return
+            parts[i] = worker(i, i * _BLOCK, min(_BLOCK, n - i * _BLOCK))
+
     threads = _thread_count()
-    if threads == 1 or len(tasks) == 1:
-        parts = [worker(*t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda t: worker(*t), tasks))
+    spare = min(threads, len(parts)) - 1
+    helpers = [_helpers(threads - 1).submit(drain) for _ in range(spare)]
+    try:
+        drain()
+    finally:
+        # A queued helper has no block left and may need this very thread.
+        for helper in helpers:
+            if not helper.cancel():
+                helper.result()
     conf_total, adv_total = sum(parts[1:], parts[0])
     p_ec, p_ea = float(conf_total) / n, float(adv_total) / n
     return SimResult(
@@ -179,11 +205,18 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
 
     def worker(block: int, offset: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
+
+        def uniforms(read: bool, later: bool) -> Optional[np.ndarray]:
+            # Unread coins are not drawn, or skipped in Philox's 4-output steps.
+            if read or (later and cnt % 4):
+                return rng.random(cnt)
+            if later:
+                rng.bit_generator.advance(cnt // 4)
+            return None
+
         is_a1 = rng.random(cnt) < pu
-        # A noiseless block draws nothing after its coins, so it skips
-        # those it does not read; a noisy block draws its normals last.
-        coin = rng.random(cnt) if noisy or geom.part2 or geom.tie else None
-        tie_coin = rng.random(cnt) if noisy or geom.tie else None
+        coin = uniforms(geom.part2, geom.tie or noisy)
+        tie_coin = uniforms(geom.tie, noisy)
         z = rng.standard_normal((2, cnt)) if noisy else None
         n_a1 = n_acc = n_both = conf = 0
         for lo in range(0, cnt, _CHUNK):
@@ -229,13 +262,9 @@ def posterior_weight_arrays(
     pop: Population, s1: np.ndarray, s2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (pu, pv) over score arrays."""
-    ld1_s1 = _log_density_arr(pop.reviewer1, pop.sigma2, s1)
-    ld2_s2 = _log_density_arr(pop.reviewer2, pop.sigma2, s2)
-    ld2_s1 = _log_density_arr(pop.reviewer2, pop.sigma2, s1)
-    ld1_s2 = _log_density_arr(pop.reviewer1, pop.sigma2, s2)
-    logu = ld1_s1 + ld2_s2
-    logv = ld2_s1 + ld1_s2
-    d = logv - logu
+    r1, r2, g2 = pop.reviewer1, pop.reviewer2, pop.sigma2
+    logu = _log_density_arr(r1, g2, s1) + _log_density_arr(r2, g2, s2)
+    d = _log_density_arr(r2, g2, s1) + _log_density_arr(r1, g2, s2) - logu
     # exp overflows to inf above about 709.78, where pu = 0 all the same.
     with np.errstate(over="ignore"):
         pu = 1.0 / (1.0 + np.exp(np.clip(d, -745.0, 745.0)))
@@ -245,7 +274,7 @@ def posterior_weight_arrays(
 class TruthfulRule:
     """Always calibrate under the true assignment."""
 
-    def batch(self, pu: np.ndarray, pv: np.ndarray, part2: np.ndarray):
+    def batch(self, pu: np.ndarray, pv: np.ndarray):
         return 1.0, 1.0
 
 
@@ -262,14 +291,12 @@ class Alg1Rule:
         self.pop = pop
         self.ec_value = float(ec_value)
 
-    def batch(self, pu: np.ndarray, pv: np.ndarray, part2: np.ndarray):
-        m = np.minimum(pu, pv)
-        w = 1.0 - np.minimum(self.ec_value, m)
+    def batch(self, pu: np.ndarray, pv: np.ndarray):
+        w = 1.0 - np.minimum(self.ec_value, np.minimum(pu, pv))
         # A posterior weight can underflow to 0 at extreme scores; the
         # ceiling is then 0 and truthful play is already optimal.
         safe_pv = np.where(pv > 0.0, pv, 1.0)
-        q2 = np.where(pv > 0.0, np.clip((w - pu) / safe_pv, 0.0, 1.0), 1.0)
-        return 1.0, _select(part2, q2, 1.0)
+        return 1.0, np.where(pv > 0.0, np.clip((w - pu) / safe_pv, 0.0, 1.0), 1.0)
 
 
 class Alg2Rule:
@@ -291,13 +318,10 @@ class Alg2Rule:
         self.average_policy = alg2_policy(pop, ec_avg, settings)
         self._endpoint = Alg1Rule(pop, 1.0)
 
-    def batch(self, pu: np.ndarray, pv: np.ndarray, part2: np.ndarray):
-        q1e, q2e = self._endpoint.batch(pu, pv, part2)
+    def batch(self, pu: np.ndarray, pv: np.ndarray):
+        q1e, q2e = self._endpoint.batch(pu, pv)
         mix = self.average_policy.mix
-        return (
-            mix * q1e + (1.0 - mix),
-            mix * q2e + (1.0 - mix),
-        )
+        return mix * q1e + (1.0 - mix), mix * q2e + (1.0 - mix)
 
 
 def simulate_average(
@@ -318,6 +342,44 @@ def simulate_average(
     r1, r2 = pop.reviewer1, pop.reviewer2
     noisy = not pop.noiseless
     sd = math.sqrt(pop.sigma2)
+    # Per paper, the (slope, intercept) of its reviewer indexed by is_a1.
+    ab = [np.array([[r.a for r in rs], [r.b for r in rs]]) for rs in ((r2, r1), (r1, r2))]
+
+    def chunk(th, is_a1, coin, eps, sl: slice) -> tuple:
+        """Conference, firm and wrong-guess counts of slice sl; its arrays die on return."""
+        th1, th2, a1 = th[0, sl], th[1, sl], is_a1[sl]
+        if r1.kind is r2.kind is ProfileKind.AFFINE:
+            k = a1.view(np.uint8)
+            s1, s2 = (a.take(k) * t + b.take(k) for (a, b), t in zip(ab, (th1, th2)))
+        else:
+            s1 = _select(a1, r1.apply(th1), r2.apply(th1))
+            s2 = _select(a1, r2.apply(th2), r1.apply(th2))
+        if noisy:
+            s1 += sd * eps[0, sl]
+            s2 += sd * eps[1, sl]
+        d2_p1, d1_p1 = (s1 > t for t in thresholds(pop, s2))
+        pu, pv = posterior_weight_arrays(pop, s1, s2)
+        # Only the randomizing replicates need q; the rest are forced.
+        idx = np.flatnonzero(d1_p1 != d2_p1)
+        pu2, pv2, a1p, d1, d2 = pu[idx], pv[idx], a1[idx], d1_p1[idx], d2_p1[idx]
+        q1, q2 = policy_rule.batch(pu2, pv2)
+        c = coin[sl][idx]
+        acc = d1 ^ (((a1p & (c < q1)) | (~a1p & (c < q2))) != a1p)
+        acc_p1 = d1_p1
+        acc_p1[idx] = acc
+
+        # The adversary guesses the assignment with the larger of pu
+        # and pv times the accepted paper's probability under it,
+        # which is 1 for both on forced replicates: weigh only idx.
+        guess_a1, guess_a2 = pu > pv, pu < pv
+        prob_p1_a1 = q1 * d1 + (1.0 - q1) * d2
+        prob_p1_a2 = q2 * d2 + (1.0 - q2) * d1
+        l1 = pu2 * _select(acc, prob_p1_a1, 1.0 - prob_p1_a1)
+        l2 = pv2 * _select(acc, prob_p1_a2, 1.0 - prob_p1_a2)
+        guess_a1[idx], guess_a2[idx] = l1 > l2, l1 < l2
+        firm = np.count_nonzero(guess_a1) + np.count_nonzero(guess_a2)
+        wrong = np.count_nonzero(guess_a1 & ~a1) + np.count_nonzero(guess_a2 & a1)
+        return _count_wrong(acc_p1, th1, th2), firm, wrong
 
     def worker(block: int, offset: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
@@ -325,45 +387,8 @@ def simulate_average(
         is_a1 = rng.random(cnt) < 0.5
         coin = rng.random(cnt)
         eps = rng.standard_normal((2, cnt)) if noisy else None
-        conf = firm = wrong = 0
-        for lo in range(0, cnt, _CHUNK):
-            sl = slice(lo, lo + _CHUNK)
-            th1, th2, a1 = th[0, sl], th[1, sl], is_a1[sl]
-            s1 = _select(a1, r1.apply(th1), r2.apply(th1))
-            s2 = _select(a1, r2.apply(th2), r1.apply(th2))
-            if noisy:
-                s1 += sd * eps[0, sl]
-                s2 += sd * eps[1, sl]
-
-            ta, tb = thresholds(pop, s2)
-            d1_p1 = s1 > tb
-            d2_p1 = s1 > ta
-            part2 = d1_p1 != d2_p1
-            pu, pv = posterior_weight_arrays(pop, s1, s2)
-            q1, q2 = policy_rule.batch(pu, pv, part2)
-
-            c = coin[sl]
-            truthful = (a1 & (c < q1)) | (~a1 & (c < q2))
-            acc_p1 = d1_p1 ^ (part2 & (truthful != a1))
-            conf += _count_wrong(acc_p1, th1, th2)
-
-            # The adversary guesses the assignment with the larger of pu
-            # and pv times the accepted paper's probability under it,
-            # which is 1 for both outside part2: weigh only part2.
-            guess_a1 = pu > pv
-            guess_a2 = pu < pv
-            idx = np.flatnonzero(part2)
-            d1, d2, acc = d1_p1[idx], d2_p1[idx], acc_p1[idx]
-            q1 = q1[idx] if np.ndim(q1) else q1
-            q2 = q2[idx] if np.ndim(q2) else q2
-            prob_p1_a1 = q1 * d1 + (1.0 - q1) * d2
-            prob_p1_a2 = q2 * d2 + (1.0 - q2) * d1
-            l1 = pu[idx] * _select(acc, prob_p1_a1, 1.0 - prob_p1_a1)
-            l2 = pv[idx] * _select(acc, prob_p1_a2, 1.0 - prob_p1_a2)
-            guess_a1[idx] = l1 > l2
-            guess_a2[idx] = l1 < l2
-            firm += np.count_nonzero(guess_a1) + np.count_nonzero(guess_a2)
-            wrong += np.count_nonzero(guess_a1 & ~a1) + np.count_nonzero(guess_a2 & a1)
+        sls = (slice(lo, lo + _CHUNK) for lo in range(0, cnt, _CHUNK))
+        conf, firm, wrong = map(sum, zip(*(chunk(th, is_a1, coin, eps, sl) for sl in sls)))
         return np.array([conf, wrong + 0.5 * (cnt - firm)])
 
     return _run_blocks(n, seed, worker)

@@ -38,6 +38,12 @@ class TestConfigResolution:
     def test_mode_agreement_passes(self, tmp_path):
         assert main(["frontier", "--mode", "noiseless", "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("raw", ["0", "two"])
+    def test_bad_thread_count_exits_2(self, raw, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("PRIVCAL_THREADS", raw)
+        assert main(["simulate", "--out", str(tmp_path)]) == 2
+        assert "PRIVCAL_THREADS" in capsys.readouterr().err
+
     def test_malformed_json_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

@@ -333,7 +333,8 @@ class TestMaxAdversaryErrorCurve:
         pieces alike, up to grid resolution.
 
         The one-sided maxima come from bucketing the grid points between
-        consecutive targets, which needs no sort of the 4 M points.
+        consecutive targets, which needs no sort of the 4 M points, and
+        one search of the targets per point serves both sides.
         """
         q = np.linspace(0.0, 1.0, 2001)
         checked = 0
@@ -346,18 +347,17 @@ class TestMaxAdversaryErrorCurve:
             )
             lo = geom.ec_intercept - geom.alpha1 - geom.alpha2
             targets = np.linspace(lo, geom.ec_intercept, 101)
-            # A point lands in bucket k of below when k targets lie
-            # strictly under its E_C, so it counts towards E_C <= target
-            # for targets k and up; in bucket k of above when k targets
-            # lie at or under its E_C, so it counts towards E_C >= target
-            # for targets below k. E_A >= 0, so a bucket with no point
-            # holds 0, the value of an empty side.
-            below = np.zeros(targets.size + 1)
-            above = np.zeros(targets.size + 1)
-            np.maximum.at(below, np.searchsorted(targets, ec_all, side="left"), ea_all)
-            np.maximum.at(above, np.searchsorted(targets, ec_all, side="right"), ea_all)
-            lefts = np.maximum.accumulate(below)[:-1]
-            rights = np.maximum.accumulate(above[::-1])[::-1][1:]
+            # With k targets strictly under its E_C, a point lands in slot
+            # 2k, or in slot 2k + 1 when its E_C equals target k. Slots up
+            # to 2k + 1 hold the points with E_C <= target k, slots from
+            # 2k + 1 on those with E_C >= target k. E_A >= 0, so a slot
+            # with no point holds 0, the value of an empty side.
+            k = np.searchsorted(targets, ec_all)
+            slot = 2 * k + (ec_all == targets.take(k, mode="clip"))
+            table = np.zeros(2 * targets.size + 2)
+            np.maximum.at(table, slot, ea_all)
+            lefts = np.maximum.accumulate(table)[1::2][:-1]
+            rights = np.maximum.accumulate(table[::-1])[::-1][1::2][:-1]
             for ec, left, right in zip(targets, lefts, rights):
                 ec = float(ec)
                 brute = min(left, right)

@@ -1,6 +1,9 @@
 """Tests for the simulation harness and the calibration study."""
 
 import math
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -20,6 +23,7 @@ from privcal import (
     simulate_instance,
     zeta_eta,
 )
+from privcal import simlab
 from privcal.simlab import (
     _BLOCK,
     _CHUNK,
@@ -30,6 +34,8 @@ from privcal.simlab import (
     _balanced_assignment,
     _draw_conference,
     _log_density_arr,
+    _run_blocks,
+    _thread_count,
     fit_within_conference,
     posterior_weight_arrays,
     stream,
@@ -308,32 +314,198 @@ class TestKernelsMatchReference:
         simulate_average(_oracle_populations()["affine"], rule, 100, seed=0)
 
 
+class _RecordingStream:
+    """A stream that logs each draw, and each skip of the bit generator,
+    as (kind, size) in the order the kernel makes them."""
+
+    def __init__(self, rng: np.random.Generator, log: list):
+        self._rng, self._log = rng, log
+
+    @property
+    def bit_generator(self):
+        return self
+
+    def advance(self, delta):
+        self._log.append(("advance", delta))
+        return self._rng.bit_generator.advance(delta)
+
+    def random(self, size):
+        self._log.append(("random", size))
+        return self._rng.random(size)
+
+    def standard_normal(self, size):
+        self._log.append(("standard_normal", size))
+        return self._rng.standard_normal(size)
+
+
+class TestDrawOrder:
+    """Every block takes each value it reads from the position the
+    reference kernels of tests/conftest.py read it from, which draw every
+    array. A kernel may leave out only arrays it never reads: by not
+    drawing what nothing read follows, or by advancing the stream, which
+    is exact when the block's count is a multiple of Philox's 4 outputs
+    per step. Results alone miss a misplaced draw that no count depends
+    on, such as the coins of the noiseless tie instance."""
+
+    # Full blocks, a partial last block whose count is a multiple of 4,
+    # and partial blocks whose counts are not.
+    NS = _NS + (_BLOCK + 1000,)
+
+    def _record(self, monkeypatch, run) -> dict:
+        logs = {}
+
+        def recording(seed, index):
+            logs[index] = []
+            return _RecordingStream(stream(seed, index), logs[index])
+
+        monkeypatch.setattr(simlab, "stream", recording)
+        run()
+        return logs
+
+    @staticmethod
+    def _counts(n):
+        return [min(_BLOCK, n - off) for off in range(0, n, _BLOCK)]
+
+    @pytest.mark.parametrize("name", sorted(_oracle_instances()))
+    def test_simulate_instance(self, monkeypatch, name):
+        inst = _oracle_instances()[name]
+        for n in self.NS:
+            logs = self._record(
+                monkeypatch, lambda: simulate_instance(inst, Policy(0.3, 0.8), n, seed=n)
+            )
+            assert sorted(logs) == list(range(len(self._counts(n))))
+            for block, cnt in enumerate(self._counts(n)):
+                draw = ("random", cnt)
+                skip = ("advance", cnt // 4) if cnt % 4 == 0 else draw
+                normals = ("standard_normal", (2, cnt))
+                # is_a1, coin, tie coin, then the noisy qualities.
+                want = {
+                    "noiseless_part2": [draw, draw],
+                    "noiseless_forced": [draw],
+                    "noiseless_tie": [draw, skip, draw],
+                    "noisy_part2": [draw, draw, skip, normals],
+                    "noisy_forced": [draw, skip, skip, normals],
+                    "noisy_tie": [draw, skip, draw, normals],
+                }[name]
+                assert logs[block] == want, (name, n, block)
+
+    @pytest.mark.parametrize("name", sorted(_oracle_populations()))
+    def test_simulate_average(self, monkeypatch, name):
+        pop = _oracle_populations()[name]
+        for n in self.NS:
+            logs = self._record(
+                monkeypatch, lambda: simulate_average(pop, TruthfulRule(), n, seed=n)
+            )
+            assert sorted(logs) == list(range(len(self._counts(n))))
+            for block, cnt in enumerate(self._counts(n)):
+                normals = ("standard_normal", (2, cnt))
+                # Qualities, assignment, coin, then the score noise.
+                want = [normals, ("random", cnt), ("random", cnt)]
+                want += [normals] if not pop.noiseless else []
+                assert logs[block] == want, (name, n, block)
+
+
 class TestThreadCount:
-    """Results are bitwise identical for any PRIVCAL_THREADS."""
+    """Results are bitwise identical for any PRIVCAL_THREADS, set or not."""
 
     N = 3 * _BLOCK + 777
 
     def _under_threads(self, monkeypatch, run):
         results = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("PRIVCAL_THREADS", threads)
+        # Unset gives one thread per usable core; 3 exceeds a 2-core host.
+        for threads in ("1", "2", None, "3"):
+            if threads is None:
+                monkeypatch.delenv("PRIVCAL_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("PRIVCAL_THREADS", threads)
             results.append(run())
         return results
 
     def test_simulate_instance(self, monkeypatch):
         inst = _oracle_instances()["noisy_part2"]
-        one, two = self._under_threads(
+        one, two, *more = self._under_threads(
             monkeypatch, lambda: simulate_instance(inst, Policy(0.6, 0.3), self.N, seed=8)
         )
         assert one == two
+        assert all(r == one for r in more)
 
     def test_simulate_average(self, monkeypatch):
         pop = _oracle_populations()["affine"]
         rule = Alg1Rule(pop, 0.1)
-        one, two = self._under_threads(
+        one, two, *more = self._under_threads(
             monkeypatch, lambda: simulate_average(pop, rule, self.N, seed=8)
         )
         assert one == two
+        assert all(r == one for r in more)
+
+    def test_default_is_the_usable_core_count(self, monkeypatch):
+        usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        cores = len(usable) if usable else os.cpu_count()
+        monkeypatch.delenv("PRIVCAL_THREADS", raising=False)
+        assert _thread_count() == cores
+        monkeypatch.setenv("PRIVCAL_THREADS", "")
+        assert _thread_count() == cores
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert _thread_count() == os.cpu_count()
+        monkeypatch.setenv("PRIVCAL_THREADS", "3")
+        assert _thread_count() == 3
+
+    @pytest.mark.parametrize("raw", ["0", "-2", "two", "1.5", " "])
+    def test_invalid_values_are_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("PRIVCAL_THREADS", raw)
+        pop = _oracle_populations()["affine"]
+        with pytest.raises(ConfigurationError, match="PRIVCAL_THREADS"):
+            simulate_average(pop, TruthfulRule(), 10, seed=0)
+        with pytest.raises(ConfigurationError, match="PRIVCAL_THREADS"):
+            simulate_instance(_oracle_instances()["noisy_part2"], Policy(1.0, 1.0), 10, 0)
+
+    def test_a_rule_may_simulate(self, monkeypatch):
+        # Helper threads outlive a call, so a call made from inside a
+        # block must not wait for a helper queued behind its own thread.
+        monkeypatch.setenv("PRIVCAL_THREADS", "2")
+        pop = _oracle_populations()["affine"]
+
+        class Nested(TruthfulRule):
+            def batch(self, pu, pv):
+                simulate_average(pop, TruthfulRule(), 2 * _BLOCK, seed=1)
+                return super().batch(pu, pv)
+
+        got = []
+        run = threading.Thread(
+            target=lambda: got.append(simulate_average(pop, Nested(), _BLOCK + 1, seed=8)),
+            daemon=True,
+        )
+        run.start()
+        run.join(timeout=120)
+        assert not run.is_alive()
+        assert got == [simulate_average(pop, TruthfulRule(), _BLOCK + 1, seed=8)]
+
+    def test_every_block_runs_once_and_sums_in_order(self, monkeypatch):
+        # More threads than cores and a short switch interval: a lost
+        # update of the shared block iterator runs a block twice or skips
+        # one, and a part stored out of place changes the float sum.
+        monkeypatch.setenv("PRIVCAL_THREADS", "8")
+        rng = np.random.default_rng(5)
+        n = 64 * _BLOCK + 5
+        xs = rng.normal(size=65) * 10.0 ** rng.integers(0, 17, 65)
+        calls = []
+
+        def worker(block, offset, cnt):
+            calls.append((block, offset, cnt))
+            return np.array([xs[block], 0.0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            res = _run_blocks(n, 0, worker)
+        finally:
+            sys.setswitchinterval(interval)
+        want = [(i, i * _BLOCK, min(_BLOCK, n - i * _BLOCK)) for i in range(65)]
+        assert sorted(calls) == want
+        in_order = xs[0]
+        for x in xs[1:]:
+            in_order += x
+        assert res.empirical.ec == float(in_order) / n
 
 
 class TestKendallTau:
