@@ -37,8 +37,6 @@ from .frontier import (
     frontier,
     instance_geometry,
     max_adversary_error_curve,
-    noiseless_frontier,
-    noisy_frontier,
 )
 from .mechanism import (
     AccuracyError,
@@ -48,8 +46,6 @@ from .mechanism import (
     alg1_policy,
     alg2_policy,
     alg3_policy,
-    decide,
-    map_accept,
     zeta_eta,
 )
 from .adversary import (

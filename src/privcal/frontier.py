@@ -22,16 +22,13 @@ this one parameterization, so no case split is needed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import Union
 
 from .model import (
-    Assignment,
     Decision,
     Instance,
-    ModeError,
     phi_pair,
     posterior_weights,
     thresholds,
@@ -229,25 +226,6 @@ def _point(geom: InstanceGeometry) -> FrontierSegment:
     return FrontierSegment(SegmentKind.POINT, p, p, p.ec)
 
 
-def noiseless_frontier(inst: Instance) -> FrontierSegment:
-    """Pareto frontier in noiseless mode.
-
-    Forced instances give the point (0, m). Otherwise the frontier is
-    the segment from (0, 0) to (m, m): privacy is bought one-for-one
-    with conference error up to the score-only ceiling.
-    """
-    if not inst.noiseless:
-        raise ModeError("noiseless_frontier requires sigma2 = 0")
-    return frontier(inst)
-
-
-def noisy_frontier(inst: Instance) -> FrontierSegment:
-    """Pareto frontier in noisy mode (affine profiles, sigma2 > 0)."""
-    if inst.noiseless:
-        raise ModeError("noisy_frontier requires sigma2 > 0")
-    return frontier(inst)
-
-
 def frontier(inst: Instance) -> FrontierSegment:
     """Pareto frontier of one instance, in either noise mode.
 
@@ -318,45 +296,3 @@ def max_adversary_error_curve(
     if wmin > big:
         return 1.0 - wmin
     return small
-
-
-def curve_policy(inst: Instance, ec: float) -> Union[tuple[float, float], Infeasible]:
-    """A policy attaining max_adversary_error_curve(inst, ec).
-
-    Exists for part-2 instances at feasible ec; for forced instances
-    the only feasible ec is the forced conference error and every
-    policy attains the curve there.
-    """
-    geom = instance_geometry(inst)
-    if not geom.part2:
-        if ec == geom.forced_ec:
-            return (1.0, 1.0)
-        return Infeasible(geom.forced_ec, geom.forced_ec)
-    lo_ec = geom.truthful_ec
-    hi_ec = geom.ec_intercept
-    if ec < lo_ec or ec > hi_ec:
-        return Infeasible(lo_ec, hi_ec)
-    span = geom.alpha1 + geom.alpha2
-    t = min(max(geom.ec_intercept - ec, 0.0), span)
-    if geom.alpha1 == 0.0:
-        return (1.0, min(max(t / geom.alpha2, 0.0), 1.0))
-    if geom.alpha2 == 0.0:
-        return (min(max(t / geom.alpha1, 0.0), 1.0), 1.0)
-    wmin, wmax, q1_min, q1_max = _w_interval(geom, t)
-    small, big = geom.m, max(geom.pu, geom.pv)
-    if wmax < small:
-        q1 = q1_max
-    elif wmin > big:
-        q1 = q1_min
-    else:
-        # The flat top is reachable; pick the feasible w closest to the
-        # low end of [small, big] and solve back for q1.
-        target = max(wmin, small)
-        slope = geom.pu - geom.pv * geom.alpha1 / geom.alpha2
-        if slope == 0.0:
-            q1 = q1_max
-        else:
-            q1 = (target - geom.pv * t / geom.alpha2) / slope
-            q1 = min(max(q1, min(q1_min, q1_max)), max(q1_min, q1_max))
-    q2 = (t - geom.alpha1 * q1) / geom.alpha2
-    return (min(max(q1, 0.0), 1.0), min(max(q2, 0.0), 1.0))

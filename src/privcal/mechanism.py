@@ -1,11 +1,9 @@
-"""The conference side: MAP acceptance and the three calibration policies.
+"""The conference side: the three calibration policies.
 
 Policies are h-policies (q1, q2): the probability of calibrating under
 the true assignment, given it is A1 or A2. The three constructors cover
 the noiseless per-instance tradeoff, the noiseless average-case
-tradeoff, and the noisy per-instance tradeoff. All randomness is
-injected by the caller as explicit uniform variates, so every decision
-path replays exactly.
+tradeoff, and the noisy per-instance tradeoff.
 """
 
 from __future__ import annotations
@@ -14,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-import numpy as np
-
 from .model import (
     Assignment,
     Decision,
@@ -23,9 +19,7 @@ from .model import (
     ModeError,
     ConfigurationError,
     Population,
-    ProfileKind,
     log_likelihoods,
-    phi_pair,
     thresholds,
 )
 from .frontier import Infeasible, _endpoint, _w_interval, instance_geometry
@@ -82,46 +76,15 @@ class AveragePolicy:
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Controls for the zeta/eta integrals."""
+    """Controls for the zeta/eta integrals.
+
+    abs_tol bounds the summed error estimate of the three quadratures;
+    theta_span sets the score box to the profiles' images of
+    [-theta_span, theta_span].
+    """
 
     abs_tol: float = 1e-6
     theta_span: float = 10.0
-    mc_fallback_n: int = 10_000_000
-    mc_seed: int = 20240
-    mc_tol: float = 1e-3
-
-
-def map_accept(
-    inst: Instance, assumed: Assignment, random01: Optional[float] = None
-) -> Decision:
-    """MAP acceptance decision under an assumed assignment.
-
-    Noiseless mode inverts the profiles and accepts the larger recovered
-    quality. Noisy mode compares the relevant Phi statistic against 1/2.
-    An exact tie is broken uniformly; the caller supplies the random bit
-    so the operation stays deterministic.
-    """
-    if inst.noiseless:
-        if assumed is Assignment.A1:
-            t1 = inst.reviewer1.invert(inst.scores.s1)
-            t2 = inst.reviewer2.invert(inst.scores.s2)
-        else:
-            t1 = inst.reviewer2.invert(inst.scores.s1)
-            t2 = inst.reviewer1.invert(inst.scores.s2)
-        if t1 > t2:
-            return Decision.PAPER1
-        if t1 < t2:
-            return Decision.PAPER2
-    else:
-        pp = phi_pair(inst)
-        phi = pp.phi1 if assumed is Assignment.A1 else pp.phi2
-        if phi < 0.5:
-            return Decision.PAPER1
-        if phi > 0.5:
-            return Decision.PAPER2
-    if random01 is None:
-        raise ValueError("exact MAP tie: a uniform variate is required to break it")
-    return Decision.PAPER1 if random01 < 0.5 else Decision.PAPER2
 
 
 def alg1_policy(inst: Instance, ec_max: float) -> Policy:
@@ -178,20 +141,6 @@ def alg3_policy(inst: Instance, ec_max: float) -> Union[Policy, Infeasible]:
     return Policy(min(max(q1, 0.0), 1.0), min(max(q2, 0.0), 1.0))
 
 
-def decide(
-    inst: Instance, policy: Policy, assignment: Assignment, random01: float
-) -> Decision:
-    """Run the conference's randomized decision for one realization.
-
-    With probability q(assignment) the MAP decision under the true
-    assignment is taken, otherwise the MAP decision under the wrong one.
-    """
-    if policy.forced is not None:
-        return policy.forced
-    assumed = assignment if random01 < policy.q(assignment) else assignment.other()
-    return map_accept(inst, assumed)
-
-
 def _score_bounds(pop: Population, span: float) -> tuple[float, float]:
     los, his = [], []
     for prof in (pop.reviewer1, pop.reviewer2):
@@ -221,10 +170,11 @@ def zeta_eta(
     """Average-case integrals (zeta, eta) and an error bound.
 
     zeta integrates the score-only adversary error over the randomizing
-    regime, eta over the forced regime. Adaptive 2-D quadrature is
-    tried first with the inner limits split exactly at the regime
-    thresholds; if its error estimate misses the tolerance a seeded
-    Monte Carlo fallback takes over.
+    regime, eta over the forced regime, each by adaptive 2-D quadrature
+    with the inner limits split exactly at the regime thresholds. The
+    returned bound is the sum of the three error estimates; when it
+    exceeds settings.abs_tol, AccuracyError is raised carrying zeta and
+    that sum. There is no fallback path.
     """
     # Only this function integrates, so scipy loads on its first call
     # rather than with the package.
@@ -254,55 +204,9 @@ def zeta_eta(
     )
     eta = eta_lo + eta_hi
     err = zerr + e1err + e2err
-    if err <= settings.abs_tol:
-        return zeta, eta, err
-    return _zeta_eta_monte_carlo(pop, settings)
-
-
-def _zeta_eta_monte_carlo(
-    pop: Population, settings: QuadratureSettings
-) -> tuple[float, float, float]:
-    if (
-        pop.reviewer1.kind is not ProfileKind.AFFINE
-        or pop.reviewer2.kind is not ProfileKind.AFFINE
-    ):
-        raise AccuracyError(
-            "quadrature tolerance unmet and Monte Carlo fallback requires affine profiles",
-            math.nan,
-            math.inf,
-        )
-    n = settings.mc_fallback_n
-    rng = np.random.Generator(np.random.Philox(key=settings.mc_seed))
-    a1, b1 = pop.reviewer1.a, pop.reviewer1.b
-    a2, b2 = pop.reviewer2.a, pop.reviewer2.b
-    theta = rng.standard_normal((2, n))
-    swap = rng.integers(0, 2, n).astype(bool)
-    # Paper 1's reviewer is reviewer 1 unless the assignment is swapped.
-    s1 = np.where(swap, a2 * theta[0] + b2, a1 * theta[0] + b1)
-    s2 = np.where(swap, a1 * theta[1] + b1, a2 * theta[1] + b2)
-    var1, var2 = a1 * a1, a2 * a2
-    logu = (
-        -0.5 * ((s1 - b1) ** 2 / var1 + (s2 - b2) ** 2 / var2)
-        - 0.5 * math.log(var1 * var2)
-    )
-    logv = (
-        -0.5 * ((s1 - b2) ** 2 / var2 + (s2 - b1) ** 2 / var1)
-        - 0.5 * math.log(var1 * var2)
-    )
-    big = np.maximum(logu, logv)
-    msc = np.exp(np.minimum(logu, logv) - big) / (1.0 + np.exp(-np.abs(logu - logv)))
-    ta, tb = thresholds(pop, s2)
-    part2 = (s1 > np.minimum(ta, tb)) & (s1 < np.maximum(ta, tb))
-    zeta_samples = np.where(part2, msc, 0.0)
-    eta_samples = np.where(part2, 0.0, msc)
-    zeta = float(zeta_samples.mean())
-    eta = float(eta_samples.mean())
-    bound = 3.0 * float(
-        np.sqrt(zeta_samples.var() / n) + np.sqrt(eta_samples.var() / n)
-    )
-    if bound > settings.mc_tol:
-        raise AccuracyError("Monte Carlo fallback tolerance unmet", zeta, bound)
-    return zeta, eta, bound
+    if err > settings.abs_tol:
+        raise AccuracyError("quadrature tolerance unmet", zeta, err)
+    return zeta, eta, err
 
 
 def alg2_policy(

@@ -439,6 +439,11 @@ class StudyConfig:
             )
         if not (self.messy_lo <= self.accept_top <= self.messy_hi):
             raise ConfigurationError("need messy_lo <= accept_top <= messy_hi")
+        if self.messy_lo > self.n_papers or self.messy_hi < 1:
+            raise ConfigurationError(
+                f"messy_lo..messy_hi ({self.messy_lo}..{self.messy_hi}) "
+                f"must overlap the ranks 1..{self.n_papers}"
+            )
         if self.slope_rate <= 0.0 or self.bias_variance <= 0.0:
             raise ConfigurationError("slope_rate and bias_variance must be positive")
         if not all(math.isfinite(v) and v >= 0.0 for v in self.noise_variances):
@@ -553,6 +558,13 @@ def fit_within_conference(
     reviewer's 2x2 ridge system at fixed theta, then every paper's
     scalar update at fixed (a, b). Both systems are positive definite
     for a positive noise variance.
+
+    Known limit: as the noise variance goes to 0 the ridge terms vanish
+    and the sweeps stall short of the exact fit, although noiseless
+    scores fix theta up to an affine map. At noise variance 1e-18 on a
+    30-paper, 30-reviewer config (seed 3) the fitted ranking's
+    Kendall-tau distance is 0.05-0.09 per iteration, where known
+    parameters give 0.
     """
     n_rev = cfg.n_reviewers
     rev = reviewers.ravel()

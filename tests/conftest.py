@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import Optional, Union
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ import pytest
 from privcal import (
     Assignment,
     Decision,
+    Infeasible,
     Instance,
     ReviewerProfile,
     ScorePair,
     phi_pair,
 )
-from privcal.frontier import instance_geometry
+from privcal.frontier import _w_interval, instance_geometry
 from privcal.mechanism import Policy
 from privcal.model import ConfigurationError, Population, thresholds
 from privcal.adversary import map_guess
@@ -125,6 +127,54 @@ def general_policy_errors(inst: Instance, g1: float, g2: float):
     return ec, ea
 
 
+def map_accept(
+    inst: Instance, assumed: Assignment, random01: Optional[float] = None
+) -> Decision:
+    """MAP acceptance decision under an assumed assignment.
+
+    Noiseless mode inverts the profiles and accepts the larger recovered
+    quality, so it classifies scores without the library's regime
+    thresholds and is their oracle. Noisy mode compares the relevant Phi
+    statistic against 1/2. An exact tie is broken uniformly; the caller
+    supplies the random bit so the operation stays deterministic.
+    """
+    if inst.noiseless:
+        if assumed is Assignment.A1:
+            t1 = inst.reviewer1.invert(inst.scores.s1)
+            t2 = inst.reviewer2.invert(inst.scores.s2)
+        else:
+            t1 = inst.reviewer2.invert(inst.scores.s1)
+            t2 = inst.reviewer1.invert(inst.scores.s2)
+        if t1 > t2:
+            return Decision.PAPER1
+        if t1 < t2:
+            return Decision.PAPER2
+    else:
+        pp = phi_pair(inst)
+        phi = pp.phi1 if assumed is Assignment.A1 else pp.phi2
+        if phi < 0.5:
+            return Decision.PAPER1
+        if phi > 0.5:
+            return Decision.PAPER2
+    if random01 is None:
+        raise ValueError("exact MAP tie: a uniform variate is required to break it")
+    return Decision.PAPER1 if random01 < 0.5 else Decision.PAPER2
+
+
+def decide(
+    inst: Instance, policy: Policy, assignment: Assignment, random01: float
+) -> Decision:
+    """Run the conference's randomized decision for one realization.
+
+    With probability q(assignment) the MAP decision under the true
+    assignment is taken, otherwise the MAP decision under the wrong one.
+    """
+    if policy.forced is not None:
+        return policy.forced
+    assumed = assignment if random01 < policy.q(assignment) else assignment.other()
+    return map_accept(inst, assumed)
+
+
 def piecewise_adversary_error(inst: Instance, q1: float, q2: float) -> float:
     """Closed-form adversary error of a policy, bypassing the scenario table.
 
@@ -145,6 +195,50 @@ def piecewise_adversary_error(inst: Instance, q1: float, q2: float) -> float:
     if 1.0 - w < small:
         return 1.0 - w
     return small
+
+
+def curve_policy(inst: Instance, ec: float) -> Union[tuple[float, float], Infeasible]:
+    """A policy attaining max_adversary_error_curve(inst, ec).
+
+    The curve's attainment witness: it solves the same pinned-EC problem
+    again and returns the policy instead of the error. It exists for
+    part-2 instances at feasible ec; for forced instances
+    the only feasible ec is the forced conference error and every
+    policy attains the curve there.
+    """
+    geom = instance_geometry(inst)
+    if not geom.part2:
+        if ec == geom.forced_ec:
+            return (1.0, 1.0)
+        return Infeasible(geom.forced_ec, geom.forced_ec)
+    lo_ec = geom.truthful_ec
+    hi_ec = geom.ec_intercept
+    if ec < lo_ec or ec > hi_ec:
+        return Infeasible(lo_ec, hi_ec)
+    span = geom.alpha1 + geom.alpha2
+    t = min(max(geom.ec_intercept - ec, 0.0), span)
+    if geom.alpha1 == 0.0:
+        return (1.0, min(max(t / geom.alpha2, 0.0), 1.0))
+    if geom.alpha2 == 0.0:
+        return (min(max(t / geom.alpha1, 0.0), 1.0), 1.0)
+    wmin, wmax, q1_min, q1_max = _w_interval(geom, t)
+    small, big = geom.m, max(geom.pu, geom.pv)
+    if wmax < small:
+        q1 = q1_max
+    elif wmin > big:
+        q1 = q1_min
+    else:
+        # The flat top is reachable; pick the feasible w closest to the
+        # low end of [small, big] and solve back for q1.
+        target = max(wmin, small)
+        slope = geom.pu - geom.pv * geom.alpha1 / geom.alpha2
+        if slope == 0.0:
+            q1 = q1_max
+        else:
+            q1 = (target - geom.pv * t / geom.alpha2) / slope
+            q1 = min(max(q1, min(q1_min, q1_max)), max(q1_min, q1_max))
+    q2 = (t - geom.alpha1 * q1) / geom.alpha2
+    return (min(max(q1, 0.0), 1.0), min(max(q2, 0.0), 1.0))
 
 
 def kendall_tau_pairs(rank_a, rank_b) -> float:

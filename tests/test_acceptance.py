@@ -29,7 +29,7 @@ from privcal import (
 )
 from privcal.adversary import scenario_table
 from privcal.cli import main as cli_main
-from privcal.frontier import instance_geometry, noisy_frontier
+from privcal.frontier import frontier, instance_geometry
 from privcal.mechanism import alg1_policy, alg3_policy
 from privcal.simlab import Alg2Rule
 from conftest import (
@@ -143,7 +143,7 @@ def test_acceptance_4_noisy_frontier_adherence():
         for k in range(1000):
             inst = random_part2_instance(rng, noisy=True)
             geom = instance_geometry(inst)
-            seg = noisy_frontier(inst)
+            seg = frontier(inst)
             span = seg.end.ec - seg.start.ec
             for frac in np.linspace(0.0, 1.0, 9):
                 target = seg.start.ec + frac * span

@@ -217,6 +217,22 @@ class TestStudyCommand:
         assert err.count("\n") == 1
         assert not (tmp_path / "study.csv").exists()
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"study.n_papers": 10, "study.n_reviewers": 10, "study.iterations": 1},
+            {"study.accept_top": 0, "study.messy_lo": -5, "study.messy_hi": 0},
+        ],
+    )
+    def test_band_outside_the_ranks_exits_2(self, entries, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        assert main(["study", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: messy_lo..messy_hi")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "study.csv").exists()
+
     def test_zero_noise_variance_runs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**self.CFG, "study.noise_variances": [0.0]}))

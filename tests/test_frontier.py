@@ -12,19 +12,17 @@ from privcal import (
     DegenerateInstanceError,
     Infeasible,
     Instance,
-    ModeError,
     ScorePair,
     SegmentKind,
     frontier,
     max_adversary_error_curve,
-    noiseless_frontier,
-    noisy_frontier,
 )
 from privcal.adversary import per_instance_errors
-from privcal.frontier import curve_policy, instance_geometry
+from privcal.frontier import instance_geometry
 from privcal.mechanism import Policy
 from conftest import (
     _scenario_errors_grid,
+    curve_policy,
     make_instance,
     random_noiseless_instance,
     random_noisy_instance,
@@ -35,14 +33,14 @@ from conftest import (
 class TestNoiselessFrontier:
     def test_identical_reviewers_forced_point(self):
         inst = make_instance(1.1, 0.4, 1.1, 0.4, 0.0, 0.3, 1.2)
-        seg = noiseless_frontier(inst)
+        seg = frontier(inst)
         assert seg.kind is SegmentKind.POINT
         assert seg.start.ec == pytest.approx(0.0, abs=1e-15)
         assert seg.start.ea == pytest.approx(0.5, abs=1e-14)
 
     def test_reference_segment(self):
         inst = make_instance(1, 0, 1, 1, 0.0, 0.5, 1.0)
-        seg = noiseless_frontier(inst)
+        seg = frontier(inst)
         assert seg.kind is SegmentKind.SEGMENT
         assert seg.start.ec == 0.0 and seg.start.ea == 0.0
         m_exp = norm.pdf(0.5, 1.0, 1.0) * norm.pdf(1.0)
@@ -53,7 +51,7 @@ class TestNoiselessFrontier:
 
     def test_forced_point_outside_thresholds(self):
         inst = make_instance(1, 0, 1, 2, 0.0, 3.0, 0.5)
-        seg = noiseless_frontier(inst)
+        seg = frontier(inst)
         assert seg.kind is SegmentKind.POINT
         m_exp = norm.pdf(1.0) * norm.pdf(0.5)
         m_exp = m_exp / (m_exp + norm.pdf(3.0) * norm.pdf(-1.5))
@@ -63,25 +61,20 @@ class TestNoiselessFrontier:
     def test_boundary_score_is_forced(self):
         # s1 exactly at the upper threshold.
         inst = make_instance(1, 0, 1, 2, 0.0, 2.5, 0.5)
-        assert noiseless_frontier(inst).kind is SegmentKind.POINT
-
-    def test_mode_guard(self):
-        inst = make_instance(1, 0, 1, 1, 0.5, 0.5, 1.0)
-        with pytest.raises(ModeError):
-            noiseless_frontier(inst)
+        assert frontier(inst).kind is SegmentKind.POINT
 
 
 class TestNoisyFrontier:
     def test_symmetric_boundary_point(self):
         inst = make_instance(1, 0, 1, 0, 1.0, 0.7, 0.7)
-        seg = noisy_frontier(inst)
+        seg = frontier(inst)
         assert seg.kind is SegmentKind.POINT
         assert seg.start.ec == pytest.approx(0.5, abs=1e-14)
         assert seg.start.ea == pytest.approx(0.5, abs=1e-14)
 
     def test_forced_point_far_score(self):
         inst = make_instance(1, 0, 1.4, 0.3, 0.8, 6.0, 0.2)
-        seg = noisy_frontier(inst)
+        seg = frontier(inst)
         assert seg.kind is SegmentKind.POINT
         geom = instance_geometry(inst)
         from privcal import likelihoods, phi_pair
@@ -109,7 +102,7 @@ class TestNoisyFrontier:
             ):
                 continue
             found += 1
-            seg = noisy_frontier(inst)
+            seg = frontier(inst)
             start_exp = (u * pp.phi1 + v * (1.0 - pp.phi2)) / (u + v)
             end_exp = (u * (pp.phi1 + 2.0 * pp.phi2 - 1.0) + v * (1.0 - pp.phi2)) / (
                 u + v
@@ -122,22 +115,17 @@ class TestNoisyFrontier:
     def test_segment_is_nondecreasing(self, rng):
         for _ in range(200):
             inst = random_part2_instance(rng, noisy=True)
-            seg = noisy_frontier(inst)
+            seg = frontier(inst)
             assert seg.start.ec <= seg.end.ec + 1e-15
             assert seg.start.ea <= seg.end.ea
-
-    def test_mode_guard(self):
-        inst = make_instance(1, 0, 1, 1, 0.0, 0.5, 1.0)
-        with pytest.raises(ModeError):
-            noisy_frontier(inst)
 
     @pytest.mark.parametrize("sigma2", [1e-12, 1e-9, 1e-6])
     def test_tends_to_noiseless_frontier_as_noise_vanishes(self, rng, sigma2):
         tol = 10.0 * math.sqrt(sigma2)
         for _ in range(300):
             inst = random_noiseless_instance(rng)
-            exact = noiseless_frontier(inst)
-            near = noisy_frontier(dataclasses.replace(inst, sigma2=sigma2))
+            exact = frontier(inst)
+            near = frontier(dataclasses.replace(inst, sigma2=sigma2))
             assert near.kind is exact.kind
             for a, b in ((near.start, exact.start), (near.end, exact.end)):
                 assert abs(a.ec - b.ec) <= tol
@@ -231,7 +219,7 @@ class TestStoredGeometry:
 class TestMaxAdversaryErrorCurve:
     def test_noiseless_trapezoid_reference(self):
         inst = make_instance(1, 0, 1, 1, 0.0, 0.5, 1.0)
-        m = noiseless_frontier(inst).end.ea
+        m = frontier(inst).end.ea
         assert max_adversary_error_curve(inst, 0.0) == 0.0
         assert max_adversary_error_curve(inst, 0.2) == pytest.approx(0.2, abs=1e-12)
         assert max_adversary_error_curve(inst, 0.5) == pytest.approx(m, abs=1e-15)

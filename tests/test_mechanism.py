@@ -1,5 +1,6 @@
 """Tests for MAP acceptance and the three calibration policies."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import privcal
 from privcal import (
+    AccuracyError,
     Assignment,
     AveragePolicy,
     ConfigurationError,
@@ -25,15 +27,15 @@ from privcal import (
     alg1_policy,
     alg2_policy,
     alg3_policy,
-    decide,
-    map_accept,
     zeta_eta,
 )
 from privcal.adversary import per_instance_errors
-from privcal.frontier import instance_geometry, noisy_frontier
+from privcal.frontier import frontier, instance_geometry
 from conftest import (
+    decide,
     general_policy_errors,
     make_instance,
+    map_accept,
     random_part2_instance,
 )
 
@@ -114,7 +116,7 @@ class TestAlg3Policy:
     def test_infeasible_below_truthful_error(self, rng):
         for _ in range(20):
             inst = random_part2_instance(rng, noisy=True)
-            seg = noisy_frontier(inst)
+            seg = frontier(inst)
             if seg.start.ec <= 0.0:
                 continue
             res = alg3_policy(inst, seg.start.ec / 2.0)
@@ -124,7 +126,7 @@ class TestAlg3Policy:
     def test_endpoint_saturation(self, rng):
         for _ in range(20):
             inst = random_part2_instance(rng, noisy=True)
-            seg = noisy_frontier(inst)
+            seg = frontier(inst)
             ec = min(1.0, seg.end.ec + 0.01)
             pol = alg3_policy(inst, ec)
             err = per_instance_errors(inst, pol)
@@ -134,7 +136,7 @@ class TestAlg3Policy:
     def test_interior_points_lie_on_the_segment(self, rng):
         for _ in range(100):
             inst = random_part2_instance(rng, noisy=True)
-            seg = noisy_frontier(inst)
+            seg = frontier(inst)
             if seg.end.ec - seg.start.ec < 1e-9:
                 continue
             for frac in (0.1, 0.5, 0.9):
@@ -205,6 +207,30 @@ class TestZetaEta:
         )
         with pytest.raises(ModeError):
             zeta_eta(pop)
+
+    def test_unmet_tolerance_raises(self, monkeypatch):
+        """An error estimate above abs_tol is reported, never replaced."""
+        import scipy.integrate
+
+        def loose_dblquad(func, a, b, gfun, hfun, epsabs):
+            return 0.25, 1e-6
+
+        monkeypatch.setattr(scipy.integrate, "dblquad", loose_dblquad)
+        pop = Population(
+            ReviewerProfile.affine(1.0, 0.0), ReviewerProfile.affine(1.0, 1.0), 0.0
+        )
+        with pytest.raises(AccuracyError) as info:
+            zeta_eta(pop, QuadratureSettings(abs_tol=2e-6))
+        assert info.value.estimate == 0.25
+        assert info.value.error_bound == 1e-6 + 1e-6 + 1e-6
+
+    def test_settings_have_no_fallback_fields(self):
+        assert [f.name for f in dataclasses.fields(QuadratureSettings)] == [
+            "abs_tol",
+            "theta_span",
+        ]
+        with pytest.raises(TypeError):
+            QuadratureSettings(mc_fallback_n=1000)
 
     def test_swapping_reviewers_is_symmetric(self):
         p1 = Population(

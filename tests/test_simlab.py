@@ -687,6 +687,18 @@ class TestWithinConferenceFit:
             assert est.shape == theta.shape
             assert np.all(np.isfinite(est))
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the fit's alternating sweeps stall once the ridge terms vanish",
+    )
+    def test_recovers_the_ranking_as_noise_vanishes(self):
+        """Noiseless scores fix theta up to an affine map, so known
+        parameters rank every paper right; the fit should too."""
+        res = run_calibration_study(self.CFG)
+        assert res.cells[("known_parameters", 1e-18)].kendall_tau == (0.0,) * 4
+        assert max(res.cells[("within_conference", 1e-18)].kendall_tau) < 0.01
+
     def test_deterministic_for_a_fixed_config(self):
         for var in self.CFG.noise_variances:
             _, first = self._fit(var, 0)
