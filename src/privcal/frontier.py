@@ -285,7 +285,7 @@ def max_adversary_error_curve(
         return Infeasible(fec, fec)
     lo_ec = geom.truthful_ec
     hi_ec = geom.ec_intercept
-    if ec < lo_ec or ec > hi_ec:
+    if not (lo_ec <= ec <= hi_ec):
         return Infeasible(lo_ec, hi_ec)
     span = geom.alpha1 + geom.alpha2
     t = min(max(geom.ec_intercept - ec, 0.0), span)

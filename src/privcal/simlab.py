@@ -394,12 +394,17 @@ def simulate_average(
     return _run_blocks(n, seed, worker)
 
 
+# Rows per block of kendall_tau_distance's pair comparison.
+_KENDALL_ROWS = 256
+
+
 def kendall_tau_distance(rank_a: Sequence[int], rank_b: Sequence[int]) -> float:
     """Fraction of discordant pairs between two rankings of the same items.
 
     rank_a[i] and rank_b[i] are item i's positions. Items are put in
     rank_a order (ties by index) and every pair whose rank_b order is
-    reversed is counted, all n(n - 1)/2 pairs in one array comparison.
+    reversed is counted. The n(n - 1)/2 pairs are compared in blocks of
+    _KENDALL_ROWS rows, so memory stays O(_KENDALL_ROWS * n).
     """
     a = np.asarray(rank_a)
     b = np.asarray(rank_b)
@@ -409,7 +414,11 @@ def kendall_tau_distance(rank_a: Sequence[int], rank_b: Sequence[int]) -> float:
     if n < 2:
         return 0.0
     s = b[np.argsort(a, kind="stable")]
-    inversions = int(np.count_nonzero(np.triu(s[:, None] > s[None, :], 1)))
+    inversions = 0
+    for i in range(0, n, _KENDALL_ROWS):
+        # Rows i..i+R against columns i.., keeping column > row.
+        block = s[i : i + _KENDALL_ROWS, None] > s[None, i:]
+        inversions += int(np.count_nonzero(np.triu(block, 1)))
     return inversions / (n * (n - 1) / 2)
 
 

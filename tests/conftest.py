@@ -92,6 +92,74 @@ def cubic_profile() -> ReviewerProfile:
     return ReviewerProfile.monotone(forward, inverse, inverse_derivative)
 
 
+def nested_quad_zeta_eta(pop: Population, theta_span: float = 10.0):
+    """(zeta, eta) of an affine noiseless population by nested scipy quad.
+
+    Shares no code with privcal: the densities, thresholds and score box
+    (the profiles' images of [-theta_span, theta_span]) are written out
+    here. u = v where (s1 - s2)(k (s1 + s2) + m) = 0, so the inner quad
+    is split at s1 = s2 and s1 = t* - s2 (t* = -m / k, absent when
+    k = 0), and the outer quad at every crossing of those two lines, the
+    thresholds and the box edges.
+    """
+    from scipy.integrate import quad
+
+    a1, b1 = pop.reviewer1.a, pop.reviewer1.b
+    a2, b2 = pop.reviewer2.a, pop.reviewer2.b
+    lo = min(b1 - a1 * theta_span, b2 - a2 * theta_span)
+    hi = max(b1 + a1 * theta_span, b2 + a2 * theta_span)
+
+    def log_density(s, a, b):
+        return -0.5 * ((s - b) / a) ** 2 - math.log(a * math.sqrt(2.0 * math.pi))
+
+    def half_min(s1, s2):
+        logu = log_density(s1, a1, b1) + log_density(s2, a2, b2)
+        logv = log_density(s1, a2, b2) + log_density(s2, a1, b1)
+        return 0.5 * math.exp(min(logu, logv))
+
+    k = 0.5 / a2**2 - 0.5 / a1**2
+    m = b1 / a1**2 - b2 / a2**2
+    t_star = -m / k if k != 0.0 else None
+    # Lines s1 = slope * s2 + intercept.
+    lines = [
+        (1.0, 0.0),
+        (a2 / a1, b2 - a2 * b1 / a1),
+        (a1 / a2, b1 - a1 * b2 / a2),
+        (0.0, lo),
+        (0.0, hi),
+    ]
+    if t_star is not None:
+        lines.append((-1.0, t_star))
+    crossings = set()
+    for i, (p1, q1) in enumerate(lines):
+        for p2, q2 in lines[i + 1 :]:
+            if p1 != p2 and lo < (q2 - q1) / (p1 - p2) < hi:
+                crossings.add((q2 - q1) / (p1 - p2))
+
+    def inner(s2, c, d):
+        if not c < d:
+            return 0.0
+        kinks = [s2] if t_star is None else [s2, t_star - s2]
+        kinks = [x for x in kinks if c < x < d] or None
+        opts = dict(points=kinks, epsabs=1e-14, epsrel=1e-12, limit=200)
+        return quad(half_min, c, d, args=(s2,), **opts)[0]
+
+    def band(s2):
+        ta = b2 + a2 * (s2 - b1) / a1
+        tb = b1 + a1 * (s2 - b2) / a2
+        return min(ta, tb), max(ta, tb)
+
+    def zeta_at(s2):
+        return inner(s2, *band(s2))
+
+    def eta_at(s2):
+        c, d = (min(max(t, lo), hi) for t in band(s2))
+        return inner(s2, lo, c) + inner(s2, d, hi)
+
+    opts = dict(points=sorted(crossings) or None, epsabs=1e-13, epsrel=1e-12, limit=500)
+    return quad(zeta_at, lo, hi, **opts)[0], quad(eta_at, lo, hi, **opts)[0]
+
+
 def general_policy_errors(inst: Instance, g1: float, g2: float):
     """Analytic errors of a general decision rule: accept paper 1 with
     probability g1 under A1 and g2 under A2.

@@ -254,6 +254,14 @@ class TestMaxAdversaryErrorCurve:
         res = max_adversary_error_curve(inst, 1.0)
         assert isinstance(res, Infeasible)
 
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    def test_nan_target_is_infeasible(self, rng, noisy):
+        inst = random_part2_instance(rng, noisy=noisy)
+        geom = instance_geometry(inst)
+        res = max_adversary_error_curve(inst, math.nan)
+        assert isinstance(res, Infeasible)
+        assert res == Infeasible(geom.truthful_ec, geom.ec_intercept)
+
     def test_forced_instance_curve(self):
         inst = make_instance(1, 0, 1, 2, 0.0, 3.0, 0.5)
         geom = instance_geometry(inst)

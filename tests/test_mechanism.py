@@ -36,8 +36,13 @@ from conftest import (
     general_policy_errors,
     make_instance,
     map_accept,
+    nested_quad_zeta_eta,
     random_part2_instance,
+    sinh_profile,
 )
+
+REF1 = Population(ReviewerProfile.affine(1.0, 0.0), ReviewerProfile.affine(1.0, 1.0))
+REF2 = Population(ReviewerProfile.affine(1.5, -0.5), ReviewerProfile.affine(0.8, 0.7))
 
 
 class TestMapAccept:
@@ -216,13 +221,80 @@ class TestZetaEta:
             return 0.25, 1e-6
 
         monkeypatch.setattr(scipy.integrate, "dblquad", loose_dblquad)
-        pop = Population(
-            ReviewerProfile.affine(1.0, 0.0), ReviewerProfile.affine(1.0, 1.0), 0.0
-        )
+        pop = Population(sinh_profile(), ReviewerProfile.affine(1.0, 0.5), 0.0)
         with pytest.raises(AccuracyError) as info:
             zeta_eta(pop, QuadratureSettings(abs_tol=2e-6))
         assert info.value.estimate == 0.25
         assert info.value.error_bound == 1e-6 + 1e-6 + 1e-6
+
+    def test_affine_rule_difference_above_tolerance_raises(self):
+        """The affine path raises when its own n/2n difference exceeds abs_tol."""
+        zeta, _, err = zeta_eta(REF1)
+        assert err > 0.0
+        with pytest.raises(AccuracyError) as info:
+            zeta_eta(REF1, QuadratureSettings(abs_tol=err / 2.0))
+        assert info.value.estimate == zeta
+        assert info.value.error_bound == err
+
+    @pytest.mark.parametrize(
+        "pop, want, dblquad_err",
+        [
+            (REF1, (0.1611004584580641, 0.07864960352514948), 6.9e-7),
+            (REF2, (0.12124164393461899, 0.09437694787422293), 9.9e-7),
+        ],
+        ids=["ref1", "ref2"],
+    )
+    def test_matches_dblquad_within_its_bound(self, pop, want, dblquad_err):
+        """The values the dblquad path gave, within the bound it reported."""
+        zeta, eta, err = zeta_eta(pop)
+        assert err <= 1e-9
+        assert zeta == pytest.approx(want[0], abs=dblquad_err)
+        assert eta == pytest.approx(want[1], abs=dblquad_err)
+
+    @pytest.mark.parametrize(
+        "a1, b1, a2, b2",
+        [
+            (1.0, 0.0, 1.0, 1.0),
+            (1.5, -0.5, 0.8, 0.7),
+            (1.3, -0.2, 0.7, 0.5),
+            (0.7, 0.5, 1.3, -0.2),
+            (1.0, 0.0, 1.0, 0.0),
+            (1.2, 0.3, 1.2, -0.4),
+            (1.0, 0.3, 1.0 + 1e-12, -0.4),
+            (0.3, 0.5, 3.0, -1.0),
+        ],
+        ids=[
+            "ref1",
+            "ref2",
+            "pair",
+            "pair_swapped",
+            "identical",
+            "equal_slopes",
+            "near_slopes",
+            "slope_ratio_10",
+        ],
+    )
+    def test_affine_matches_nested_quad_oracle(self, a1, b1, a2, b2):
+        pop = Population(ReviewerProfile.affine(a1, b1), ReviewerProfile.affine(a2, b2))
+        zeta, eta, err = zeta_eta(pop)
+        want = nested_quad_zeta_eta(pop)
+        assert err <= 1e-9
+        assert zeta == pytest.approx(want[0], abs=1e-9)
+        assert eta == pytest.approx(want[1], abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_affine_matches_nested_quad_oracle(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        a = rng.uniform(0.3, 3.0, 2)
+        b = rng.normal(0.0, 1.0, 2)
+        pop = Population(
+            ReviewerProfile.affine(a[0], b[0]), ReviewerProfile.affine(a[1], b[1])
+        )
+        span = float(rng.uniform(0.5, 4.0))
+        zeta, eta, _ = zeta_eta(pop, QuadratureSettings(theta_span=span))
+        want = nested_quad_zeta_eta(pop, span)
+        assert zeta == pytest.approx(want[0], abs=1e-9)
+        assert eta == pytest.approx(want[1], abs=1e-9)
 
     def test_settings_have_no_fallback_fields(self):
         assert [f.name for f in dataclasses.fields(QuadratureSettings)] == [
@@ -243,29 +315,33 @@ class TestZetaEta:
         assert ea_ == pytest.approx(eb, abs=2e-6)
 
     def test_package_import_leaves_scipy_unloaded(self):
-        """scipy loads on the first zeta_eta call, not with the package."""
+        """scipy loads only on the dblquad path of a general profile."""
         code = (
             "import sys\n"
             "import privcal, privcal.cli\n"
             "assert 'scipy' not in sys.modules, 'scipy imported with privcal'\n"
-            "from privcal import Population, ReviewerProfile, zeta_eta\n"
+            "from privcal import Population, QuadratureSettings, ReviewerProfile, zeta_eta\n"
+            "from conftest import sinh_profile\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported with the test oracles'\n"
             "pop = Population(\n"
             "    ReviewerProfile.affine(1.0, 0.0), ReviewerProfile.affine(1.0, 1.0), 0.0\n"
             ")\n"
             "print(repr(zeta_eta(pop)))\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported by an affine zeta_eta'\n"
+            "pop = Population(sinh_profile(), ReviewerProfile.affine(1.0, 0.5), 0.0)\n"
+            "zeta_eta(pop, QuadratureSettings(theta_span=6.0))\n"
             "assert 'scipy' in sys.modules\n"
         )
         src = str(Path(privcal.__file__).resolve().parents[1])
+        tests = str(Path(__file__).resolve().parent)
         path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        roots = os.pathsep.join([src, tests] + ([path] if path else []))
+        env = {**os.environ, "PYTHONPATH": roots}
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        pop = Population(
-            ReviewerProfile.affine(1.0, 0.0), ReviewerProfile.affine(1.0, 1.0), 0.0
-        )
-        assert proc.stdout.strip() == repr(zeta_eta(pop))
+        assert proc.stdout.strip() == repr(zeta_eta(REF1))
 
 
 class TestAlg2Policy:

@@ -27,6 +27,7 @@ from privcal import simlab
 from privcal.simlab import (
     _BLOCK,
     _CHUNK,
+    _KENDALL_ROWS,
     STUDY_METHODS,
     Alg1Rule,
     Alg2Rule,
@@ -553,6 +554,12 @@ class TestKendallTau:
             a = rng.integers(0, hi, n)
             b = rng.integers(0, hi, n)
             assert kendall_tau_distance(a, b) == kendall_tau_pairs(a, b)
+        # Lengths that span several row blocks, the last one partial.
+        for n in (_KENDALL_ROWS + 1, 2 * _KENDALL_ROWS + 37):
+            for hi in (3, n):
+                a = rng.integers(0, hi, n)
+                b = rng.integers(0, hi, n)
+                assert kendall_tau_distance(a, b) == kendall_tau_pairs(a, b)
 
     def test_shape_guard(self):
         with pytest.raises(ValueError):
