@@ -31,12 +31,10 @@ from pathlib import Path
 from . import __version__
 from .model import (
     ConfigurationError,
-    Decision,
     DegenerateInstanceError,
     Instance,
     ReviewerProfile,
     ScorePair,
-    Population,
 )
 from .frontier import (
     Infeasible,
@@ -45,7 +43,7 @@ from .frontier import (
     instance_geometry,
     max_adversary_error_curve,
 )
-from .mechanism import AccuracyError, Policy, alg1_policy, alg3_policy
+from .mechanism import AccuracyError, alg1_policy, alg3_policy
 from .adversary import per_instance_errors
 from .simlab import StudyConfig, run_calibration_study, simulate_instance
 
@@ -179,13 +177,18 @@ def _write_manifest(
     return path
 
 
-def _forced_name(policy) -> str:
-    if isinstance(policy, Policy) and policy.forced is not None:
-        return "paper1" if policy.forced is Decision.PAPER1 else "paper2"
-    return ""
+def _policy(inst: Instance, ec: float) -> tuple:
+    """(policy, analytic errors) of Alg. 1 (noiseless) or Alg. 3 (noisy) at budget ec.
+
+    An infeasible budget gives (Infeasible, None).
+    """
+    result = alg1_policy(inst, ec) if inst.noiseless else alg3_policy(inst, ec)
+    if isinstance(result, Infeasible):
+        return result, None
+    return result, per_instance_errors(inst, result)
 
 
-def cmd_frontier(cfg: dict, out: Path) -> list[list[str]]:
+def cmd_frontier(cfg: dict) -> list[list[str]]:
     inst = _build_instance(cfg)
     seg = frontier(inst)
     schema = "privcal.frontier.v1"
@@ -202,11 +205,9 @@ def cmd_frontier(cfg: dict, out: Path) -> list[list[str]]:
     if count < 2:
         raise ConfigurationError("grid must be at least 2")
     for i in range(count):
-        ec = lo + (hi - lo) * i / (count - 1)
+        # Roundoff can carry the last point one ulp past hi.
+        ec = min(lo + (hi - lo) * i / (count - 1), hi)
         ea = max_adversary_error_curve(inst, ec)
-        if isinstance(ea, Infeasible):
-            # Only possible through floating roundoff at the range ends.
-            ea = 0.0
         rows.append([schema, "curve", _fmt(ec), _fmt(ea)])
     return rows
 
@@ -224,30 +225,25 @@ _POLICY_HEADER = [
 ]
 
 
-def _policy_rows(inst: Instance, ec: float) -> list[list[str]]:
+def cmd_policy(cfg: dict) -> list[list[str]]:
     schema = "privcal.policy.v1"
-    result = alg1_policy(inst, ec) if inst.noiseless else alg3_policy(inst, ec)
-    if isinstance(result, Infeasible):
+    result, errs = _policy(_build_instance(cfg), cfg["ec"])
+    if errs is None:
         return [
             [schema, "false", "", "", "", "", "", _fmt(result.min_feasible_ec)]
         ]
-    errs = per_instance_errors(inst, result)
     return [
         [
             schema,
             "true",
             _fmt(result.q1),
             _fmt(result.q2),
-            _forced_name(result),
+            result.forced.name.lower() if result.forced else "",
             _fmt(errs.ec),
             _fmt(errs.ea),
             "",
         ]
     ]
-
-
-def cmd_policy(cfg: dict, out: Path) -> list[list[str]]:
-    return _policy_rows(_build_instance(cfg), cfg["ec"])
 
 
 _SIMULATE_HEADER = [
@@ -266,16 +262,13 @@ _SIMULATE_HEADER = [
 ]
 
 
-def cmd_simulate(cfg: dict, out: Path) -> list[list[str]]:
+def cmd_simulate(cfg: dict) -> list[list[str]]:
     inst = _build_instance(cfg)
-    ec, n, seed = cfg["ec"], cfg["simulate.n"], cfg["seed"]
+    n, seed = cfg["simulate.n"], cfg["seed"]
     schema = "privcal.simulate.v1"
-    result = alg1_policy(inst, ec) if inst.noiseless else alg3_policy(inst, ec)
-    if isinstance(result, Infeasible):
-        return [
-            [schema, "false", str(n), str(seed)] + [""] * 8
-        ]
-    errs = per_instance_errors(inst, result)
+    result, errs = _policy(inst, cfg["ec"])
+    if errs is None:
+        return [[schema, "false", str(n), str(seed)] + [""] * 8]
     sim = simulate_instance(inst, result, n, seed)
     return [
         [
@@ -306,7 +299,7 @@ _STUDY_HEADER = [
 ]
 
 
-def cmd_study(cfg: dict, out: Path) -> list[list[str]]:
+def cmd_study(cfg: dict) -> list[list[str]]:
     study_cfg = StudyConfig(
         **{f.name: cfg[_study_key(f.name)] for f in dataclasses.fields(StudyConfig)}
     )
@@ -371,7 +364,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         runner, header = _COMMANDS[args.command]
-        rows = runner(_typed(args.command, cfg), out)
+        rows = runner(_typed(args.command, cfg))
         csv_path = out / f"{args.command}.csv"
         _write_csv(csv_path, header, rows)
         _write_manifest(out, args.command, cfg, started, csv_path)

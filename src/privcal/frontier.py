@@ -78,11 +78,12 @@ class InstanceGeometry:
     oriented so phi1 <= 1/2 <= phi2: phi1 is the probability the
     truthful decision under A1 is wrong, 1 - phi2 the same under A2
     (0 and 1 exactly in noiseless mode). d1 and d2 are the MAP
-    decisions under an assumed A1 and A2; they differ exactly when the
-    instance is in the randomizing regime (part2). For forced
-    instances d1 == d2 is the score-determined decision; tie marks the
-    doubly degenerate boundary where MAP is indifferent under both
-    assignments.
+    decisions under an assumed A1 and A2, read from model.thresholds
+    in both noise modes, the rule simulate_average applies to each
+    replicate; they differ exactly when the instance is in the
+    randomizing regime (part2). For forced instances d1 == d2 is the
+    score-determined decision; tie marks the doubly degenerate boundary
+    where MAP is indifferent under both assignments.
 
     The derived scalars are computed once, at construction, and take
     no part in ==, hash or repr: m = min(pu, pv) is the score-only
@@ -145,47 +146,28 @@ def instance_geometry(inst: Instance) -> InstanceGeometry:
 
 
 def _build_geometry(inst: Instance) -> InstanceGeometry:
-    pu, pv = posterior_weights(inst)
-    if inst.noiseless:
-        s1 = inst.scores.s1
-        thr_a, thr_b = thresholds(inst, inst.scores.s2)
-        hi, lo = max(thr_a, thr_b), min(thr_a, thr_b)
-        if s1 >= hi:
-            d = Decision.PAPER1
-            tie = s1 == hi and hi == lo
-            return InstanceGeometry(False, pu, pv, 0.0, 1.0, d, d, tie=tie)
-        if s1 <= lo:
-            d = Decision.PAPER2
-            tie = s1 == lo and hi == lo
-            return InstanceGeometry(False, pu, pv, 0.0, 1.0, d, d, tie=tie)
-        # Strictly between the thresholds: the two assumed assignments
-        # disagree about which paper is better.
-        d1 = Decision.PAPER1 if s1 > thr_b else Decision.PAPER2
-        d2 = Decision.PAPER1 if s1 > thr_a else Decision.PAPER2
-        return InstanceGeometry(True, pu, pv, 0.0, 1.0, d1, d2)
+    """The geometry of one instance, in either noise mode.
 
-    pp = phi_pair(inst)
-    m1, m2 = pp.phi1 - 0.5, pp.phi2 - 0.5
-    if m1 * m2 >= 0.0:
-        # Forced regime: the MAP decision agrees under both assignments
-        # (boundaries, where one statistic is exactly 1/2, included).
-        if m1 < 0.0 or m2 < 0.0:
-            d = Decision.PAPER1
-            e1, e2 = pp.phi1, pp.phi2
-        elif m1 > 0.0 or m2 > 0.0:
-            d = Decision.PAPER2
-            e1, e2 = 1.0 - pp.phi1, 1.0 - pp.phi2
-        else:
-            d = Decision.PAPER1
-            e1, e2 = 0.5, 0.5
-        return InstanceGeometry(
-            False, pu, pv, e1, 1.0 - e2, d, d, tie=(m1 == 0.0 and m2 == 0.0)
-        )
-    d1 = Decision.PAPER1 if m1 < 0.0 else Decision.PAPER2
-    d2 = Decision.PAPER1 if m2 < 0.0 else Decision.PAPER2
-    e1 = min(pp.phi1, 1.0 - pp.phi1)
-    e2 = min(pp.phi2, 1.0 - pp.phi2)
-    return InstanceGeometry(True, pu, pv, e1, 1.0 - e2, d1, d2)
+    The regime comes from model.thresholds, as in simulate_average: MAP
+    accepts paper 1 under an assumed A1 exactly when s1 > tb, and under
+    an assumed A2 exactly when s1 > ta. On a threshold MAP is
+    indifferent under that assignment and takes the other one's
+    decision, so the instance is forced (a tie when s1 is on both).
+    phi_pair supplies only the noisy error probabilities, oriented so
+    phi1 <= 1/2 <= phi2.
+    """
+    pu, pv = posterior_weights(inst)
+    s1 = inst.scores.s1
+    ta, tb = thresholds(inst, inst.scores.s2)
+    # The >= keeps paper 1 as a tie's forced decision (policy CSVs name it).
+    p1_a1 = s1 > tb if s1 != tb else s1 >= ta
+    p1_a2 = s1 > ta if s1 != ta else p1_a1
+    d1, d2 = (Decision.PAPER1 if p1 else Decision.PAPER2 for p1 in (p1_a1, p1_a2))
+    phi1, phi2 = 0.0, 1.0
+    if not inst.noiseless:
+        pp = phi_pair(inst)
+        phi1, phi2 = min(pp.phi1, 1.0 - pp.phi1), 1.0 - min(pp.phi2, 1.0 - pp.phi2)
+    return InstanceGeometry(d1 is not d2, pu, pv, phi1, phi2, d1, d2, tie=s1 == ta == tb)
 
 
 def _endpoint(geom: InstanceGeometry) -> tuple[float, tuple[float, float]]:

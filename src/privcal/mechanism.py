@@ -89,10 +89,19 @@ class QuadratureSettings:
     profiles the sum of the n-node/2n-node differences of the fixed
     outer rule, otherwise the summed estimate of the three dblquad
     calls. zeta_eta raises AccuracyError when the estimate exceeds it.
+    Both fields must be finite and positive.
     """
 
     abs_tol: float = 1e-6
     theta_span: float = 10.0
+
+    def __post_init__(self) -> None:
+        for name in ("abs_tol", "theta_span"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigurationError(
+                    f"{name} must be finite and positive, got {value!r}"
+                )
 
 
 def alg1_policy(inst: Instance, ec_max: float) -> Policy:

@@ -20,6 +20,9 @@ from typing import Callable, Optional
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_INV_SQRT_2PI = -0.5 * math.log(2.0 * math.pi)
+# The quality range and point count of ReviewerProfile.monotone's probe.
+_PROBE_SPAN = 6.0
+_PROBE_POINTS = 25
 
 
 class ConfigurationError(ValueError):
@@ -105,18 +108,16 @@ class ReviewerProfile:
         forward: Callable[[float], float],
         inverse: Callable[[float], float],
         inverse_derivative: Callable[[float], float],
-        probe_span: float = 6.0,
-        probe_points: int = 25,
     ) -> "ReviewerProfile":
         """Build a general monotone profile, validating the supplied maps.
 
         The probe checks forward(inverse(s)) = s within 1e-9 and strict
-        monotonicity of the inverse on a grid of scores spanned by
-        forward([-probe_span, probe_span]).
+        monotonicity of the inverse on a grid of _PROBE_POINTS scores
+        spanned by forward([-_PROBE_SPAN, _PROBE_SPAN]).
         """
         thetas = [
-            -probe_span + 2.0 * probe_span * i / (probe_points - 1)
-            for i in range(probe_points)
+            -_PROBE_SPAN + 2.0 * _PROBE_SPAN * i / (_PROBE_POINTS - 1)
+            for i in range(_PROBE_POINTS)
         ]
         # Mismatched maps can overflow inside user-supplied callables; the
         # probe converts any such failure into a ConfigurationError, so the
@@ -326,16 +327,25 @@ def thresholds(model, s2):
     Population); s2 is a float or an array. Noiseless mode maps s2
     through one reviewer's inverse and the other's forward map; noisy
     mode solves Phi1 = 1/2 and Phi2 = 1/2 for s1 (affine profiles).
+
+    This is the one regime rule: instance_geometry and simulate_average
+    both classify scores by comparing s1 with these thresholds. The
+    noisy slope ratio is formed first, so it is exactly 1 for equal
+    slopes.
     """
     r1, r2 = model.reviewer1, model.reviewer2
+    if r1 == r2:
+        # The assignments are indistinguishable and MAP compares the
+        # scores themselves; this keeps equal scores an exact tie.
+        return s2, s2
     if model.sigma2 == 0.0:
         ta = r2.apply(r1.invert(s2))
         tb = r1.apply(r2.invert(s2))
         return ta, tb
     a1, b1, a2, b2, g2 = r1.a, r1.b, r2.a, r2.b, model.sigma2
     t1v, t2v = a1 * a1 + g2, a2 * a2 + g2
-    tb = b1 + a2 * t1v * (s2 - b2) / (a1 * t2v)
-    ta = b2 + a1 * t2v * (s2 - b1) / (a2 * t1v)
+    tb = b1 + (a2 * t1v) / (a1 * t2v) * (s2 - b2)
+    ta = b2 + (a1 * t2v) / (a2 * t1v) * (s2 - b1)
     return ta, tb
 
 

@@ -201,9 +201,11 @@ def map_accept(
     """MAP acceptance decision under an assumed assignment.
 
     Noiseless mode inverts the profiles and accepts the larger recovered
-    quality, so it classifies scores without the library's regime
-    thresholds and is their oracle. Noisy mode compares the relevant Phi
-    statistic against 1/2. An exact tie is broken uniformly; the caller
+    quality; noisy mode compares the relevant Phi statistic against 1/2.
+    Neither reads model.thresholds, which the library's geometry and
+    simulators use for the regime in both modes, so map_accept is their
+    independent oracle (in noisy mode the two can differ within a few
+    ulps of a threshold). An exact tie is broken uniformly; the caller
     supplies the random bit so the operation stays deterministic.
     """
     if inst.noiseless:

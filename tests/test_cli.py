@@ -4,10 +4,14 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from privcal import max_adversary_error_curve
 from privcal.cli import main
+from privcal.frontier import frontier, instance_geometry
+from conftest import make_instance
 
 
 def _read_csv(path):
@@ -127,6 +131,25 @@ class TestFrontierCommand:
         assert main(["frontier", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         _, rows = _read_csv(tmp_path / "frontier.csv")
         assert len(rows) == 1 and rows[0][1] == "point"
+
+    def test_last_grid_point_is_the_intercept(self, tmp_path):
+        # A noisy instance on which lo + (hi - lo) * 100 / 100 exceeds hi by
+        # one ulp; it was found by a seeded search over one-decimal configs.
+        values = (1.0, -0.1, 0.8, 0.8, 1.0, 1.8, 1.9)
+        keys = ("a1", "b1", "a2", "b2", "sigma2", "s1", "s2")
+        entries = {f"instance.{k}": v for k, v in zip(keys, values)}
+        inst = make_instance(*values)
+        lo, hi = frontier(inst).min_feasible_ec, instance_geometry(inst).ec_intercept
+        assert lo + (hi - lo) * 100 / 100 > hi
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        assert main(["frontier", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        _, rows = _read_csv(tmp_path / "frontier.csv")
+        curve = [(float(r[2]), float(r[3])) for r in rows if r[1] == "curve"]
+        assert len(curve) == 101
+        assert curve[-1] == (hi, 0.0)
+        for ec, ea in curve:
+            assert max_adversary_error_curve(inst, ec) == ea
 
     @pytest.mark.parametrize("command", ["frontier", "policy", "simulate"])
     def test_degenerate_instance_exits_3(self, command, tmp_path, capsys):
@@ -278,3 +301,40 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert (tmp_path / "policy.csv").exists()
+
+
+class TestGoldenCsv:
+    """CLI CSVs compared byte for byte with tests/data/golden/.
+
+    Each golden file <command>_<config>.csv was written by
+    `privcal <command> --config <config>.json` with the config below.
+    A change that alters one must say which bytes changed and why.
+    """
+
+    GOLDEN = Path(__file__).parent / "data" / "golden"
+    CONFIGS = {
+        "default": {},
+        "noisy": {"instance.sigma2": 0.7, "instance.s1": 0.3},
+        "ec1": {"ec": 1.0},
+    }
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("frontier", "default"),
+            ("frontier", "noisy"),
+            ("policy", "default"),
+            ("policy", "noisy"),
+            ("policy", "ec1"),
+            ("simulate", "default"),
+            ("simulate", "noisy"),
+            ("simulate", "ec1"),
+            ("study", "default"),
+        ],
+    )
+    def test_csv_matches_golden(self, command, config, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CONFIGS[config]))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        golden = self.GOLDEN / f"{command}_{config}.csv"
+        assert (tmp_path / f"{command}.csv").read_bytes() == golden.read_bytes()

@@ -20,6 +20,7 @@ from privcal import (
 from privcal.adversary import per_instance_errors
 from privcal.frontier import instance_geometry
 from privcal.mechanism import Policy
+from privcal.model import Decision, Population, thresholds
 from conftest import (
     _scenario_errors_grid,
     curve_policy,
@@ -214,6 +215,40 @@ class TestStoredGeometry:
         for _ in range(2):
             with pytest.raises(DegenerateInstanceError):
                 instance_geometry(inst)
+
+
+class TestRegimeRule:
+    """instance_geometry classifies by model.thresholds in both noise modes,
+    the rule simulate_average applies to each replicate."""
+
+    @staticmethod
+    def _check(pop, s1, s2):
+        ta, tb = thresholds(pop, s2)
+        geom = instance_geometry(pop.instance(s1, s2))
+        assert geom.part2 == ((s1 > tb) != (s1 > ta))
+        assert (geom.d1 is Decision.PAPER1) == (s1 > tb)
+        assert (geom.d2 is Decision.PAPER1) == (s1 > ta)
+        assert geom.phi1 <= 0.5 <= geom.phi2
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_geometry_matches_thresholds_at_random_and_near_threshold_scores(
+        self, rng, noisy
+    ):
+        for _ in range(500):
+            inst = random_noisy_instance(rng) if noisy else random_noiseless_instance(rng)
+            pop = Population(inst.reviewer1, inst.reviewer2, inst.sigma2)
+            s1, s2 = inst.scores.s1, inst.scores.s2
+            self._check(pop, s1, s2)
+            for t in thresholds(pop, s2):
+                for side in (-math.inf, math.inf):
+                    self._check(pop, math.nextafter(t, side), s2)
+
+    @pytest.mark.parametrize("sigma2", [0.0, 0.5])
+    def test_identical_reviewers_tie_at_equal_scores(self, rng, sigma2):
+        for _ in range(200):
+            a, b, s = rng.uniform(0.3, 3.0), rng.normal(), rng.normal(0.0, 2.0)
+            geom = instance_geometry(make_instance(a, b, a, b, sigma2, s, s))
+            assert geom.tie and not geom.part2
 
 
 class TestMaxAdversaryErrorCurve:

@@ -304,6 +304,12 @@ class TestZetaEta:
         with pytest.raises(TypeError):
             QuadratureSettings(mc_fallback_n=1000)
 
+    @pytest.mark.parametrize("field", ["abs_tol", "theta_span"])
+    @pytest.mark.parametrize("value", [math.nan, -1.0, 0.0, math.inf])
+    def test_settings_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            QuadratureSettings(**{field: value})
+
     def test_swapping_reviewers_is_symmetric(self):
         p1 = Population(
             ReviewerProfile.affine(1.3, -0.2), ReviewerProfile.affine(0.7, 0.5), 0.0
