@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import Assignment, Decision, Instance
-from .frontier import ErrorPair, InstanceGeometry, instance_geometry
+from .model import Assignment, ConfigurationError, Decision, Instance
+from .frontier import ErrorPair, Infeasible, InstanceGeometry, instance_geometry
 
 
 class GuessKind(Enum):
@@ -65,6 +65,13 @@ def _compare(l1: float, l2: float) -> Guess:
     return Guess(GuessKind.UNIFORM_TIE)
 
 
+def _q(policy) -> tuple[float, float]:
+    """(q1, q2) of a policy. An Infeasible target has no policy to evaluate."""
+    if isinstance(policy, Infeasible):
+        raise ConfigurationError(f"no policy to evaluate: {policy}")
+    return policy.q1, policy.q2
+
+
 def _decision_probs(geom: InstanceGeometry, q1: float, q2: float, d: Decision):
     """(Pr(D = d | A1), Pr(D = d | A2)) under the policy."""
     if not geom.part2:
@@ -86,7 +93,7 @@ def map_guess(inst: Instance, policy, observed: Decision) -> Guess:
     reduces to the scores alone.
     """
     geom = instance_geometry(inst)
-    q1, q2 = policy.q1, policy.q2
+    q1, q2 = _q(policy)
     p_a1, p_a2 = _decision_probs(geom, q1, q2, observed)
     return _compare(geom.pu * p_a1, geom.pv * p_a2)
 
@@ -94,7 +101,7 @@ def map_guess(inst: Instance, policy, observed: Decision) -> Guess:
 def scenario_table(inst: Instance, policy) -> ScenarioTable:
     """Enumerate the four scenarios and the adversary's fate in each."""
     geom = instance_geometry(inst)
-    q1, q2 = policy.q1, policy.q2
+    q1, q2 = _q(policy)
     cells = []
     for truth, weight in ((Assignment.A1, geom.pu), (Assignment.A2, geom.pv)):
         for d in (Decision.PAPER1, Decision.PAPER2):
@@ -112,12 +119,14 @@ def per_instance_errors(inst: Instance, policy) -> ErrorPair:
 
     Conference error comes from the oriented linear form; adversary
     error from the scenario table. Forced instances use the
-    score-determined decision and the score-only adversary error.
+    score-determined decision and the score-only adversary error. An
+    Infeasible target is not a policy and raises ConfigurationError.
     """
+    q1, q2 = _q(policy)
     geom = instance_geometry(inst)
     if not geom.part2:
         return ErrorPair(geom.forced_ec, geom.m)
-    ec = geom.conference_error(policy.q1, policy.q2)
+    ec = geom.conference_error(q1, q2)
     ea = scenario_table(inst, policy).adversary_error
     return ErrorPair(ec, ea)
 

@@ -22,9 +22,11 @@ from .model import (
     ConfigurationError,
     Population,
     ProfileKind,
+    _LOG_INV_SQRT_2PI,
     _SQRT2,
     _norm_logpdf,
-    log_likelihoods,
+    log_marginal_score_density,
+    std_normal_cdf,
     thresholds,
 )
 from .frontier import Infeasible, _endpoint, _w_interval, instance_geometry
@@ -83,13 +85,15 @@ class AveragePolicy:
 class QuadratureSettings:
     """Controls for the zeta/eta integrals.
 
-    theta_span sets the score box to the union of the profiles' images
-    of [-theta_span, theta_span]; both integrals are taken over that
-    box. abs_tol bounds the reported error estimate: for two affine
-    profiles the sum of the n-node/2n-node differences of the fixed
-    outer rule, otherwise the summed estimate of the three dblquad
-    calls. zeta_eta raises AccuracyError when the estimate exceeds it.
-    Both fields must be finite and positive.
+    theta_span bounds the latent qualities. For two affine profiles both
+    integrals are taken over the score box, the union of the profiles'
+    images of [-theta_span, theta_span]. For any other pair they are
+    taken over the qualities in [-theta_span, theta_span]^2, and the
+    error estimate includes 4 Phi(-theta_span), the mass left outside.
+    abs_tol bounds the error estimate, on both paths the summed
+    differences between the n-node and 2n-node Gauss-Legendre results;
+    zeta_eta raises AccuracyError when the estimate exceeds it. Both
+    fields must be finite and positive.
     """
 
     abs_tol: float = 1e-6
@@ -158,31 +162,8 @@ def alg3_policy(inst: Instance, ec_max: float) -> Union[Policy, Infeasible]:
     return Policy(min(max(q1, 0.0), 1.0), min(max(q2, 0.0), 1.0))
 
 
-def _score_bounds(pop: Population, span: float) -> tuple[float, float]:
-    los, his = [], []
-    for prof in (pop.reviewer1, pop.reviewer2):
-        los.append(prof.apply(-span))
-        his.append(prof.apply(span))
-    return min(los), max(his)
-
-
-def _half_min_likelihood(pop: Population):
-    """min(u, v) / 2 as a function of the score pair.
-
-    This equals m(S) * f'_S(S): the score-only adversary error times the
-    mixture score density, which is exactly the integrand of both zeta
-    and eta.
-    """
-
-    def integrand(s1: float, s2: float) -> float:
-        logu, logv = log_likelihoods(pop.instance(s1, s2))
-        return 0.5 * math.exp(min(logu, logv))
-
-    return integrand
-
-
-# Gauss-Legendre nodes per outer panel of the affine path. Its estimate
-# uses twice as many; the difference between the two is its error.
+# Gauss-Legendre nodes per panel. Each integral is also taken with twice
+# as many, and the difference between the two results is its error.
 _GL_NODES = 6
 # At most this many outer panels; a population whose finest scale needs
 # more is under-resolved, and the n/2n difference reports it.
@@ -190,8 +171,29 @@ _MAX_PANELS = 4096
 # The affine outer integral runs over the narrower reviewer's scores
 # within this many of its standard deviations (see _affine_zeta_eta).
 _WINDOW_SDS = 12.0
+# The step of the general path's uniform quality grid, its brackets per
+# step, the outer nodes it integrates over at a time, and its bisection
+# steps, which take a bracket one grid step wide below the spacing of
+# doubles.
+_QUALITY_STEP = 0.5
+_BRACKETS = 16
+_ROWS = 512
+_BISECTIONS = 60
+# The half-step of the central difference that locates g's extrema.
+_SLOPE_STEP = 1e-7
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _gl_panels(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss-Legendre nodes and weights, panel by panel along the last axis."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(n)
+    half = 0.5 * np.diff(edges)[..., None]
+    centre = edges[..., :-1, None] + half
+    shape = edges.shape[:-1] + (-1,)
+    return (centre + half * x).reshape(shape), (half * w).reshape(shape)
 
 
 def _normal_cdf(x, mean: float, sd: float) -> np.ndarray:
@@ -199,23 +201,25 @@ def _normal_cdf(x, mean: float, sd: float) -> np.ndarray:
     return 0.5 * np.asarray(_erfc((mean - x) / (sd * _SQRT2)), dtype=float)
 
 
-def _affine_zeta_eta(pop: Population, lo: float, hi: float) -> tuple[float, float, float]:
-    """(zeta, eta, err) over the score box [lo, hi]^2 for two affine profiles.
+def _affine_zeta_eta(pop: Population, span: float) -> tuple[float, float, float]:
+    """(zeta, eta, err) for two affine profiles over their score box.
 
-    With g = log f1 - log f2 quadratic, g(s1) - g(s2) = (s1 - s2) L(s1 + s2)
-    for a linear L(t) = k t + m. So at fixed s2, min(u, v) switches only
-    at s1 = s2 and s1 = t* - s2, where L(t*) = 0 (no such line when k = 0).
-    On each side of those points the inner integral of min(u, v) is
-    f2(s2) times a mass of f1, or f1(s2) times a mass of f2: differences
-    of normal CDFs. Over s2 the result is smooth between the crossings of
-    these lines, the thresholds ta and tb, and the box edges. Each such
-    piece is cut into panels no wider than the finest scale of its terms
-    and integrated with n and 2n Gauss-Legendre nodes.
+    The box is [lo, hi]^2, the union of the profiles' images of
+    [-span, span]. With g = log f1 - log f2 quadratic,
+    g(s1) - g(s2) = (s1 - s2) L(s1 + s2) for a linear L(t) = k t + m.
+    So at fixed s2, min(u, v) switches only at s1 = s2 and s1 = t* - s2,
+    where L(t*) = 0 (no such line when k = 0). On each side of those
+    points the inner integral of min(u, v) is f2(s2) times a mass of f1,
+    or f1(s2) times a mass of f2: differences of normal CDFs. Over s2 the
+    result is smooth between the crossings of these lines, the
+    thresholds ta and tb, and the box edges. Each such piece is cut into
+    panels no wider than the finest scale of its terms and integrated
+    with n and 2n Gauss-Legendre nodes.
     """
-    from numpy.polynomial.legendre import leggauss
-
     a1, b1 = pop.reviewer1.a, pop.reviewer1.b
     a2, b2 = pop.reviewer2.a, pop.reviewer2.b
+    lo = min(b1 - a1 * span, b2 - a2 * span)
+    hi = max(b1 + a1 * span, b2 + a2 * span)
     k = 0.5 * (1.0 / (a2 * a2) - 1.0 / (a1 * a1))
     m = b1 / (a1 * a1) - b2 / (a2 * a2)
     # u is the minimum between the two switch points when k > 0. As
@@ -254,12 +258,9 @@ def _affine_zeta_eta(pop: Population, lo: float, hi: float) -> tuple[float, floa
     edges = [np.array(cuts[:1])]
     for c0, c1 in zip(cuts, cuts[1:]):
         edges.append(np.linspace(c0, c1, max(1, math.ceil((c1 - c0) / width)) + 1)[1:])
-    edges = np.concatenate(edges)
-    half = 0.5 * np.diff(edges)[:, None]
-    centre = edges[:-1, None] + half
-    rules = [leggauss(n) for n in (_GL_NODES, 2 * _GL_NODES)]
-    s2 = np.concatenate([(centre + half * x).ravel() for x, _ in rules])
-    weights = [(half * w).ravel() for _, w in rules]
+    rules = [_gl_panels(np.concatenate(edges), n) for n in (_GL_NODES, 2 * _GL_NODES)]
+    s2 = np.concatenate([x for x, _ in rules])
+    weights = [w for _, w in rules]
 
     f1 = np.exp(_norm_logpdf(s2, b1, a1 * a1))
     f2 = np.exp(_norm_logpdf(s2, b2, a2 * a2))
@@ -287,35 +288,93 @@ def _affine_zeta_eta(pop: Population, lo: float, hi: float) -> tuple[float, floa
     return zeta, eta, abs(zeta - coarse[0]) + abs(eta - coarse[1])
 
 
-def _dblquad_zeta_eta(
-    pop: Population, lo: float, hi: float, abs_tol: float
-) -> tuple[float, float, float]:
-    """(zeta, eta, err) over [lo, hi]^2 by three adaptive dblquad calls.
+def _roots(fn, xs: np.ndarray) -> np.ndarray:
+    """The roots of fn, bisected where its sign changes between consecutive xs.
 
-    The inner limits are split exactly at the regime thresholds, each
-    call gets abs_tol / 3, and err is the sum of their estimates.
+    fn(xs) may hold several rows (leading axes), each with its own roots.
+    A row with fewer roots than the most also bisects brackets that hold
+    none; their results are harmless extra cuts.
     """
-    # Only this path loads scipy, on its first call.
-    from scipy.integrate import dblquad
+    d = fn(xs)
+    change = d[..., :-1] * d[..., 1:] < 0.0
+    count = int(change.sum(axis=-1).max(initial=0))
+    j = np.argsort(~change, axis=-1, kind="stable")[..., :count]
+    lo, hi = xs[j], xs[j + 1]
+    neg = fn(lo) < 0.0
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        left = (fn(mid) < 0.0) == neg
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    return 0.5 * (lo + hi)
 
-    integrand = _half_min_likelihood(pop)
 
-    def band(s2: float) -> tuple[float, float]:
-        # The randomizing regime at s2: s1 strictly between the thresholds.
-        ta, tb = thresholds(pop, s2)
-        return min(ta, tb), max(ta, tb)
+def _quality_zeta_eta(pop: Population, span: float) -> tuple[float, float, float]:
+    """(zeta, eta, err) over the qualities in [-span, span]^2, for any profiles.
 
-    tol = abs_tol / 3.0
-    zeta, zerr = dblquad(
-        integrand, lo, hi, lambda s2: band(s2)[0], lambda s2: band(s2)[1], epsabs=tol
-    )
-    eta_lo, e1err = dblquad(
-        integrand, lo, hi, lo, lambda s2: max(lo, min(band(s2)[0], hi)), epsabs=tol
-    )
-    eta_hi, e2err = dblquad(
-        integrand, lo, hi, lambda s2: max(lo, min(band(s2)[1], hi)), hi, epsabs=tol
-    )
-    return zeta, eta_lo + eta_hi, zerr + e1err + e2err
+    With s1 = r1(x), s2 = r2(y) and k = log f1 - log f2, the integrand
+    min(u, v)/2 ds1 ds2 is phi(x) phi(y) min(1, exp(g(y) - K(x)))/2 dx dy
+    for g = k o r2 and K = k o r1. At fixed x the band of y between the
+    thresholds runs from x to h(h(x)), h = r2^-1 o r1 clipped to the box,
+    and g(y) = K(x) at y = h(x) and any other root, bisected where g is
+    monotone: these cut the inner panels. The outer ones are cut where
+    such cuts meet, leave the box or appear, and where h or h o h crosses
+    the uniform grid. err adds 4 Phi(-span), the mass outside the box.
+    """
+    r1, r2 = pop.reviewer1, pop.reviewer2
+    logf = log_marginal_score_density
+
+    def h(x):
+        return np.clip(r2.invert(r1.apply(x)), -span, span)
+
+    def h_inv(y):
+        return np.clip(r1.invert(r2.apply(y)), -span, span)
+
+    def k(prof, t):
+        s = prof.apply(t)
+        return logf(r1, 0.0, s) - logf(r2, 0.0, s)
+
+    def slope(y):
+        return k(r2, y + _SLOPE_STEP) - k(r2, y - _SLOPE_STEP)
+
+    steps = math.ceil(2.0 * span / _QUALITY_STEP)
+    grid = np.linspace(-span, span, 1 + steps)
+    # Roots and extrema are bracketed on a finer grid than the panels.
+    fine = np.linspace(-span, span, 1 + _BRACKETS * steps)
+    extrema = _roots(slope, fine)
+    # g is monotone between consecutive points of y_grid, so each root
+    # of g = K(x) has a bracket of its own.
+    y_grid = np.unique(np.concatenate([grid, h(grid), extrema]))
+    # A root meets y = x or y = h(h(x)), leaves the box, or appears in a
+    # pair; x, h(x) and h(h(x)) meet at the fixed points of h.
+    events = [lambda x: k(r2, x) - k(r1, x), lambda x: k(r2, h(h(x))) - k(r1, x)]
+    levels = k(r2, np.concatenate([[-span, span], extrema]))
+    events += [lambda x, c=c: c - k(r1, x) for c in levels] + [lambda x: h(x) - x]
+    x_grid = h_inv(grid)
+    cuts = [grid, x_grid, h_inv(x_grid), h_inv(extrema)]
+    edges = np.unique(np.concatenate(cuts + [_roots(e, fine) for e in events]))
+
+    def inner(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """At each x, the integrals over y in and out of the band."""
+        kx = k(r1, x)[:, None]
+        hx = h(x)
+        hhx = h(hx)
+        roots = _roots(lambda y: k(r2, y) - kx, y_grid)
+        grids = np.broadcast_to(y_grid, (x.size, y_grid.size))
+        y, w = _gl_panels(np.sort(np.column_stack([grids, x, hx, hhx, roots])), n)
+        f = w * np.exp(_LOG_INV_SQRT_2PI - 0.5 * y * y + np.minimum(0.0, k(r2, y) - kx))
+        band = (np.minimum(x, hhx)[:, None] < y) & (y < np.maximum(x, hhx)[:, None])
+        zeta_x = np.where(band, f, 0.0).sum(axis=1)
+        return zeta_x, f.sum(axis=1) - zeta_x
+
+    results = []
+    for n in (_GL_NODES, 2 * _GL_NODES):
+        x, w = _gl_panels(edges, n)
+        w *= 0.5 * np.exp(_LOG_INV_SQRT_2PI - 0.5 * x * x)
+        rows = [inner(x[i : i + _ROWS], n) for i in range(0, x.size, _ROWS)]
+        results.append([float(w @ np.concatenate(r)) for r in zip(*rows)])
+    (zeta_c, eta_c), (zeta, eta) = results
+    err = abs(zeta - zeta_c) + abs(eta - eta_c) + 4.0 * std_normal_cdf(-span)
+    return zeta, eta, err
 
 
 def zeta_eta(
@@ -325,27 +384,23 @@ def zeta_eta(
 
     zeta integrates the score-only adversary error min(u, v)/2 over the
     randomizing regime (s1 strictly between the thresholds), eta over
-    the forced regime, both over the score box of settings.theta_span.
-    For two affine profiles the inner integral is exact and the outer
-    one a fixed Gauss-Legendre rule; err is the summed difference
-    between its n-node and 2n-node results, and no scipy module loads.
-    Any other pair of profiles runs three adaptive
-    scipy.integrate.dblquad calls, and err is the sum of their error
-    estimates. When err exceeds settings.abs_tol, AccuracyError is
-    raised carrying zeta and err. There is no fallback path.
+    the forced regime. Both paths are fixed Gauss-Legendre rules taken
+    with n and 2n nodes per panel, and err sums their differences. For
+    two affine profiles the inner integral is exact, and the box is the
+    score box of settings.theta_span. Any other pair is integrated over
+    the qualities in [-theta_span, theta_span]^2, and err adds
+    4 Phi(-theta_span) for the mass outside. When err exceeds
+    settings.abs_tol, AccuracyError is raised carrying zeta and err.
+    There is no fallback path.
     """
     if settings is None:
         settings = QuadratureSettings()
     if not pop.noiseless:
         raise ModeError("zeta/eta are defined for the noiseless average case")
-    lo, hi = _score_bounds(pop, settings.theta_span)
-    if (
-        pop.reviewer1.kind is ProfileKind.AFFINE
-        and pop.reviewer2.kind is ProfileKind.AFFINE
-    ):
-        zeta, eta, err = _affine_zeta_eta(pop, lo, hi)
+    if pop.reviewer1.kind is pop.reviewer2.kind is ProfileKind.AFFINE:
+        zeta, eta, err = _affine_zeta_eta(pop, settings.theta_span)
     else:
-        zeta, eta, err = _dblquad_zeta_eta(pop, lo, hi, settings.abs_tol)
+        zeta, eta, err = _quality_zeta_eta(pop, settings.theta_span)
     if err > settings.abs_tol:
         raise AccuracyError("quadrature tolerance unmet", zeta, err)
     return zeta, eta, err

@@ -18,6 +18,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
+import numpy as np
+
 _SQRT2 = math.sqrt(2.0)
 _LOG_INV_SQRT_2PI = -0.5 * math.log(2.0 * math.pi)
 # The quality range and point count of ReviewerProfile.monotone's probe.
@@ -258,23 +260,21 @@ class QualityPosterior:
     variance: float
 
 
-def log_marginal_score_density(
-    profile: ReviewerProfile, sigma2: float, s: float
-) -> float:
+def log_marginal_score_density(profile: ReviewerProfile, sigma2: float, s):
     """Log of the marginal density of a reported score under a standard-normal quality.
 
     Affine profiles give a normal with mean b and variance a^2 + sigma2.
     General monotone profiles (noiseless only) use the change of
-    variables through the inverse map.
+    variables through the inverse map; a zero derivative of the inverse
+    gives -inf. s may be a float or an array (element by element).
     """
     if profile.kind is ProfileKind.GENERAL_MONOTONE:
         if sigma2 != 0.0:
             raise ModeError("general monotone profiles are noiseless only")
         theta = profile.inverse_fn(s)
-        jac = abs(profile.inverse_derivative_fn(s))
-        if jac == 0.0:
-            return -math.inf
-        return _LOG_INV_SQRT_2PI - 0.5 * theta * theta + math.log(jac)
+        with np.errstate(divide="ignore"):
+            log_jac = np.log(np.abs(profile.inverse_derivative_fn(s)))
+        return _LOG_INV_SQRT_2PI - 0.5 * theta * theta + log_jac
     return _norm_logpdf(s, profile.b, profile.a * profile.a + sigma2)
 
 

@@ -42,15 +42,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .model import (
-    _LOG_INV_SQRT_2PI,
     Assignment,
     ConfigurationError,
     Decision,
     Instance,
     Population,
     ProfileKind,
-    ReviewerProfile,
-    _norm_logpdf,
+    log_marginal_score_density,
     thresholds,
 )
 from .frontier import ErrorPair, instance_geometry
@@ -161,7 +159,8 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
     once per decision). Adversary ties are tallied as half an error.
     A block counts its replicates in the four (assignment, accepted
     paper) cells; each cell's adversary error, and in noiseless mode
-    its conference error, is fixed.
+    its conference error, is fixed. An Infeasible target is not a
+    policy and raises ConfigurationError.
     """
     if n < 1:
         raise ConfigurationError("n must be at least 1")
@@ -250,21 +249,14 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
     return _run_blocks(n, seed, worker)
 
 
-def _log_density_arr(prof: ReviewerProfile, sigma2: float, s: np.ndarray) -> np.ndarray:
-    if prof.kind is ProfileKind.AFFINE:
-        return _norm_logpdf(s, prof.b, prof.a * prof.a + sigma2)
-    theta = prof.inverse_fn(s)
-    jac = np.abs(prof.inverse_derivative_fn(s))
-    return _LOG_INV_SQRT_2PI - 0.5 * theta * theta + np.log(jac)
-
-
 def posterior_weight_arrays(
     pop: Population, s1: np.ndarray, s2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (pu, pv) over score arrays."""
     r1, r2, g2 = pop.reviewer1, pop.reviewer2, pop.sigma2
-    logu = _log_density_arr(r1, g2, s1) + _log_density_arr(r2, g2, s2)
-    d = _log_density_arr(r2, g2, s1) + _log_density_arr(r1, g2, s2) - logu
+    logf = log_marginal_score_density
+    logu = logf(r1, g2, s1) + logf(r2, g2, s2)
+    d = logf(r2, g2, s1) + logf(r1, g2, s2) - logu
     # exp overflows to inf above about 709.78, where pu = 0 all the same.
     with np.errstate(over="ignore"):
         pu = 1.0 / (1.0 + np.exp(np.clip(d, -745.0, 745.0)))

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from privcal import (
     Assignment,
+    ConfigurationError,
     Decision,
     Guess,
     GuessKind,
+    Infeasible,
     Policy,
     ScenarioTable,
     map_guess,
@@ -107,6 +109,12 @@ class TestPerInstanceErrors:
             err = per_instance_errors(inst, pol)
             assert err.ec == pytest.approx(geom.forced_ec, abs=1e-15)
             assert err.ea == pytest.approx(geom.m, abs=1e-15)
+
+    @pytest.mark.parametrize("s1", [0.5, 3.0], ids=["part2", "forced"])
+    def test_infeasible_policy_raises(self, s1):
+        inst = make_instance(1, 0, 1, 2, 0.0, s1, 0.5)
+        with pytest.raises(ConfigurationError, match="Infeasible"):
+            per_instance_errors(inst, Infeasible(0.1, 0.2))
 
 
 class TestPiecewiseClosedForm:

@@ -30,8 +30,10 @@ from privcal import (
     zeta_eta,
 )
 from privcal.adversary import per_instance_errors
-from privcal.frontier import frontier, instance_geometry
+from privcal.frontier import frontier, instance_geometry, max_adversary_error_curve
+from privcal.simlab import Alg1Rule, TruthfulRule, simulate_average, simulate_instance
 from conftest import (
+    cubic_profile,
     decide,
     general_policy_errors,
     make_instance,
@@ -43,6 +45,30 @@ from conftest import (
 
 REF1 = Population(ReviewerProfile.affine(1.0, 0.0), ReviewerProfile.affine(1.0, 1.0))
 REF2 = Population(ReviewerProfile.affine(1.5, -0.5), ReviewerProfile.affine(0.8, 0.7))
+SINH = Population(sinh_profile(), ReviewerProfile.affine(1.0, 0.5))
+CUBIC = Population(cubic_profile(), ReviewerProfile.affine(1.0, 0.5))
+
+# (a1, b1, a2, b2) of the affine populations checked against the oracle.
+AFFINE_PAIRS = {
+    "ref1": (1.0, 0.0, 1.0, 1.0),
+    "ref2": (1.5, -0.5, 0.8, 0.7),
+    "pair": (1.3, -0.2, 0.7, 0.5),
+    "pair_swapped": (0.7, 0.5, 1.3, -0.2),
+    "identical": (1.0, 0.0, 1.0, 0.0),
+    "equal_slopes": (1.2, 0.3, 1.2, -0.4),
+    "near_slopes": (1.0, 0.3, 1.0 + 1e-12, -0.4),
+    "slope_ratio_10": (0.3, 0.5, 3.0, -1.0),
+}
+
+
+def as_general(prof: ReviewerProfile) -> ReviewerProfile:
+    """An affine profile given as general monotone maps."""
+    a, b = prof.a, prof.b
+    return ReviewerProfile.monotone(
+        lambda t: a * np.asarray(t) + b,
+        lambda s: (np.asarray(s) - b) / a,
+        lambda s: np.full(np.shape(s), 1.0 / a),
+    )
 
 
 class TestMapAccept:
@@ -115,6 +141,51 @@ class TestAlg1Policy:
             assert err.ec == pytest.approx(want, abs=1e-12)
             assert err.ea == pytest.approx(want, abs=1e-12)
             assert 0.0 <= pol.q2 <= 1.0
+
+
+def general_part2_instances(pop: Population, rng, count: int) -> list:
+    """Randomizing instances of pop, scored from standard-normal qualities."""
+    out = []
+    while len(out) < count:
+        th1, th2 = rng.normal(size=2)
+        r1, r2 = pop.reviewer1, pop.reviewer2
+        if rng.random() < 0.5:
+            r1, r2 = r2, r1
+        inst = pop.instance(float(r1.apply(th1)), float(r2.apply(th2)))
+        if instance_geometry(inst).part2:
+            out.append(inst)
+    return out
+
+
+@pytest.mark.parametrize("pop", [SINH, CUBIC], ids=["sinh", "cubic"])
+class TestGeneralProfileInstances:
+    """The per-instance layers on non-affine profiles."""
+
+    def test_alg1_slope_one_law(self, pop, rng):
+        for inst in general_part2_instances(pop, rng, 50):
+            m = instance_geometry(inst).m
+            seg = frontier(inst)
+            assert seg.start.ec == pytest.approx(0.0, abs=1e-15)
+            assert seg.start.ea == 0.0
+            assert seg.end.ec == pytest.approx(m, abs=1e-15)
+            assert seg.end.ea == pytest.approx(m, abs=1e-15)
+            for ec in np.linspace(0.0, 1.0, 21):
+                err = per_instance_errors(inst, alg1_policy(inst, float(ec)))
+                assert err.ec == pytest.approx(min(ec, m), abs=1e-12)
+                assert err.ea == pytest.approx(min(ec, m), abs=1e-12)
+            for ec in np.linspace(0.0, m, 11):
+                assert max_adversary_error_curve(inst, float(ec)) == pytest.approx(
+                    ec, abs=1e-12
+                )
+
+    def test_simulation_matches_per_instance_errors(self, pop, rng):
+        n = 200_000
+        for k, inst in enumerate(general_part2_instances(pop, rng, 4)):
+            pol = alg1_policy(inst, 0.5 * instance_geometry(inst).m)
+            exact = per_instance_errors(inst, pol)
+            sim = simulate_instance(inst, pol, n, seed=90 + k)
+            for target, emp in ((exact.ec, sim.empirical.ec), (exact.ea, sim.empirical.ea)):
+                assert abs(emp - target) <= 5.0 * math.sqrt(target * (1.0 - target) / n)
 
 
 class TestAlg3Policy:
@@ -213,19 +284,15 @@ class TestZetaEta:
         with pytest.raises(ModeError):
             zeta_eta(pop)
 
-    def test_unmet_tolerance_raises(self, monkeypatch):
-        """An error estimate above abs_tol is reported, never replaced."""
-        import scipy.integrate
-
-        def loose_dblquad(func, a, b, gfun, hfun, epsabs):
-            return 0.25, 1e-6
-
-        monkeypatch.setattr(scipy.integrate, "dblquad", loose_dblquad)
-        pop = Population(sinh_profile(), ReviewerProfile.affine(1.0, 0.5), 0.0)
+    def test_unmet_tolerance_raises(self):
+        """The general path raises when its own n/2n difference exceeds abs_tol."""
+        zeta, _, err = zeta_eta(SINH)
+        # At theta_span 10 the mass outside the box, 4 Phi(-10), is 3e-23.
+        assert err > 1e-20
         with pytest.raises(AccuracyError) as info:
-            zeta_eta(pop, QuadratureSettings(abs_tol=2e-6))
-        assert info.value.estimate == 0.25
-        assert info.value.error_bound == 1e-6 + 1e-6 + 1e-6
+            zeta_eta(SINH, QuadratureSettings(abs_tol=err / 2.0))
+        assert info.value.estimate == zeta
+        assert info.value.error_bound == err
 
     def test_affine_rule_difference_above_tolerance_raises(self):
         """The affine path raises when its own n/2n difference exceeds abs_tol."""
@@ -251,29 +318,7 @@ class TestZetaEta:
         assert zeta == pytest.approx(want[0], abs=dblquad_err)
         assert eta == pytest.approx(want[1], abs=dblquad_err)
 
-    @pytest.mark.parametrize(
-        "a1, b1, a2, b2",
-        [
-            (1.0, 0.0, 1.0, 1.0),
-            (1.5, -0.5, 0.8, 0.7),
-            (1.3, -0.2, 0.7, 0.5),
-            (0.7, 0.5, 1.3, -0.2),
-            (1.0, 0.0, 1.0, 0.0),
-            (1.2, 0.3, 1.2, -0.4),
-            (1.0, 0.3, 1.0 + 1e-12, -0.4),
-            (0.3, 0.5, 3.0, -1.0),
-        ],
-        ids=[
-            "ref1",
-            "ref2",
-            "pair",
-            "pair_swapped",
-            "identical",
-            "equal_slopes",
-            "near_slopes",
-            "slope_ratio_10",
-        ],
-    )
+    @pytest.mark.parametrize("a1, b1, a2, b2", AFFINE_PAIRS.values(), ids=list(AFFINE_PAIRS))
     def test_affine_matches_nested_quad_oracle(self, a1, b1, a2, b2):
         pop = Population(ReviewerProfile.affine(a1, b1), ReviewerProfile.affine(a2, b2))
         zeta, eta, err = zeta_eta(pop)
@@ -281,6 +326,33 @@ class TestZetaEta:
         assert err <= 1e-9
         assert zeta == pytest.approx(want[0], abs=1e-9)
         assert eta == pytest.approx(want[1], abs=1e-9)
+
+    @pytest.mark.parametrize("a1, b1, a2, b2", AFFINE_PAIRS.values(), ids=list(AFFINE_PAIRS))
+    def test_general_path_matches_the_closed_form(self, a1, b1, a2, b2):
+        """Affine maps given as general profiles take the quality-space path."""
+        pop = Population(ReviewerProfile.affine(a1, b1), ReviewerProfile.affine(a2, b2))
+        zeta, eta, err = zeta_eta(pop)
+        general = Population(as_general(pop.reviewer1), as_general(pop.reviewer2))
+        zeta_g, eta_g, err_g = zeta_eta(general)
+        assert abs(zeta_g - zeta) + abs(eta_g - eta) <= err_g + err
+        assert zeta_g == pytest.approx(zeta, abs=1e-8)
+        assert eta_g == pytest.approx(eta, abs=1e-8)
+
+    @pytest.mark.parametrize("pop", [SINH, CUBIC], ids=["sinh", "cubic"])
+    def test_general_population_matches_simulation(self, pop):
+        """zeta is the endpoint rule's average conference error, eta the
+        truthful rule's average adversary error; both within 5 sigma."""
+        zeta, eta, err = zeta_eta(pop)
+        assert err <= 1e-6
+        n = 1_000_000
+        endpoint = simulate_average(pop, Alg1Rule(pop, 1.0), n, seed=81)
+        truthful = simulate_average(pop, TruthfulRule(), n, seed=82)
+        for target, res, emp in (
+            (zeta, endpoint, endpoint.empirical.ec),
+            (eta, truthful, truthful.empirical.ea),
+        ):
+            se = math.sqrt(target * (1.0 - target) / res.n)
+            assert abs(emp - target) <= 5.0 * se
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_affine_matches_nested_quad_oracle(self, seed):
@@ -311,22 +383,23 @@ class TestZetaEta:
             QuadratureSettings(**{field: value})
 
     def test_swapping_reviewers_is_symmetric(self):
-        p1 = Population(
+        affine = Population(
             ReviewerProfile.affine(1.3, -0.2), ReviewerProfile.affine(0.7, 0.5), 0.0
         )
-        p2 = Population(p1.reviewer2, p1.reviewer1, 0.0)
-        za, ea_, _ = zeta_eta(p1)
-        zb, eb, _ = zeta_eta(p2)
-        assert za == pytest.approx(zb, abs=2e-6)
-        assert ea_ == pytest.approx(eb, abs=2e-6)
+        for p1 in (affine, SINH):
+            p2 = Population(p1.reviewer2, p1.reviewer1, 0.0)
+            za, ea_, _ = zeta_eta(p1)
+            zb, eb, _ = zeta_eta(p2)
+            assert za == pytest.approx(zb, abs=2e-6)
+            assert ea_ == pytest.approx(eb, abs=2e-6)
 
     def test_package_import_leaves_scipy_unloaded(self):
-        """scipy loads only on the dblquad path of a general profile."""
+        """No zeta_eta path loads scipy, for affine or general profiles."""
         code = (
             "import sys\n"
             "import privcal, privcal.cli\n"
             "assert 'scipy' not in sys.modules, 'scipy imported with privcal'\n"
-            "from privcal import Population, QuadratureSettings, ReviewerProfile, zeta_eta\n"
+            "from privcal import Population, ReviewerProfile, zeta_eta\n"
             "from conftest import sinh_profile\n"
             "assert 'scipy' not in sys.modules, 'scipy imported with the test oracles'\n"
             "pop = Population(\n"
@@ -335,8 +408,8 @@ class TestZetaEta:
             "print(repr(zeta_eta(pop)))\n"
             "assert 'scipy' not in sys.modules, 'scipy imported by an affine zeta_eta'\n"
             "pop = Population(sinh_profile(), ReviewerProfile.affine(1.0, 0.5), 0.0)\n"
-            "zeta_eta(pop, QuadratureSettings(theta_span=6.0))\n"
-            "assert 'scipy' in sys.modules\n"
+            "zeta_eta(pop)\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported by a general zeta_eta'\n"
         )
         src = str(Path(privcal.__file__).resolve().parents[1])
         tests = str(Path(__file__).resolve().parent)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from privcal import (
     ConfigurationError,
+    Infeasible,
     Policy,
     Population,
     ReviewerProfile,
@@ -34,7 +35,6 @@ from privcal.simlab import (
     TruthfulRule,
     _balanced_assignment,
     _draw_conference,
-    _log_density_arr,
     _run_blocks,
     _thread_count,
     fit_within_conference,
@@ -135,6 +135,12 @@ class TestSimulateInstance:
         with pytest.raises(ConfigurationError):
             simulate_instance(inst, Policy(1.0, 1.0), 0, seed=0)
 
+    @pytest.mark.parametrize("sigma2", [0.0, 0.5], ids=["noiseless", "noisy"])
+    def test_infeasible_policy_raises(self, sigma2):
+        inst = make_instance(1, 0, 1, 1, sigma2, 0.5, 1.0)
+        with pytest.raises(ConfigurationError, match="Infeasible"):
+            simulate_instance(inst, Infeasible(0.1, 0.2), 1000, seed=0)
+
 
 class TestSimulateAverage:
     POP = Population(
@@ -207,7 +213,7 @@ class TestPosteriorWeightArrays:
 
     @pytest.mark.parametrize("sigma2", [0.0, 0.4])
     def test_affine_log_likelihoods_match_scalar_exactly(self, rng, sigma2):
-        from privcal.model import log_likelihoods
+        from privcal.model import log_likelihoods, log_marginal_score_density as logf
 
         pop = Population(
             ReviewerProfile.affine(1.2, -0.3), ReviewerProfile.affine(0.8, 0.6), sigma2
@@ -215,11 +221,21 @@ class TestPosteriorWeightArrays:
         s1 = rng.normal(0, 3, 200)
         s2 = rng.normal(0, 3, 200)
         r1, r2 = pop.reviewer1, pop.reviewer2
-        logu = _log_density_arr(r1, sigma2, s1) + _log_density_arr(r2, sigma2, s2)
-        logv = _log_density_arr(r2, sigma2, s1) + _log_density_arr(r1, sigma2, s2)
+        logu = logf(r1, sigma2, s1) + logf(r2, sigma2, s2)
+        logv = logf(r2, sigma2, s1) + logf(r1, sigma2, s2)
         for i in range(s1.size):
             lu, lv = log_likelihoods(pop.instance(float(s1[i]), float(s2[i])))
             assert logu[i] == lu and logv[i] == lv
+
+    def test_general_log_density_of_an_array_matches_float_calls(self, rng):
+        from privcal.model import log_marginal_score_density as logf
+
+        prof = sinh_profile()
+        s = np.concatenate([rng.normal(0, 3, 200), [0.0, -1e3, 1e3]])
+        logs = logf(prof, 0.0, s)
+        assert logs.shape == s.shape
+        for i in range(s.size):
+            assert logs[i] == logf(prof, 0.0, float(s[i]))
 
 
 def _oracle_instances() -> dict:
