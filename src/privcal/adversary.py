@@ -5,7 +5,8 @@ accepted paper, and guesses the assignment by maximizing the posterior.
 The scenario table enumerating the four (assignment, decision) outcomes
 is the single source of truth for error probabilities: map_guess,
 per_instance_errors and the per-instance simulator all read the MAP
-comparison from _decision_probs and _compare. The independent
+comparison from _decision_probs and _compare, and the average-case
+simulator reads its array twin, map_guess_arrays. The independent
 cross-checks (the piecewise closed form and a vectorized grid form) live
 in the test suite, not here. The randomized-response bookkeeping for the
 gamma/epsilon correspondence lives here too.
@@ -96,6 +97,23 @@ def map_guess(inst: Instance, policy, observed: Decision) -> Guess:
     q1, q2 = _q(policy)
     p_a1, p_a2 = _decision_probs(geom, q1, q2, observed)
     return _compare(geom.pu * p_a1, geom.pv * p_a2)
+
+
+def map_guess_arrays(pu, pv, idx, q1, q2, d1, d2, acc):
+    """Array twin of map_guess: (guesses A1, guesses A2) per replicate, neither a tie.
+
+    idx indexes the randomizing replicates of pu and pv, given with their
+    q1, q2, d1 and d2 (map_decisions) and acc (paper 1 accepted). A forced
+    decision carries no information, so there pu and pv alone compare.
+    """
+    guess_a1, guess_a2 = pu > pv, pu < pv
+    prob_p1_a1 = q1 * d1 + (1.0 - q1) * d2
+    prob_p1_a2 = q2 * d2 + (1.0 - q2) * d1
+    # Booleans act as 0 and 1: acc * p + ~acc * (1.0 - p) selects.
+    l1 = pu[idx] * (acc * prob_p1_a1 + ~acc * (1.0 - prob_p1_a1))
+    l2 = pv[idx] * (acc * prob_p1_a2 + ~acc * (1.0 - prob_p1_a2))
+    guess_a1[idx], guess_a2[idx] = l1 > l2, l1 < l2
+    return guess_a1, guess_a2
 
 
 def scenario_table(inst: Instance, policy) -> ScenarioTable:

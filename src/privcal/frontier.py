@@ -29,9 +29,9 @@ from typing import Union
 from .model import (
     Decision,
     Instance,
+    map_decisions,
     phi_pair,
     posterior_weights,
-    thresholds,
 )
 
 
@@ -77,13 +77,12 @@ class InstanceGeometry:
     pu, pv are the posterior assignment weights. phi1 and phi2 are
     oriented so phi1 <= 1/2 <= phi2: phi1 is the probability the
     truthful decision under A1 is wrong, 1 - phi2 the same under A2
-    (0 and 1 exactly in noiseless mode). d1 and d2 are the MAP
-    decisions under an assumed A1 and A2, read from model.thresholds
-    in both noise modes, the rule simulate_average applies to each
-    replicate; they differ exactly when the instance is in the
-    randomizing regime (part2). For forced instances d1 == d2 is the
-    score-determined decision; tie marks the doubly degenerate boundary
-    where MAP is indifferent under both assignments.
+    (0 and 1 exactly in noiseless mode; phi_pair gives them in noisy
+    mode). d1 and d2 are the MAP decisions under an assumed A1 and A2,
+    from model.map_decisions, the rule simulate_average applies to each
+    replicate; they differ exactly in the randomizing regime (part2).
+    For forced instances d1 == d2 is the score-determined decision; tie
+    marks the boundary where MAP is indifferent under both assignments.
 
     The derived scalars are computed once, at construction, and take
     no part in ==, hash or repr: m = min(pu, pv) is the score-only
@@ -146,28 +145,15 @@ def instance_geometry(inst: Instance) -> InstanceGeometry:
 
 
 def _build_geometry(inst: Instance) -> InstanceGeometry:
-    """The geometry of one instance, in either noise mode.
-
-    The regime comes from model.thresholds, as in simulate_average: MAP
-    accepts paper 1 under an assumed A1 exactly when s1 > tb, and under
-    an assumed A2 exactly when s1 > ta. On a threshold MAP is
-    indifferent under that assignment and takes the other one's
-    decision, so the instance is forced (a tie when s1 is on both).
-    phi_pair supplies only the noisy error probabilities, oriented so
-    phi1 <= 1/2 <= phi2.
-    """
+    """The geometry of one instance, in either noise mode (see InstanceGeometry)."""
     pu, pv = posterior_weights(inst)
-    s1 = inst.scores.s1
-    ta, tb = thresholds(inst, inst.scores.s2)
-    # The >= keeps paper 1 as a tie's forced decision (policy CSVs name it).
-    p1_a1 = s1 > tb if s1 != tb else s1 >= ta
-    p1_a2 = s1 > ta if s1 != ta else p1_a1
+    p1_a1, p1_a2, tie = map_decisions(inst, inst.scores.s1, inst.scores.s2)
     d1, d2 = (Decision.PAPER1 if p1 else Decision.PAPER2 for p1 in (p1_a1, p1_a2))
     phi1, phi2 = 0.0, 1.0
     if not inst.noiseless:
         pp = phi_pair(inst)
         phi1, phi2 = min(pp.phi1, 1.0 - pp.phi1), 1.0 - min(pp.phi2, 1.0 - pp.phi2)
-    return InstanceGeometry(d1 is not d2, pu, pv, phi1, phi2, d1, d2, tie=s1 == ta == tb)
+    return InstanceGeometry(d1 is not d2, pu, pv, phi1, phi2, d1, d2, tie=tie)
 
 
 def _endpoint(geom: InstanceGeometry) -> tuple[float, tuple[float, float]]:
@@ -229,13 +215,17 @@ def _w_interval(geom: InstanceGeometry, t: float) -> tuple[float, float, float, 
     interval collapses.
     """
     a1, a2 = geom.alpha1, geom.alpha2
+    # A slope is 0 when its posterior weight underflowed or its phi
+    # rounded to 1/2; its q then leaves t unchanged and is free.
     if a1 == 0.0:
-        # pu underflowed to 0: w is constant along the constraint line.
+        if a2 == 0.0:
+            # t is 0 and every policy meets it.
+            return 0.0, 1.0, 0.0, 1.0
         w = geom.pv * (t / a2)
-        return w, w, 0.0, 1.0
+        return w, w + geom.pu, 0.0, 1.0
     if a2 == 0.0:
         w = geom.pu * (t / a1)
-        return w, w, t / a1, t / a1
+        return w, w + geom.pv, t / a1, t / a1
     q1_lo = max(0.0, (t - a2) / a1)
     q1_hi = min(1.0, t / a1)
     ws = []

@@ -53,6 +53,12 @@ class Policy:
     q2: float
     forced: Optional[Decision] = None
 
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.q1 <= 1.0 and 0.0 <= self.q2 <= 1.0):
+            raise ConfigurationError(
+                f"q1 and q2 must lie in [0, 1], got {self.q1} and {self.q2}"
+            )
+
     def q(self, assignment: Assignment) -> float:
         return self.q1 if assignment is Assignment.A1 else self.q2
 

@@ -36,7 +36,8 @@ class ModeError(ConfigurationError):
 
 
 class DegenerateInstanceError(ArithmeticError):
-    """Both assignment likelihoods underflowed to zero; scores are too extreme."""
+    """Scores or noise so extreme that a statistic is lost: both assignment
+    likelihoods underflowed to zero, or Phi1 or Phi2 overflowed to NaN."""
 
 
 def std_normal_cdf(x: float) -> float:
@@ -115,7 +116,9 @@ class ReviewerProfile:
 
         The probe checks forward(inverse(s)) = s within 1e-9 and strict
         monotonicity of the inverse on a grid of _PROBE_POINTS scores
-        spanned by forward([-_PROBE_SPAN, _PROBE_SPAN]).
+        spanned by forward([-_PROBE_SPAN, _PROBE_SPAN]). Densities and
+        simulation call the maps on arrays, so each map is also called
+        once on its grid as an array and must match its float calls.
         """
         thetas = [
             -_PROBE_SPAN + 2.0 * _PROBE_SPAN * i / (_PROBE_POINTS - 1)
@@ -129,6 +132,7 @@ class ReviewerProfile:
             scores = [forward(t) for t in thetas]
             probe_pairs = [(inverse(s), s) for s in scores]
             round_trip = [forward(theta) for theta, _ in probe_pairs]
+            derivs = [inverse_derivative(s) for s in scores]
         for lo, hi in zip(scores, scores[1:]):
             if not hi > lo:
                 raise ConfigurationError("forward map is not strictly increasing")
@@ -143,6 +147,23 @@ class ReviewerProfile:
             if prev is not None and theta <= prev:
                 raise ConfigurationError("inverse map is not strictly increasing")
             prev = theta
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for name, fn, args, values in (
+                ("forward", forward, thetas, scores),
+                ("inverse", inverse, scores, [theta for theta, _ in probe_pairs]),
+                ("inverse_derivative", inverse_derivative, scores, derivs),
+            ):
+                try:
+                    same = np.allclose(fn(np.array(args)), values, 1e-9, 1e-9, True)
+                except (TypeError, ValueError):
+                    # Float-only code fails on an array converting it to a
+                    # float (TypeError) or testing its truth (ValueError).
+                    same = False
+                if not same:
+                    raise ConfigurationError(
+                        f"the {name} map treats an array unlike floats"
+                    )
         return ReviewerProfile(
             ProfileKind.GENERAL_MONOTONE,
             forward_fn=forward,
@@ -183,7 +204,9 @@ class _NoiseModel:
 
     sigma2 = 0 selects noiseless mode. Positive sigma2 requires both
     profiles to be affine, since the noisy closed forms assume affine
-    miscalibration.
+    miscalibration. Each affine score variance t = a^2 + sigma2 must be a
+    positive, finite double, and in noisy mode so must a2 t1, a1 t2 and
+    their ratios, the slopes of the thresholds.
     """
 
     def __post_init__(self) -> None:
@@ -196,6 +219,17 @@ class _NoiseModel:
             raise ConfigurationError(
                 "positive noise variance requires affine reviewer profiles"
             )
+        r1, r2, g2 = self.reviewer1, self.reviewer2, self.sigma2
+        for r in (r1, r2):
+            # The score density's variance; a^2 can underflow or overflow.
+            if r.kind is ProfileKind.AFFINE and not 0.0 < r.a * r.a + g2 < math.inf:
+                raise ConfigurationError("a^2 + sigma2 must be positive and finite")
+        if g2 > 0.0:
+            # The slopes of the noisy thresholds are p / q and q / p.
+            p, q = r2.a * (r1.a * r1.a + g2), r1.a * (r2.a * r2.a + g2)
+            finite = 0.0 < p < math.inf and 0.0 < q < math.inf
+            if not (finite and p / q < math.inf and q / p < math.inf):
+                raise ConfigurationError("threshold slopes must be positive and finite")
 
     @property
     def noiseless(self) -> bool:
@@ -313,6 +347,20 @@ def posterior_weights(inst: Instance) -> tuple[float, float]:
     return 1.0 - pv, pv
 
 
+def posterior_weight_arrays(
+    pop: Population, s1: np.ndarray, s2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized (pu, pv) over score arrays: the array twin of posterior_weights."""
+    r1, r2, g2 = pop.reviewer1, pop.reviewer2, pop.sigma2
+    logf = log_marginal_score_density
+    logu = logf(r1, g2, s1) + logf(r2, g2, s2)
+    d = logf(r2, g2, s1) + logf(r1, g2, s2) - logu
+    # exp overflows to inf above about 709.78, where pu = 0 all the same.
+    with np.errstate(over="ignore"):
+        pu = 1.0 / (1.0 + np.exp(np.clip(d, -745.0, 745.0)))
+    return pu, 1.0 - pu
+
+
 def assignment_posterior(inst: Instance) -> float:
     """Posterior probability of assignment A1 given the scores (uniform prior)."""
     return posterior_weights(inst)[0]
@@ -328,10 +376,8 @@ def thresholds(model, s2):
     through one reviewer's inverse and the other's forward map; noisy
     mode solves Phi1 = 1/2 and Phi2 = 1/2 for s1 (affine profiles).
 
-    This is the one regime rule: instance_geometry and simulate_average
-    both classify scores by comparing s1 with these thresholds. The
-    noisy slope ratio is formed first, so it is exactly 1 for equal
-    slopes.
+    map_decisions turns them into the regime. The noisy slope ratio is
+    formed first, so it is exactly 1 for equal slopes.
     """
     r1, r2 = model.reviewer1, model.reviewer2
     if r1 == r2:
@@ -347,6 +393,19 @@ def thresholds(model, s2):
     tb = b1 + (a2 * t1v) / (a1 * t2v) * (s2 - b2)
     ta = b2 + (a1 * t2v) / (a2 * t1v) * (s2 - b1)
     return ta, tb
+
+
+def map_decisions(model, s1, s2):
+    """The one regime rule: (accepts paper 1 under A1, under A2, tie).
+
+    Floats or arrays. On a threshold (see thresholds) MAP is indifferent
+    under that assignment and takes the other one's decision; on both
+    (tie) it accepts paper 1. The scores randomize where the two differ.
+    """
+    ta, tb = thresholds(model, s2)
+    p1_a1 = (s1 > tb) | ((s1 == tb) & (s1 >= ta))
+    p1_a2 = (s1 > ta) | ((s1 == ta) & p1_a1)
+    return p1_a1, p1_a2, (s1 == ta) & (s1 == tb)
 
 
 def phi_pair(inst: Instance) -> PhiPair:
@@ -365,9 +424,15 @@ def phi_pair(inst: Instance) -> PhiPair:
     t1 = a1 * a1 + g2
     t2 = a2 * a2 + g2
     denom = math.sqrt(g2 * (a1 * a1 + a2 * a2 + 2.0 * g2) * t1 * t2)
+    if not 0.0 < denom < math.inf:
+        # The product under- or overflowed; its square roots do not.
+        denom = math.prod(map(math.sqrt, (g2, a1 * a1 + a2 * a2 + 2.0 * g2, t1, t2)))
     num1 = a2 * t1 * (s2 - b2) - a1 * t2 * (s1 - b1)
     num2 = a1 * t2 * (s2 - b1) - a2 * t1 * (s1 - b2)
-    return PhiPair(std_normal_cdf(num1 / denom), std_normal_cdf(num2 / denom))
+    x1, x2 = num1 / denom, num2 / denom
+    if math.isnan(x1) or math.isnan(x2):
+        raise DegenerateInstanceError("Phi1 or Phi2 overflowed to NaN")
+    return PhiPair(std_normal_cdf(x1), std_normal_cdf(x2))
 
 
 def quality_posterior(

@@ -3,7 +3,9 @@
 Simulation here serves two purposes: cross-checking every closed form
 in the per-instance and average-case theory, and reproducing the
 exogenous-calibration benefit study (three scoring methods compared by
-Kendall-tau distance and the messy-middle error).
+Kendall-tau distance and the messy-middle error). It keeps no model
+math: the regime, posterior and MAP-guess formulas it applies to arrays
+live beside their scalar twins in model and adversary.
 
 Determinism contract: all randomness flows from counter-based Philox
 streams derived as stream(seed, index) = Philox(key=seed, counter with
@@ -47,12 +49,12 @@ from .model import (
     Decision,
     Instance,
     Population,
-    ProfileKind,
-    log_marginal_score_density,
-    thresholds,
+    map_decisions,
+    posterior_weight_arrays,
+    quality_posterior,
 )
 from .frontier import ErrorPair, instance_geometry
-from .adversary import map_guess
+from .adversary import map_guess, map_guess_arrays
 from .mechanism import Policy, QuadratureSettings, alg2_policy
 
 _BLOCK = 1 << 16
@@ -179,8 +181,6 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
     )
 
     if noisy:
-        from .model import quality_posterior
-
         # Per paper: its quality posterior's mean and sd, indexed by is_a1
         # (a table lookup, since np.where on a random mask mispredicts).
         post = [
@@ -249,20 +249,6 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
     return _run_blocks(n, seed, worker)
 
 
-def posterior_weight_arrays(
-    pop: Population, s1: np.ndarray, s2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (pu, pv) over score arrays."""
-    r1, r2, g2 = pop.reviewer1, pop.reviewer2, pop.sigma2
-    logf = log_marginal_score_density
-    logu = logf(r1, g2, s1) + logf(r2, g2, s2)
-    d = logf(r2, g2, s1) + logf(r1, g2, s2) - logu
-    # exp overflows to inf above about 709.78, where pu = 0 all the same.
-    with np.errstate(over="ignore"):
-        pu = 1.0 / (1.0 + np.exp(np.clip(d, -745.0, 745.0)))
-    return pu, 1.0 - pu
-
-
 class TruthfulRule:
     """Always calibrate under the true assignment."""
 
@@ -280,6 +266,8 @@ class Alg1Rule:
     def __init__(self, pop: Population, ec_value: float):
         if not pop.noiseless:
             raise ConfigurationError("Alg1Rule is noiseless only")
+        if not (0.0 <= ec_value <= 1.0):
+            raise ConfigurationError("ec_value must lie in [0, 1]")
         self.pop = pop
         self.ec_value = float(ec_value)
 
@@ -334,41 +322,26 @@ def simulate_average(
     r1, r2 = pop.reviewer1, pop.reviewer2
     noisy = not pop.noiseless
     sd = math.sqrt(pop.sigma2)
-    # Per paper, the (slope, intercept) of its reviewer indexed by is_a1.
-    ab = [np.array([[r.a for r in rs], [r.b for r in rs]]) for rs in ((r2, r1), (r1, r2))]
 
     def chunk(th, is_a1, coin, eps, sl: slice) -> tuple:
         """Conference, firm and wrong-guess counts of slice sl; its arrays die on return."""
         th1, th2, a1 = th[0, sl], th[1, sl], is_a1[sl]
-        if r1.kind is r2.kind is ProfileKind.AFFINE:
-            k = a1.view(np.uint8)
-            s1, s2 = (a.take(k) * t + b.take(k) for (a, b), t in zip(ab, (th1, th2)))
-        else:
-            s1 = _select(a1, r1.apply(th1), r2.apply(th1))
-            s2 = _select(a1, r2.apply(th2), r1.apply(th2))
+        s1 = _select(a1, r1.apply(th1), r2.apply(th1))
+        s2 = _select(a1, r2.apply(th2), r1.apply(th2))
         if noisy:
             s1 += sd * eps[0, sl]
             s2 += sd * eps[1, sl]
-        d2_p1, d1_p1 = (s1 > t for t in thresholds(pop, s2))
+        d1_p1, d2_p1, _ = map_decisions(pop, s1, s2)
         pu, pv = posterior_weight_arrays(pop, s1, s2)
         # Only the randomizing replicates need q; the rest are forced.
         idx = np.flatnonzero(d1_p1 != d2_p1)
-        pu2, pv2, a1p, d1, d2 = pu[idx], pv[idx], a1[idx], d1_p1[idx], d2_p1[idx]
-        q1, q2 = policy_rule.batch(pu2, pv2)
+        a1p, d1, d2 = a1[idx], d1_p1[idx], d2_p1[idx]
+        q1, q2 = policy_rule.batch(pu[idx], pv[idx])
         c = coin[sl][idx]
         acc = d1 ^ (((a1p & (c < q1)) | (~a1p & (c < q2))) != a1p)
         acc_p1 = d1_p1
         acc_p1[idx] = acc
-
-        # The adversary guesses the assignment with the larger of pu
-        # and pv times the accepted paper's probability under it,
-        # which is 1 for both on forced replicates: weigh only idx.
-        guess_a1, guess_a2 = pu > pv, pu < pv
-        prob_p1_a1 = q1 * d1 + (1.0 - q1) * d2
-        prob_p1_a2 = q2 * d2 + (1.0 - q2) * d1
-        l1 = pu2 * _select(acc, prob_p1_a1, 1.0 - prob_p1_a1)
-        l2 = pv2 * _select(acc, prob_p1_a2, 1.0 - prob_p1_a2)
-        guess_a1[idx], guess_a2[idx] = l1 > l2, l1 < l2
+        guess_a1, guess_a2 = map_guess_arrays(pu, pv, idx, q1, q2, d1, d2, acc)
         firm = np.count_nonzero(guess_a1) + np.count_nonzero(guess_a2)
         wrong = np.count_nonzero(guess_a1 & ~a1) + np.count_nonzero(guess_a2 & a1)
         return _count_wrong(acc_p1, th1, th2), firm, wrong

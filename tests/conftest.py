@@ -19,14 +19,18 @@ from privcal import (
 )
 from privcal.frontier import _w_interval, instance_geometry
 from privcal.mechanism import Policy
-from privcal.model import ConfigurationError, Population, thresholds
+from privcal.model import (
+    ConfigurationError,
+    Population,
+    posterior_weight_arrays,
+    thresholds,
+)
 from privcal.adversary import map_guess
 from privcal.simlab import (
     Alg1Rule,
     Alg2Rule,
     SimResult,
     _run_blocks,
-    posterior_weight_arrays,
     stream,
 )
 

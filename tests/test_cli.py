@@ -1,5 +1,7 @@
 """Tests for the command-line front end."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -7,9 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from privcal import max_adversary_error_curve
-from privcal.cli import main
+from privcal.cli import _DEFAULTS, main
 from privcal.frontier import frontier, instance_geometry
 from conftest import make_instance
 
@@ -161,6 +164,28 @@ class TestFrontierCommand:
         assert err.startswith("degenerate instance:")
         assert err.count("\n") == 1
         assert not (tmp_path / f"{command}.csv").exists()
+
+    @pytest.mark.parametrize("command", ["frontier", "policy", "simulate"])
+    @pytest.mark.parametrize(
+        "entries, code",
+        [
+            # a1^2 underflows to 0, the variance of paper 1's score density.
+            ({"instance.a1": 1e-170}, 2),
+            # phi1 and phi2 round to 1/2, so alpha1 = alpha2 = 0.
+            ({"instance.sigma2": 1e16}, 0),
+            # a1^2 overflows, and the posterior weights would be NaN.
+            ({"instance.a1": 1e300, "instance.b1": -1e300}, 2),
+            # The product under phi's square root underflows.
+            ({"instance.a2": 0.5, "instance.sigma2": 5e-324}, 0),
+            # Phi2's numerator overflows, and Phi2 would be NaN.
+            ({"instance.sigma2": 1.2e308}, 3),
+        ],
+    )
+    def test_extreme_instance_exits_cleanly(self, command, entries, code, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == code
+        assert capsys.readouterr().err.count("\n") == (code != 0)
 
 
 class TestPolicyCommand:
@@ -338,3 +363,61 @@ class TestGoldenCsv:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
         golden = self.GOLDEN / f"{command}_{config}.csv"
         assert (tmp_path / f"{command}.csv").read_bytes() == golden.read_bytes()
+
+
+# Config values of every JSON kind: extreme finite floats, zeros,
+# negatives, huge integers, NaN and inf, booleans, null and lists.
+_ANY_VALUE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-170, 1e16, 1e300, -1e300, sys.float_info.max]),
+    st.integers(-(2**80), 2**80),
+    st.booleans(),
+    st.none(),
+    st.lists(st.floats(allow_nan=True), max_size=2),
+)
+
+
+def _bounded(hi: int):
+    """Values for a count key, at most hi when integral, so a run stays short."""
+    return st.one_of(
+        st.integers(-2, hi),
+        st.floats(-2.0, float(hi)),
+        st.sampled_from([math.nan, math.inf, -math.inf, True, None, [3]]),
+    )
+
+
+_COUNT_KEYS = {"grid": _bounded(40), "simulate.n": _bounded(3000)}
+
+
+@st.composite
+def _fuzz_config(draw, command):
+    keys = sorted(_DEFAULTS[command].keys() - _COUNT_KEYS.keys())
+    cfg = draw(st.dictionaries(st.sampled_from(keys), _ANY_VALUE, max_size=4))
+    for key in _COUNT_KEYS.keys() & _DEFAULTS[command].keys():
+        cfg[key] = draw(_COUNT_KEYS[key])
+    return cfg
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("command", ["frontier", "policy", "simulate"])
+    def test_every_config_exits_0_2_or_3(self, command, tmp_path):
+        """Any config gives exit 0, or exit 2 or 3 with one stderr line."""
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(_fuzz_config(command))
+        @example({"instance.a1": 1e-170})
+        @example({"instance.sigma2": 1e16})
+        @example({"instance.a1": 1e300, "instance.b1": -1e300})
+        @example({"instance.a2": 0.5, "instance.sigma2": 5e-324})
+        @example({"instance.sigma2": 1.2e308})
+        @example({"instance.a1": 5e-324, "instance.a2": 5e-324, "instance.sigma2": 1e-170})
+        def run(entries):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(entries))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(cfg), "--out", str(tmp_path)])
+            assert code in (0, 2, 3)
+            assert err.getvalue().count("\n") == (code != 0)
+
+        run()

@@ -20,7 +20,7 @@ from privcal import (
 from privcal.adversary import per_instance_errors
 from privcal.frontier import instance_geometry
 from privcal.mechanism import Policy
-from privcal.model import Decision, Population, thresholds
+from privcal.model import Decision, Population, map_decisions, thresholds
 from conftest import (
     _scenario_errors_grid,
     curve_policy,
@@ -243,6 +243,28 @@ class TestRegimeRule:
                 for side in (-math.inf, math.inf):
                     self._check(pop, math.nextafter(t, side), s2)
 
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_one_array_call_matches_scalar_geometry(self, rng, noisy):
+        """map_decisions on an array agrees exactly with the scalar geometry's
+        d1, d2 and tie: at random scores, on each threshold and one ulp
+        either side, and for identical reviewers at equal scores."""
+        for k in range(500):
+            inst = random_noisy_instance(rng) if noisy else random_noiseless_instance(rng)
+            r2 = inst.reviewer1 if k % 10 == 0 else inst.reviewer2
+            pop = Population(inst.reviewer1, r2, inst.sigma2)
+            s1, s2 = inst.scores.s1, inst.scores.s2
+            s1s = [s1, s2] + [
+                x
+                for t in thresholds(pop, s2)
+                for x in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf))
+            ]
+            p1_a1, p1_a2, tie = map_decisions(pop, np.array(s1s), np.full(len(s1s), s2))
+            for i, x in enumerate(s1s):
+                geom = instance_geometry(pop.instance(x, s2))
+                assert (geom.d1 is Decision.PAPER1) == p1_a1[i]
+                assert (geom.d2 is Decision.PAPER1) == p1_a2[i]
+                assert geom.tie == tie[i]
+
     @pytest.mark.parametrize("sigma2", [0.0, 0.5])
     def test_identical_reviewers_tie_at_equal_scores(self, rng, sigma2):
         for _ in range(200):
@@ -252,6 +274,20 @@ class TestRegimeRule:
 
 
 class TestMaxAdversaryErrorCurve:
+    @pytest.mark.parametrize("s1, s2, sigma2", [(0.5, 1.0, 1e16), (0.5000001, 1.5, 1e10)])
+    def test_a_zero_slope_leaves_its_q_free(self, s1, s2, sigma2):
+        """phi1 (and at sigma2 = 1e16 phi2 too) rounds to 1/2, so alpha1 is
+        0: q1 does not move the conference error, and the adversary error
+        reaches m at every feasible target."""
+        inst = make_instance(1, 0, 1, 1, sigma2, s1, s2)
+        geom = instance_geometry(inst)
+        assert geom.part2 and geom.alpha1 == 0.0
+        for ec in np.linspace(geom.truthful_ec, geom.ec_intercept, 11):
+            assert max_adversary_error_curve(inst, ec) == geom.m
+        err = per_instance_errors(inst, Policy(1.0, 0.0))
+        assert err.ec == geom.ec_intercept
+        assert err.ea == pytest.approx(geom.m, abs=1e-15)
+
     def test_noiseless_trapezoid_reference(self):
         inst = make_instance(1, 0, 1, 1, 0.0, 0.5, 1.0)
         m = frontier(inst).end.ea

@@ -95,6 +95,16 @@ class TestMapAccept:
         assert map_accept(inst, Assignment.A1, random01=0.8) is Decision.PAPER2
 
 
+class TestPolicy:
+    @pytest.mark.parametrize(
+        "q1, q2", [(1.5, 0.5), (0.5, -0.1), (math.nan, 1.0), (1.0, math.inf)]
+    )
+    def test_probabilities_outside_the_unit_interval_are_rejected(self, q1, q2):
+        with pytest.raises(ConfigurationError):
+            Policy(q1, q2)
+        Policy(0.0, 1.0)
+
+
 class TestAlg1Policy:
     def test_reference_interior_policy(self):
         inst = make_instance(1, 0, 1, 1, 0.0, 0.5, 1.0)

@@ -12,6 +12,7 @@ from scipy.stats import norm
 from privcal import (
     Assignment,
     ConfigurationError,
+    DegenerateInstanceError,
     Instance,
     ModeError,
     ReviewerProfile,
@@ -52,6 +53,36 @@ class TestReviewerProfile:
             ReviewerProfile.monotone(
                 lambda t: -t, lambda s: -s, lambda s: -1.0
             )
+
+    @pytest.mark.parametrize("float_only", ["forward", "inverse", "inverse_derivative"])
+    def test_monotone_rejects_maps_that_take_only_floats(self, float_only):
+        maps = {
+            "forward": (np.sinh, math.sinh),
+            "inverse": (np.arcsinh, math.asinh),
+            "inverse_derivative": (
+                lambda s: 1.0 / np.sqrt(1.0 + s * s),
+                lambda s: 1.0 / math.sqrt(1.0 + s * s),
+            ),
+        }
+        chosen = [pair[1] if name == float_only else pair[0] for name, pair in maps.items()]
+        with pytest.raises(ConfigurationError, match=f"the {float_only} map"):
+            ReviewerProfile.monotone(*chosen)
+
+    @pytest.mark.parametrize(
+        "a1, a2, sigma2",
+        [
+            (1e-170, 1.0, 0.0),  # a1^2 underflows: a zero score variance
+            (1e300, 1.0, 0.0),  # a1^2 overflows
+            (1e300, 1.0, 1.0),
+            (5e-324, 5e-324, 1e-170),  # a1 (a2^2 + sigma2) underflows
+            (2.2e-162, 1.3e154, 5e-324),  # a thresholds' slope overflows
+        ],
+    )
+    def test_score_scales_must_be_positive_and_finite(self, a1, a2, sigma2):
+        with pytest.raises(ConfigurationError):
+            Population(ReviewerProfile.affine(a1, 0.0), ReviewerProfile.affine(a2, 1.0), sigma2)
+        # a1^2 underflows, but the noise keeps the score variance positive.
+        Population(ReviewerProfile.affine(1e-170, 0.0), ReviewerProfile.affine(1.0, 1.0), 1.0)
 
     def test_affine_apply_invert_round_trip(self):
         prof = ReviewerProfile.affine(2.0, -1.0)
@@ -179,6 +210,16 @@ class TestPhiPair:
         pp = phi_pair(inst)
         assert pp.phi1 < 1e-10
         assert pp.phi2 < 1e-10
+
+    def test_underflowing_denominator_keeps_the_noiseless_limit(self):
+        """At sigma2 = 5e-324 the product under phi's square root underflows;
+        its square roots do not, and phi keeps its value at sigma2 = 1e-300."""
+        tiny, small = (make_instance(1, 0, 0.5, 1, g2, 0.5, 1.0) for g2 in (5e-324, 1e-300))
+        assert phi_pair(tiny) == phi_pair(small)
+
+    def test_overflow_to_nan_raises(self):
+        with pytest.raises(DegenerateInstanceError):
+            phi_pair(make_instance(1, 0, 1, 1, 1.2e308, 0.5, 1.0))
 
     def test_noiseless_mode_rejected(self):
         inst = make_instance(1, 0, 1, 1, 0.0, 0.5, 1.0)

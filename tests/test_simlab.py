@@ -38,10 +38,10 @@ from privcal.simlab import (
     _run_blocks,
     _thread_count,
     fit_within_conference,
-    posterior_weight_arrays,
     stream,
 )
 from privcal.adversary import per_instance_errors
+from privcal.model import posterior_weight_arrays
 from privcal.mechanism import alg1_policy, alg3_policy
 from privcal.frontier import instance_geometry
 from conftest import (
@@ -154,6 +154,11 @@ class TestSimulateAverage:
         # errs on forced scores, on average eta.
         assert res.empirical.ec == pytest.approx(0.0, abs=1e-12)
         assert abs(res.empirical.ea - eta) <= 4.0 * res.stderr_ea + 2e-6
+
+    @pytest.mark.parametrize("ec_value", [math.nan, -0.1, 1.5])
+    def test_alg1_rule_rejects_a_target_outside_the_unit_interval(self, ec_value):
+        with pytest.raises(ConfigurationError):
+            Alg1Rule(self.POP, ec_value)
 
     def test_endpoint_rule_average_errors(self):
         zeta, eta, _ = zeta_eta(self.POP)
