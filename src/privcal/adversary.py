@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .model import Assignment, ConfigurationError, Decision, Instance
 from .frontier import ErrorPair, Infeasible, InstanceGeometry, instance_geometry
 
@@ -99,21 +101,40 @@ def map_guess(inst: Instance, policy, observed: Decision) -> Guess:
     return _compare(geom.pu * p_a1, geom.pv * p_a2)
 
 
-def map_guess_arrays(pu, pv, idx, q1, q2, d1, d2, acc):
+def map_guess_arrays(pu, pv, idx, q1, q2, d1, d2, acc, out=None):
     """Array twin of map_guess: (guesses A1, guesses A2) per replicate, neither a tie.
 
     idx indexes the randomizing replicates of pu and pv, given with their
     q1, q2, d1 and d2 (map_decisions) and acc (paper 1 accepted). A forced
     decision carries no information, so there pu and pv alone compare.
+    out, if given, is three float arrays of idx's length, none of them an
+    input, that the call uses as scratch; the guesses are the same.
     """
     guess_a1, guess_a2 = pu > pv, pu < pv
-    prob_p1_a1 = q1 * d1 + (1.0 - q1) * d2
-    prob_p1_a2 = q2 * d2 + (1.0 - q2) * d1
-    # Booleans act as 0 and 1: acc * p + ~acc * (1.0 - p) selects.
-    l1 = pu[idx] * (acc * prob_p1_a1 + ~acc * (1.0 - prob_p1_a1))
-    l2 = pv[idx] * (acc * prob_p1_a2 + ~acc * (1.0 - prob_p1_a2))
+    l1_out, l2_out, scratch = (None, None, None) if out is None else out
+    l1 = _observed_likelihood(pu, idx, q1, d1, d2, acc, l1_out, scratch)
+    l2 = _observed_likelihood(pv, idx, q2, d2, d1, acc, l2_out, scratch)
     guess_a1[idx], guess_a2[idx] = l1 > l2, l1 < l2
     return guess_a1, guess_a2
+
+
+def _observed_likelihood(w, idx, q, d_own, d_other, acc, out, scratch):
+    """w[idx] * Pr(observed decision | an assignment), in out if given.
+
+    Under the assignment the policy plays its MAP decision d_own with
+    probability q and d_other otherwise, so paper 1 is accepted with
+    probability p1 = q * d_own + (1 - q) * d_other. Booleans act as 0
+    and 1, so acc * p1 + ~acc * (1 - p1) selects the observed decision's.
+    """
+    p1 = np.subtract(1.0, q, out=out)
+    p1 *= d_other
+    p1 += np.multiply(q, d_own, out=scratch)
+    miss = np.subtract(1.0, p1, out=scratch)
+    miss *= ~acc
+    p1 *= acc
+    p1 += miss
+    p1 *= np.take(w, idx, out=scratch, mode="clip")
+    return p1
 
 
 def scenario_table(inst: Instance, policy) -> ScenarioTable:

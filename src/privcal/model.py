@@ -50,10 +50,38 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def _norm_logpdf(x, mean: float, var: float):
-    """Normal log-density; x may be a float or an array (element by element)."""
-    d = x - mean
-    return _LOG_INV_SQRT_2PI - 0.5 * math.log(var) - 0.5 * d * d / var
+def _into(out, x):
+    """x, or x copied into out when out is given (numpy's out= convention)."""
+    if out is None:
+        return x
+    np.copyto(out, x)
+    return out
+
+
+def _affine(x, a: float, b: float, out=None):
+    """a * x + b; x a float or an array, written into out when given."""
+    if out is None:
+        return a * x + b
+    return np.add(np.multiply(x, a, out=out), b, out=out)
+
+
+def _norm_logpdf(x, mean: float, var: float, out=None):
+    """Normal log-density; x may be a float or an array (element by element).
+
+    With out, the same operations run in place in out, so both forms
+    agree bit for bit. d is squared before it is halved, which needs no
+    second array; (0.5 * d) * d gives the same double unless 0.5 d^2 is
+    subnormal or d^2 alone overflows (|d| between 1.34e154 and 1.9e154).
+    """
+    c = _LOG_INV_SQRT_2PI - 0.5 * math.log(var)
+    if out is None:
+        d = x - mean
+        return c - d * d * 0.5 / var
+    d = np.subtract(x, mean, out=out)
+    d *= d
+    d *= 0.5
+    d /= var
+    return np.subtract(c, d, out=d)
 
 
 class ProfileKind(Enum):
@@ -171,17 +199,25 @@ class ReviewerProfile:
             inverse_derivative_fn=inverse_derivative,
         )
 
-    def apply(self, theta: float) -> float:
-        """Map a latent quality to the reported score (before noise)."""
-        if self.kind is ProfileKind.AFFINE:
-            return self.a * theta + self.b
-        return self.forward_fn(theta)
+    def apply(self, theta, out=None):
+        """Map a latent quality to the reported score (before noise).
 
-    def invert(self, s: float) -> float:
-        """Recover the latent quality from a noiseless score."""
+        theta is a float or an array; out, an array to write the scores
+        into (theta itself may be it), with the same values bit for bit.
+        """
         if self.kind is ProfileKind.AFFINE:
-            return (s - self.b) / self.a
-        return self.inverse_fn(s)
+            if out is None:
+                return self.a * theta + self.b
+            return _affine(theta, self.a, self.b, out)
+        return _into(out, self.forward_fn(theta))
+
+    def invert(self, s, out=None):
+        """Recover the latent quality from a noiseless score; out as in apply."""
+        if self.kind is ProfileKind.AFFINE:
+            if out is None:
+                return (s - self.b) / self.a
+            return np.divide(np.subtract(s, self.b, out=out), self.a, out=out)
+        return _into(out, self.inverse_fn(s))
 
 
 @dataclass(frozen=True)
@@ -293,14 +329,20 @@ class QualityPosterior:
     mean: float
     variance: float
 
+    def draw(self, z, out=None):
+        """The qualities mean + sqrt(variance) * z at standard-normal deviates z
+        (a float or an array); out as in ReviewerProfile.apply."""
+        return _affine(z, math.sqrt(self.variance), self.mean, out)
 
-def log_marginal_score_density(profile: ReviewerProfile, sigma2: float, s):
+
+def log_marginal_score_density(profile: ReviewerProfile, sigma2: float, s, out=None):
     """Log of the marginal density of a reported score under a standard-normal quality.
 
     Affine profiles give a normal with mean b and variance a^2 + sigma2.
     General monotone profiles (noiseless only) use the change of
     variables through the inverse map; a zero derivative of the inverse
-    gives -inf. s may be a float or an array (element by element).
+    gives -inf. s may be a float or an array (element by element); out,
+    an array to write the result into.
     """
     if profile.kind is ProfileKind.GENERAL_MONOTONE:
         if sigma2 != 0.0:
@@ -308,8 +350,8 @@ def log_marginal_score_density(profile: ReviewerProfile, sigma2: float, s):
         theta = profile.inverse_fn(s)
         with np.errstate(divide="ignore"):
             log_jac = np.log(np.abs(profile.inverse_derivative_fn(s)))
-        return _LOG_INV_SQRT_2PI - 0.5 * theta * theta + log_jac
-    return _norm_logpdf(s, profile.b, profile.a * profile.a + sigma2)
+        return _into(out, _LOG_INV_SQRT_2PI - 0.5 * theta * theta + log_jac)
+    return _norm_logpdf(s, profile.b, profile.a * profile.a + sigma2, out)
 
 
 def marginal_score_density(profile: ReviewerProfile, sigma2: float, s: float) -> float:
@@ -348,17 +390,29 @@ def posterior_weights(inst: Instance) -> tuple[float, float]:
 
 
 def posterior_weight_arrays(
-    pop: Population, s1: np.ndarray, s2: np.ndarray
+    pop: Population, s1: np.ndarray, s2: np.ndarray, out=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (pu, pv) over score arrays: the array twin of posterior_weights."""
+    """Vectorized (pu, pv) over score arrays: the array twin of posterior_weights.
+
+    out, if given, is three arrays of the scores' shape, none of them s1
+    or s2: pu and pv are written into the first two, and the third is
+    scratch. The values are those of the allocating call, bit for bit.
+    """
     r1, r2, g2 = pop.reviewer1, pop.reviewer2, pop.sigma2
+    pu, pv, scratch = (None, None, None) if out is None else out
     logf = log_marginal_score_density
-    logu = logf(r1, g2, s1) + logf(r2, g2, s2)
-    d = logf(r2, g2, s1) + logf(r1, g2, s2) - logu
-    # exp overflows to inf above about 709.78, where pu = 0 all the same.
+    logu = logf(r1, g2, s1, pu)
+    logu += logf(r2, g2, s2, scratch)
+    d = logf(r2, g2, s1, pv)
+    d += logf(r1, g2, s2, scratch)
+    d -= logu
+    # exp overflows to inf above about 709.78, where pu = 0 all the same,
+    # and underflows below about -745, where pu = 1.
     with np.errstate(over="ignore"):
-        pu = 1.0 / (1.0 + np.exp(np.clip(d, -745.0, 745.0)))
-    return pu, 1.0 - pu
+        e = np.exp(d, out=logu)
+    e += 1.0
+    pu = np.divide(1.0, e, out=e)
+    return pu, np.subtract(1.0, pu, out=pv)
 
 
 def assignment_posterior(inst: Instance) -> float:
@@ -366,7 +420,7 @@ def assignment_posterior(inst: Instance) -> float:
     return posterior_weights(inst)[0]
 
 
-def thresholds(model, s2):
+def thresholds(model, s2, out=None):
     """MAP decision thresholds on s1 at paper 2's score s2: (ta, tb).
 
     Under an assumed A1 the MAP decision accepts paper 1 exactly when
@@ -375,6 +429,8 @@ def thresholds(model, s2):
     Population); s2 is a float or an array. Noiseless mode maps s2
     through one reviewer's inverse and the other's forward map; noisy
     mode solves Phi1 = 1/2 and Phi2 = 1/2 for s1 (affine profiles).
+    out, if given, is two arrays of s2's shape, other than s2, for ta
+    and tb; identical reviewers leave them unused.
 
     map_decisions turns them into the regime. The noisy slope ratio is
     formed first, so it is exactly 1 for equal slopes.
@@ -384,25 +440,30 @@ def thresholds(model, s2):
         # The assignments are indistinguishable and MAP compares the
         # scores themselves; this keeps equal scores an exact tie.
         return s2, s2
+    ta, tb = (None, None) if out is None else out
     if model.sigma2 == 0.0:
-        ta = r2.apply(r1.invert(s2))
-        tb = r1.apply(r2.invert(s2))
+        ta = r2.apply(r1.invert(s2, ta), ta)
+        tb = r1.apply(r2.invert(s2, tb), tb)
         return ta, tb
     a1, b1, a2, b2, g2 = r1.a, r1.b, r2.a, r2.b, model.sigma2
     t1v, t2v = a1 * a1 + g2, a2 * a2 + g2
-    tb = b1 + (a2 * t1v) / (a1 * t2v) * (s2 - b2)
-    ta = b2 + (a1 * t2v) / (a2 * t1v) * (s2 - b1)
+    slope_a, slope_b = (a1 * t2v) / (a2 * t1v), (a2 * t1v) / (a1 * t2v)
+    if out is None:
+        return b2 + slope_a * (s2 - b1), b1 + slope_b * (s2 - b2)
+    ta = _affine(np.subtract(s2, b1, out=ta), slope_a, b2, ta)
+    tb = _affine(np.subtract(s2, b2, out=tb), slope_b, b1, tb)
     return ta, tb
 
 
-def map_decisions(model, s1, s2):
+def map_decisions(model, s1, s2, out=None):
     """The one regime rule: (accepts paper 1 under A1, under A2, tie).
 
     Floats or arrays. On a threshold (see thresholds) MAP is indifferent
     under that assignment and takes the other one's decision; on both
     (tie) it accepts paper 1. The scores randomize where the two differ.
+    out, if given, holds the thresholds (see thresholds).
     """
-    ta, tb = thresholds(model, s2)
+    ta, tb = thresholds(model, s2, out)
     p1_a1 = (s1 > tb) | ((s1 == tb) & (s1 >= ta))
     p1_a2 = (s1 > ta) | ((s1 == ta) & p1_a1)
     return p1_a1, p1_a2, (s1 == ta) & (s1 == tb)

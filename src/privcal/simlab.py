@@ -16,23 +16,36 @@ how many threads run the blocks: PRIVCAL_THREADS, by default one per
 core the process may use, the calling thread among them.
 
 A block draws all its random numbers first, in a fixed order, and then
-evaluates them in slices of _CHUNK replicates, so that the temporaries
-of one slice stay in a core's L2 cache. It reduces its replicates to
-exact counts: conference errors, firm wrong guesses of the adversary,
-and its ties at half an error. Every block total is an integer or
-half-integer far below 2^53, so it equals the float sum of
-per-replicate errors bit for bit.
+evaluates them in slices of _CHUNK (2^15) replicates, two per block. It
+reduces its replicates to exact counts: conference errors, firm wrong
+guesses of the adversary, and its ties at half an error. Every block
+total is an integer or half-integer far below 2^53, so it equals the
+float sum of per-replicate errors bit for bit.
+
+Workspace: each thread keeps, for as long as it lives, the arrays its
+blocks use (_Workspace, 4.3 MiB, touched only as far as a block needs):
+rows for a block's draws, which it draws into with out=, five float64
+rows of a slice's arithmetic, and the block's assignment flags. A slice
+computes in place through the out= forms of the array twins in model
+and adversary, so no array of a slice's size is allocated: glibc maps
+and unmaps each one of 128 KiB or more on its own, and a block that
+freed its arrays had them faulted in again. Few, large slices make few
+GIL-releasing numpy calls, and so few hand-offs of the GIL between
+threads. Workspaces come from a per-thread free list, so a rule that
+simulates from inside a block gets a second one.
 
 Average-case policy rules see only the randomizing replicates of a
-chunk: rule.batch(pu, pv) maps the posterior weights of their scores
+slice: rule.batch(pu, pv) maps the posterior weights of their scores
 to (q1, q2), arrays or scalars. It sees at most _CHUNK replicates per
-call, so it must act element by element. Elsewhere the decision is
-forced and no q is needed. A rule that carries a population (pop) must
-carry the simulated one.
+call, so it must act element by element; pu and pv are read-only views
+of the workspace, which the next slice overwrites. Elsewhere the
+decision is forced and no q is needed. A rule that carries a population
+(pop) must carry the simulated one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -58,9 +71,15 @@ from .adversary import map_guess, map_guess_arrays
 from .mechanism import Policy, QuadratureSettings, alg2_policy
 
 _BLOCK = 1 << 16
-# Replicates per slice of a block's arithmetic: a slice's live arrays of
-# 128 KiB fit a core's L2 cache, and fewer slices make fewer GIL-held calls.
-_CHUNK = 1 << 14
+# Replicates per slice of a block's arithmetic. Two slices per block keep
+# the count of GIL-releasing numpy calls, and so of hand-offs of the GIL
+# between threads, low: at 2^14 the same slices ran up to 20 % slower on
+# two threads of a 2-vCPU host.
+_CHUNK = 1 << 15
+# Float64 rows of _BLOCK draws a block takes at most: simulate_average's
+# two of qualities, one of assignment uniforms, one of coins and two of
+# score noise.
+_DRAW_ROWS = 6
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
@@ -85,18 +104,73 @@ def _thread_count() -> int:
     return int(raw)
 
 
-def _select(mask: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.where(mask, x, y) for floats, bit for bit, in about half its time
-    on a random mask, where np.where's branch per element mispredicts."""
-    ones = -np.asarray(mask, dtype=bool).view(np.uint8).astype(np.int64)
-    x, y = (np.asarray(v, dtype=np.float64).view(np.int64) for v in (x, y))
-    return ((x & ones) | (y & ~ones)).view(np.float64)
+class _Workspace:
+    """The arrays one thread reuses for every block it runs.
+
+    draws holds a block's draws, up to _DRAW_ROWS rows of _BLOCK, which
+    carve lays out as contiguous rows of the block's count; rows holds
+    five float64 rows of a slice's arithmetic and flags the block's
+    assignments. 4.3 MiB in all, touched only as far as a block uses it.
+    """
+
+    def __init__(self):
+        self.draws = np.empty(_DRAW_ROWS * _BLOCK)
+        self.rows = np.empty((5, _CHUNK))
+        self.flags = np.empty(_BLOCK, dtype=bool)
+
+    def carve(self, cnt: int, *heights: int) -> list:
+        """Consecutive (height, cnt) views of draws, one per height."""
+        views, pos = [], 0
+        for h in heights:
+            views.append(self.draws[pos : pos + h * cnt].reshape(h, cnt))
+            pos += h * cnt
+        return views
 
 
-def _count_wrong(acc_p1: np.ndarray, th1: np.ndarray, th2: np.ndarray) -> int:
+_spaces = threading.local()
+
+
+@contextlib.contextmanager
+def _workspace():
+    """A workspace from this thread's free list, or a new one, for one block.
+
+    It returns to the list when the block ends, so each thread keeps its
+    workspaces for as long as it lives. A rule that simulates from inside
+    a block takes a second one while the block holds the first.
+    """
+    free = _spaces.__dict__.setdefault("free", [])
+    ws = free.pop() if free else _Workspace()
+    try:
+        yield ws
+    finally:
+        free.append(ws)
+
+
+def _pick(mask: np.ndarray, f, g, x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """x <- f(x) where mask, else g(x), in place; np.where(mask, f(x), g(x))
+    bit for bit. f and g take out= as ReviewerProfile.apply does, and
+    scratch is an array of x's shape. The selection works on the bits,
+    x ^= (f(x) ^ x) * mask, since np.where's branch per element
+    mispredicts on a random mask."""
+    f(x, out=scratch)
+    g(x, out=x)
+    fi, xi = scratch.view(np.int64), x.view(np.int64)
+    np.bitwise_xor(fi, xi, out=fi)
+    np.multiply(fi, mask, out=fi)
+    np.bitwise_xor(xi, fi, out=xi)
+    return x
+
+
+def _gather(a: np.ndarray, idx: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """a[idx], written into row, as a read-only view."""
+    view = np.take(a, idx, out=row[: idx.size], mode="clip")
+    view.flags.writeable = False
+    return view
+
+
+def _count_wrong(acc_p1, p1_worse, p2_worse) -> int:
     """Replicates whose accepted paper has the lower quality."""
-    wrong = (acc_p1 & (th1 < th2)) | (~acc_p1 & (th2 < th1))
-    return np.count_nonzero(wrong)
+    return np.count_nonzero((acc_p1 & p1_worse) | (~acc_p1 & p2_worse))
 
 
 @functools.cache
@@ -181,14 +255,11 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
     )
 
     if noisy:
-        # Per paper: its quality posterior's mean and sd, indexed by is_a1
-        # (a table lookup, since np.where on a random mask mispredicts).
+        # Per paper: the draw maps of its quality posteriors under A1 and A2.
         post = [
-            [quality_posterior(inst, p, a) for a in (Assignment.A2, Assignment.A1)]
+            [quality_posterior(inst, p, a).draw for a in (Assignment.A1, Assignment.A2)]
             for p in (1, 2)
         ]
-        means = [np.array([q.mean for q in pp]) for pp in post]
-        sds = [np.array([math.sqrt(q.variance) for q in pp]) for pp in post]
     else:
         r1, r2 = inst.reviewer1, inst.reviewer2
         s1, s2 = inst.scores.s1, inst.scores.s2
@@ -197,48 +268,52 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
             Assignment.A1: (r1.invert(s1), r2.invert(s2)),
             Assignment.A2: (r2.invert(s1), r1.invert(s2)),
         }
+        worse = {a: (t1 < t2, t2 < t1) for a, (t1, t2) in th.items()}
         conf_table = np.array(
-            [_count_wrong(np.bool_(d is Decision.PAPER1), *th[a]) for a, d in cells],
+            [_count_wrong(np.bool_(d is Decision.PAPER1), *worse[a]) for a, d in cells],
             dtype=float,
         )
 
     def worker(block: int, offset: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
+        with _workspace() as ws:
+            z, (u,), (coin_row,), (tie_row,) = ws.carve(cnt, 2, 1, 1, 1)
 
-        def uniforms(read: bool, later: bool) -> Optional[np.ndarray]:
-            # Unread coins are not drawn, or skipped in Philox's 4-output steps.
-            if read or (later and cnt % 4):
-                return rng.random(cnt)
-            if later:
-                rng.bit_generator.advance(cnt // 4)
-            return None
+            def uniforms(read: bool, later: bool, row) -> Optional[np.ndarray]:
+                # Unread coins are not drawn, or skipped in Philox's 4-output steps.
+                if read or (later and cnt % 4):
+                    return rng.random(out=row)
+                if later:
+                    rng.bit_generator.advance(cnt // 4)
+                return None
 
-        is_a1 = rng.random(cnt) < pu
-        coin = uniforms(geom.part2, geom.tie or noisy)
-        tie_coin = uniforms(geom.tie, noisy)
-        z = rng.standard_normal((2, cnt)) if noisy else None
-        n_a1 = n_acc = n_both = conf = 0
-        for lo in range(0, cnt, _CHUNK):
-            sl = slice(lo, lo + _CHUNK)
-            a1 = is_a1[sl]
-            if geom.part2:
-                c = coin[sl]
-                truthful = (a1 & (c < policy.q1)) | (~a1 & (c < policy.q2))
-                acc_p1 = d1_p1 ^ (truthful != a1)
-            elif geom.tie:
-                acc_p1 = tie_coin[sl] < 0.5
-            else:
-                acc_p1 = np.full(a1.size, d1_p1)
-            n_a1 += np.count_nonzero(a1)
-            n_acc += np.count_nonzero(acc_p1)
-            n_both += np.count_nonzero(a1 & acc_p1)
+            is_a1 = np.less(rng.random(out=u), pu, out=ws.flags[:cnt])
+            coin = uniforms(geom.part2, geom.tie or noisy, coin_row)
+            tie_coin = uniforms(geom.tie, noisy, tie_row)
             if noisy:
-                # th = m + s * z, written over z.
-                th1, th2 = z[:, sl]
-                for p, th in enumerate((th1, th2)):
-                    th *= sds[p].take(a1)
-                    th += means[p].take(a1)
-                conf += _count_wrong(acc_p1, th1, th2)
+                rng.standard_normal(out=z)
+            n_a1 = n_acc = n_both = conf = 0
+            for lo in range(0, cnt, _CHUNK):
+                sl = slice(lo, lo + _CHUNK)
+                a1 = is_a1[sl]
+                if geom.part2:
+                    c = coin[sl]
+                    truthful = (a1 & (c < policy.q1)) | (~a1 & (c < policy.q2))
+                    acc_p1 = d1_p1 ^ (truthful != a1)
+                elif geom.tie:
+                    acc_p1 = tie_coin[sl] < 0.5
+                else:
+                    acc_p1 = np.full(a1.size, d1_p1)
+                n_a1 += np.count_nonzero(a1)
+                n_acc += np.count_nonzero(acc_p1)
+                n_both += np.count_nonzero(a1 & acc_p1)
+                if noisy:
+                    # The qualities, written over their deviates z.
+                    th1, th2 = z[:, sl]
+                    scratch = ws.rows[0, : a1.size]
+                    for (post_a1, post_a2), th in zip(post, (th1, th2)):
+                        _pick(a1, post_a1, post_a2, th, scratch)
+                    conf += _count_wrong(acc_p1, th1 < th2, th2 < th1)
         counts = np.array(
             [cnt - n_a1 - n_acc + n_both, n_acc - n_both, n_a1 - n_both, n_both]
         )
@@ -272,11 +347,18 @@ class Alg1Rule:
         self.ec_value = float(ec_value)
 
     def batch(self, pu: np.ndarray, pv: np.ndarray):
-        w = 1.0 - np.minimum(self.ec_value, np.minimum(pu, pv))
-        # A posterior weight can underflow to 0 at extreme scores; the
-        # ceiling is then 0 and truthful play is already optimal.
-        safe_pv = np.where(pv > 0.0, pv, 1.0)
-        return 1.0, np.where(pv > 0.0, np.clip((w - pu) / safe_pv, 0.0, 1.0), 1.0)
+        # q2 = clip((1 - min(ec_value, pu, pv) - pu) / pv, 0, 1), formed in
+        # one array. A posterior weight can underflow to 0 at extreme
+        # scores; the ceiling is then 0 and truthful play is already optimal.
+        q2 = np.minimum(pu, pv)
+        np.minimum(self.ec_value, q2, out=q2)
+        np.subtract(1.0, q2, out=q2)
+        q2 -= pu
+        positive = pv > 0.0
+        q2 /= np.where(positive, pv, 1.0)
+        np.clip(q2, 0.0, 1.0, out=q2)
+        q2[~positive] = 1.0
+        return 1.0, q2
 
 
 class Alg2Rule:
@@ -323,37 +405,51 @@ def simulate_average(
     noisy = not pop.noiseless
     sd = math.sqrt(pop.sigma2)
 
-    def chunk(th, is_a1, coin, eps, sl: slice) -> tuple:
-        """Conference, firm and wrong-guess counts of slice sl; its arrays die on return."""
+    def chunk(th, is_a1, coin, eps, rows, sl: slice) -> tuple:
+        """Conference, firm and wrong-guess counts of slice sl, in place:
+        its scores are written over its qualities th and its noise eps;
+        its rows hold the thresholds, then the posterior weights, then the
+        adversary's likelihoods; the rule reads the randomizing replicates'
+        weights from th."""
         th1, th2, a1 = th[0, sl], th[1, sl], is_a1[sl]
-        s1 = _select(a1, r1.apply(th1), r2.apply(th1))
-        s2 = _select(a1, r2.apply(th2), r1.apply(th2))
+        rows = rows[:, : a1.size]
+        p1_worse, p2_worse = th1 < th2, th2 < th1
+        s1 = _pick(a1, r1.apply, r2.apply, th1, rows[0])
+        s2 = _pick(a1, r2.apply, r1.apply, th2, rows[0])
         if noisy:
-            s1 += sd * eps[0, sl]
-            s2 += sd * eps[1, sl]
-        d1_p1, d2_p1, _ = map_decisions(pop, s1, s2)
-        pu, pv = posterior_weight_arrays(pop, s1, s2)
+            s1 += np.multiply(eps[0, sl], sd, out=eps[0, sl])
+            s2 += np.multiply(eps[1, sl], sd, out=eps[1, sl])
+        d1_p1, d2_p1, _ = map_decisions(pop, s1, s2, out=rows[:2])
+        pu, pv = posterior_weight_arrays(pop, s1, s2, out=rows[:3])
         # Only the randomizing replicates need q; the rest are forced.
         idx = np.flatnonzero(d1_p1 != d2_p1)
         a1p, d1, d2 = a1[idx], d1_p1[idx], d2_p1[idx]
-        q1, q2 = policy_rule.batch(pu[idx], pv[idx])
-        c = coin[sl][idx]
+        q1, q2 = policy_rule.batch(_gather(pu, idx, s1), _gather(pv, idx, s2))
+        # From here the rows hold randomizing replicates only.
+        rows = rows[:, : idx.size]
+        c = np.take(coin[sl], idx, out=rows[2], mode="clip")
         acc = d1 ^ (((a1p & (c < q1)) | (~a1p & (c < q2))) != a1p)
         acc_p1 = d1_p1
         acc_p1[idx] = acc
-        guess_a1, guess_a2 = map_guess_arrays(pu, pv, idx, q1, q2, d1, d2, acc)
+        guess_a1, guess_a2 = map_guess_arrays(
+            pu, pv, idx, q1, q2, d1, d2, acc, out=rows[2:]
+        )
         firm = np.count_nonzero(guess_a1) + np.count_nonzero(guess_a2)
         wrong = np.count_nonzero(guess_a1 & ~a1) + np.count_nonzero(guess_a2 & a1)
-        return _count_wrong(acc_p1, th1, th2), firm, wrong
+        return _count_wrong(acc_p1, p1_worse, p2_worse), firm, wrong
 
     def worker(block: int, offset: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
-        th = rng.standard_normal((2, cnt))
-        is_a1 = rng.random(cnt) < 0.5
-        coin = rng.random(cnt)
-        eps = rng.standard_normal((2, cnt)) if noisy else None
-        sls = (slice(lo, lo + _CHUNK) for lo in range(0, cnt, _CHUNK))
-        conf, firm, wrong = map(sum, zip(*(chunk(th, is_a1, coin, eps, sl) for sl in sls)))
+        with _workspace() as ws:
+            th, (u,), (coin,), eps = ws.carve(cnt, 2, 1, 1, 2)
+            rng.standard_normal(out=th)
+            is_a1 = np.less(rng.random(out=u), 0.5, out=ws.flags[:cnt])
+            rng.random(out=coin)
+            if noisy:
+                rng.standard_normal(out=eps)
+            sls = (slice(lo, lo + _CHUNK) for lo in range(0, cnt, _CHUNK))
+            parts = (chunk(th, is_a1, coin, eps, ws.rows, sl) for sl in sls)
+            conf, firm, wrong = map(sum, zip(*parts))
         return np.array([conf, wrong + 0.5 * (cnt - firm)])
 
     return _run_blocks(n, seed, worker)
@@ -418,8 +514,8 @@ class StudyConfig:
                 f"messy_lo..messy_hi ({self.messy_lo}..{self.messy_hi}) "
                 f"must overlap the ranks 1..{self.n_papers}"
             )
-        if self.slope_rate <= 0.0 or self.bias_variance <= 0.0:
-            raise ConfigurationError("slope_rate and bias_variance must be positive")
+        if not (0.0 < self.slope_rate < math.inf and 0.0 < self.bias_variance < math.inf):
+            raise ConfigurationError("slope_rate and bias_variance must be positive and finite")
         if not all(math.isfinite(v) and v >= 0.0 for v in self.noise_variances):
             raise ConfigurationError("noise_variances must be finite and nonnegative")
 
@@ -588,7 +684,9 @@ def run_calibration_study(cfg: StudyConfig) -> StudyResult:
     estimate using the true reviewer slopes and biases. Each (noise
     variance, iteration) pair uses its own derived stream, so results
     depend only on the configuration, and all methods of one iteration
-    are scored on the same draws.
+    are scored on the same draws. Parameters so extreme that drawing or
+    estimating overflows, divides by zero or forms a NaN raise
+    ConfigurationError rather than rank papers by non-finite estimates.
     """
     cells = {}
     for vi, var in enumerate(cfg.noise_variances):
@@ -596,13 +694,22 @@ def run_calibration_study(cfg: StudyConfig) -> StudyResult:
         messy = {m: [] for m in STUDY_METHODS}
         for it in range(cfg.iterations):
             rng = stream(cfg.seed, vi * cfg.iterations + it)
-            theta, a, b, reviewers, scores = _draw_conference(rng, cfg, var)
-            est = {
-                "no_calibration": scores.mean(axis=1),
-                "within_conference": fit_within_conference(scores, reviewers, cfg, var),
-                "known_parameters": (a * (scores - b)).sum(axis=1)
-                / (a * a).sum(axis=1),
-            }
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    theta, a, b, reviewers, scores = _draw_conference(rng, cfg, var)
+                    est = {
+                        "no_calibration": scores.mean(axis=1),
+                        "within_conference": fit_within_conference(
+                            scores, reviewers, cfg, var
+                        ),
+                        "known_parameters": (a * (scores - b)).sum(axis=1)
+                        / (a * a).sum(axis=1),
+                    }
+            except FloatingPointError as exc:
+                raise ConfigurationError(
+                    f"the study's arithmetic fails ({exc}) at noise variance {var!r}: "
+                    "slope_rate, bias_variance or the noise variance is too extreme"
+                ) from None
             true_rank = _rank_of(theta)
             for m in STUDY_METHODS:
                 r = _rank_of(est[m])

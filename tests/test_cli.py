@@ -398,6 +398,55 @@ def _fuzz_config(draw, command):
     return cfg
 
 
+# The sizes of a study small enough to run in milliseconds: up to 6
+# papers, 3 reviews per paper and 2 iterations. Invalid counts are
+# checked by test_uncoercible_value_exits_2 and the StudyConfig guards.
+_STUDY_SIZES = {
+    "study.n_papers": 6,
+    "study.reviews_per_paper": 3,
+    "study.iterations": 2,
+}
+
+
+@st.composite
+def _fuzz_study_config(draw):
+    cfg = {key: draw(st.integers(1, hi)) for key, hi in _STUDY_SIZES.items()}
+    papers = cfg["study.n_papers"]
+    # As many reviewers as papers always balance the reviews.
+    cfg["study.n_reviewers"] = draw(st.one_of(st.just(papers), st.integers(1, 6)))
+    # A band inside 1..n_papers, so that most configs run the study.
+    cfg["study.messy_lo"], cfg["study.messy_hi"] = 1, papers
+    cfg["study.accept_top"] = draw(st.integers(1, papers))
+    keys = sorted(_DEFAULTS["study"].keys() - _STUDY_SIZES.keys() - {"study.n_reviewers"})
+    cfg.update(draw(st.dictionaries(st.sampled_from(keys), _ANY_VALUE, max_size=4)))
+    return cfg
+
+
+# A 3-paper study whose one iteration runs in milliseconds.
+_TINY_STUDY = {
+    "study.iterations": 1,
+    "study.n_papers": 3,
+    "study.n_reviewers": 3,
+    "study.accept_top": 2,
+    "study.messy_lo": 1,
+    "study.messy_hi": 3,
+}
+
+
+def _exits_0_2_or_3(command: str, entries: dict, tmp_path: Path) -> None:
+    """The run exits 0, or 2 or 3 with one stderr line and no CSV."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entries))
+    out = tmp_path / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("\n") == (code != 0)
+    assert (out / f"{command}.csv").exists() == (code == 0)
+    (out / f"{command}.csv").unlink(missing_ok=True)
+
+
 class TestConfigFuzz:
     @pytest.mark.parametrize("command", ["frontier", "policy", "simulate"])
     def test_every_config_exits_0_2_or_3(self, command, tmp_path):
@@ -412,12 +461,35 @@ class TestConfigFuzz:
         @example({"instance.sigma2": 1.2e308})
         @example({"instance.a1": 5e-324, "instance.a2": 5e-324, "instance.sigma2": 1e-170})
         def run(entries):
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(entries))
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = main([command, "--config", str(cfg), "--out", str(tmp_path)])
-            assert code in (0, 2, 3)
-            assert err.getvalue().count("\n") == (code != 0)
+            _exits_0_2_or_3(command, entries, tmp_path)
 
         run()
+
+    def test_every_study_config_exits_0_2_or_3(self, tmp_path):
+        """Any small study config gives exit 0, or exit 2 or 3 with one
+        stderr line and no CSV; non-finite estimates are never ranked."""
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(_fuzz_study_config())
+        @example({**_TINY_STUDY, "study.noise_variances": [1e308]})
+        @example({**_TINY_STUDY, "study.slope_rate": 1e-300})
+        @example({**_TINY_STUDY, "study.bias_variance": 1e308})
+        def run(entries):
+            _exits_0_2_or_3("study", entries, tmp_path)
+
+        run()
+
+    @pytest.mark.parametrize(
+        "extreme",
+        [
+            {"study.noise_variances": [1e308]},
+            {"study.slope_rate": 1e-300},
+            {"study.bias_variance": 1e308},
+        ],
+    )
+    def test_overflowing_study_is_a_configuration_error(self, extreme, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**_TINY_STUDY, **extreme}))
+        assert main(["study", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "too extreme" in capsys.readouterr().err
+        assert not (tmp_path / "study.csv").exists()

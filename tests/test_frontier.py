@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 from scipy.stats import norm
 
@@ -19,7 +20,7 @@ from privcal import (
 )
 from privcal.adversary import per_instance_errors
 from privcal.frontier import instance_geometry
-from privcal.mechanism import Policy
+from privcal.mechanism import Policy, alg1_policy, alg3_policy
 from privcal.model import Decision, Population, map_decisions, thresholds
 from conftest import (
     _scenario_errors_grid,
@@ -433,3 +434,53 @@ class TestMaxAdversaryErrorCurve:
                 assert abs(got - brute) <= 2e-3
                 checked += 1
         assert checked == 200 * 101
+
+
+# Affine instances in either noise mode: sigma2 = 0 about one time in four.
+_instances = st.builds(
+    make_instance,
+    st.floats(0.2, 3.0),
+    st.floats(-2.0, 2.0),
+    st.floats(0.2, 3.0),
+    st.floats(-2.0, 2.0),
+    st.one_of(st.just(0.0), st.floats(0.01, 4.0), st.floats(0.01, 4.0), st.floats(0.01, 4.0)),
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+)
+
+
+class TestCurveProperties:
+    @given(inst=_instances)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_max_adversary_error_curve_is_a_trapezoid(self, inst):
+        """Non-decreasing up to its flat top, never above m, non-increasing
+        after the top, over the whole feasible conference-error range."""
+        geom = instance_geometry(inst)
+        if not geom.part2:
+            assert max_adversary_error_curve(inst, geom.forced_ec) == geom.m
+            return
+        ecs = np.linspace(geom.truthful_ec, geom.ec_intercept, 41)
+        ea = np.array([max_adversary_error_curve(inst, float(ec)) for ec in ecs])
+        assert np.all(ea <= geom.m)
+        top = int(np.argmax(ea))
+        assert np.all(np.diff(ea[: top + 1]) >= -1e-15)
+        assert np.all(np.diff(ea[top:]) <= 1e-15)
+
+    @given(inst=_instances, ec=st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_alg1_and_alg3_errors_lie_on_the_frontier(self, inst, ec):
+        """The exact errors of Alg. 1 (noiseless) and Alg. 3 (noisy) lie on
+        the frontier segment, or equal the point of a forced instance."""
+        pol = alg1_policy(inst, ec) if inst.noiseless else alg3_policy(inst, ec)
+        if isinstance(pol, Infeasible):
+            assert ec < pol.min_feasible_ec
+            return
+        err = per_instance_errors(inst, pol)
+        seg = frontier(inst)
+        start, end = seg.start, seg.end
+        assert start.ec - 1e-12 <= err.ec <= end.ec + 1e-12
+        # On the line through start and end: a zero cross product.
+        cross = (err.ec - start.ec) * (end.ea - start.ea) - (err.ea - start.ea) * (
+            end.ec - start.ec
+        )
+        assert abs(cross) <= 1e-12

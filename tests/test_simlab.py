@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,7 +25,7 @@ from privcal import (
     simulate_instance,
     zeta_eta,
 )
-from privcal import simlab
+from privcal import model, simlab
 from privcal.simlab import (
     _BLOCK,
     _CHUNK,
@@ -207,7 +208,7 @@ class TestPosteriorWeightArrays:
 
     def test_large_log_ratio_weights_without_overflow_warning(self):
         # logv - logu = b2 * (s1 - s2) = 720 here: past exp's overflow
-        # point (about 709.78) but inside the +-745 clip.
+        # point (about 709.78).
         pop = Population(
             ReviewerProfile.affine(1.0, 0.0), ReviewerProfile.affine(1.0, 1.0), 0.0
         )
@@ -215,6 +216,33 @@ class TestPosteriorWeightArrays:
             warnings.simplefilter("error")
             pu, pv = posterior_weight_arrays(pop, np.array([720.0]), np.array([0.0]))
         assert pu[0] == 0.0 and pv[0] == 1.0
+
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_unclipped_exp_matches_the_clipped_formula(self, monkeypatch, with_out):
+        """pu = 1 / (1 + exp(d)), d = log v - log u, needs no clip of d to
+        +-745: exp overflows to inf (pu = 0) above about 709.78, gives 0 or
+        the smallest subnormal (pu = 1) below -745, and NaN passes through."""
+        d = np.array([700.0, -700.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan])
+        pop = TestSimulateAverage.POP
+        s1, s2 = np.zeros(d.size), np.zeros(d.size)
+
+        def log_density(profile, sigma2, s, out=None):
+            # Only log f2(s1) is nonzero, so log v - log u is d exactly.
+            val = d if profile is pop.reviewer2 and s is s1 else np.zeros(d.size)
+            if out is None:
+                return val.copy()
+            out[...] = val
+            return out
+
+        monkeypatch.setattr(model, "log_marginal_score_density", log_density)
+        with np.errstate(over="ignore"):
+            clipped = 1.0 / (1.0 + np.exp(np.clip(d, -745.0, 745.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = np.empty((3, d.size)) if with_out else None
+            pu, pv = posterior_weight_arrays(pop, s1, s2, out=out)
+        assert pu.tobytes() == clipped.tobytes()
+        assert pv.tobytes() == (1.0 - clipped).tobytes()
 
     @pytest.mark.parametrize("sigma2", [0.0, 0.4])
     def test_affine_log_likelihoods_match_scalar_exactly(self, rng, sigma2):
@@ -351,13 +379,13 @@ class _RecordingStream:
         self._log.append(("advance", delta))
         return self._rng.bit_generator.advance(delta)
 
-    def random(self, size):
-        self._log.append(("random", size))
-        return self._rng.random(size)
+    def random(self, size=None, out=None):
+        self._log.append(("random", size if out is None else out.size))
+        return self._rng.random(size, out=out)
 
-    def standard_normal(self, size):
-        self._log.append(("standard_normal", size))
-        return self._rng.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        self._log.append(("standard_normal", size if out is None else out.shape))
+        return self._rng.standard_normal(size, out=out)
 
 
 class TestDrawOrder:
@@ -528,6 +556,64 @@ class TestThreadCount:
         for x in xs[1:]:
             in_order += x
         assert res.empirical.ec == float(in_order) / n
+
+
+class TestWorkspace:
+    """Each thread keeps its block arrays: a warm call allocates none of
+    them again, and a nested call takes a workspace of its own."""
+
+    # Two full blocks and a ragged one.
+    N = 3 * _BLOCK + 5
+
+    def test_a_warm_call_allocates_no_block_sized_array(self, monkeypatch):
+        monkeypatch.setenv("PRIVCAL_THREADS", "1")
+        pops = _oracle_populations()
+        runs = [
+            lambda: simulate_average(pops["affine"], Alg2Rule(pops["affine"], 0.05), self.N, 1),
+            lambda: simulate_average(pops["affine_noisy"], TruthfulRule(), self.N, 2),
+            lambda: simulate_instance(
+                _oracle_instances()["noisy_part2"], Policy(0.3, 0.8), self.N, 3
+            ),
+        ]
+        # One block's draw of qualities, (2, _BLOCK) float64.
+        draw_bytes = 2 * _BLOCK * 8
+        for run in runs:
+            run()
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < draw_bytes
+
+    def test_a_rule_may_simulate_at_one_thread(self, monkeypatch):
+        # The outer block holds the thread's workspace while its rule
+        # simulates; the nested call must leave the outer block's arrays be.
+        monkeypatch.setenv("PRIVCAL_THREADS", "1")
+        pop = _oracle_populations()["affine"]
+        nested = []
+
+        class Nested(TruthfulRule):
+            def batch(self, pu, pv):
+                nested.append(simulate_average(pop, TruthfulRule(), _BLOCK + 1, seed=1))
+                return super().batch(pu, pv)
+
+        got = simulate_average(pop, Nested(), _BLOCK + 1, seed=8)
+        assert got == simulate_average(pop, TruthfulRule(), _BLOCK + 1, seed=8)
+        plain = simulate_average(pop, TruthfulRule(), _BLOCK + 1, seed=1)
+        assert len(nested) == 3 and all(r == plain for r in nested)
+
+    def test_a_rule_sees_read_only_weights(self):
+        pop = _oracle_populations()["affine"]
+
+        class Writer(TruthfulRule):
+            def batch(self, pu, pv):
+                pu[:] = 0.5
+                return super().batch(pu, pv)
+
+        with pytest.raises(ValueError, match="read-only"):
+            simulate_average(pop, Writer(), 1000, seed=0)
 
 
 class TestKendallTau:
