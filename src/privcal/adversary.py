@@ -3,10 +3,11 @@
 The adversary observes the scores, the published policy, and the
 accepted paper, and guesses the assignment by maximizing the posterior.
 The scenario table enumerating the four (assignment, decision) outcomes
-is the single source of truth for error probabilities: map_guess,
-per_instance_errors and the per-instance simulator all read the MAP
-comparison from _decision_probs and _compare, and the average-case
-simulator reads its array twin, map_guess_arrays. The independent
+is the single source of truth for error probabilities: map_guess and
+scenario_table read the MAP comparison from _decision_probs and
+_compare, per_instance_errors and the per-instance simulator read the
+table, and the average-case simulator reads its array twin,
+map_guess_arrays. The independent
 cross-checks (the piecewise closed form and a vectorized grid form) live
 in the test suite, not here. The randomized-response bookkeeping for the
 gamma/epsilon correspondence lives here too.

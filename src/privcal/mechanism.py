@@ -93,13 +93,13 @@ class QuadratureSettings:
 
     theta_span bounds the latent qualities. For two affine profiles both
     integrals are taken over the score box, the union of the profiles'
-    images of [-theta_span, theta_span]. For any other pair they are
-    taken over the qualities in [-theta_span, theta_span]^2, and the
-    error estimate includes 4 Phi(-theta_span), the mass left outside.
-    abs_tol bounds the error estimate, on both paths the summed
-    differences between the n-node and 2n-node Gauss-Legendre results;
-    zeta_eta raises AccuracyError when the estimate exceeds it. Both
-    fields must be finite and positive.
+    images of [-theta_span, theta_span]; for any other pair, over the
+    qualities in [-theta_span, theta_span]^2. abs_tol bounds the error
+    estimate, on both paths the summed differences between the n-node
+    and 2n-node Gauss-Legendre results plus 4 Phi(-theta_span), which
+    bounds the mass left outside either box; zeta_eta raises
+    AccuracyError when the estimate exceeds it. Both fields must be
+    finite and positive.
     """
 
     abs_tol: float = 1e-6
@@ -118,9 +118,10 @@ def alg1_policy(inst: Instance, ec_max: float) -> Policy:
     """Noiseless per-instance policy hitting the slope-1 frontier.
 
     Forced instances return the score-determined decision. Otherwise
-    q1 = 1 and q2 solves the conference-error equation, capped at the
-    endpoint where the adversary error reaches the score-only ceiling.
-    The analytic errors of the result are both min(ec_max, m).
+    q1 = 1 and q2 = (1 - min(ec_max, m) - pu) / pv solves the conference
+    error equation, capped where the adversary error reaches the
+    score-only ceiling m = min(pu, pv); both analytic errors are
+    min(ec_max, m). simlab.Alg1Rule.batch is its array twin, bit for bit.
     """
     if not inst.noiseless:
         raise ModeError("alg1_policy requires sigma2 = 0")
@@ -129,15 +130,11 @@ def alg1_policy(inst: Instance, ec_max: float) -> Policy:
     geom = instance_geometry(inst)
     if not geom.part2:
         return Policy(1.0, 1.0, forced=geom.d1)
-    if geom.m == 0.0:
-        # A posterior weight underflowed to 0: the adversary is already
-        # certain, and truthfulness has zero conference error.
+    if geom.pv == 0.0:
+        # pv underflowed to 0: the adversary is already certain, and
+        # truthfulness has zero conference error. pu = 0 gives q2 = 1.
         return Policy(1.0, 1.0)
-    if ec_max >= geom.m:
-        q2 = (max(geom.pu, geom.pv) - geom.pu) / geom.pv
-    else:
-        q2 = ((1.0 - ec_max) - geom.pu) / geom.pv
-    return Policy(1.0, q2)
+    return Policy(1.0, (1.0 - min(ec_max, geom.m) - geom.pu) / geom.pv)
 
 
 def alg3_policy(inst: Instance, ec_max: float) -> Union[Policy, Infeasible]:
@@ -208,7 +205,7 @@ def _normal_cdf(x, mean: float, sd: float) -> np.ndarray:
 
 
 def _affine_zeta_eta(pop: Population, span: float) -> tuple[float, float, float]:
-    """(zeta, eta, err) for two affine profiles over their score box.
+    """(zeta, eta, n/2n difference) for two affine profiles over their score box.
 
     The box is [lo, hi]^2, the union of the profiles' images of
     [-span, span]. With g = log f1 - log f2 quadratic,
@@ -315,7 +312,7 @@ def _roots(fn, xs: np.ndarray) -> np.ndarray:
 
 
 def _quality_zeta_eta(pop: Population, span: float) -> tuple[float, float, float]:
-    """(zeta, eta, err) over the qualities in [-span, span]^2, for any profiles.
+    """(zeta, eta, n/2n difference) over the qualities in [-span, span]^2, any profiles.
 
     With s1 = r1(x), s2 = r2(y) and k = log f1 - log f2, the integrand
     min(u, v)/2 ds1 ds2 is phi(x) phi(y) min(1, exp(g(y) - K(x)))/2 dx dy
@@ -324,7 +321,7 @@ def _quality_zeta_eta(pop: Population, span: float) -> tuple[float, float, float
     and g(y) = K(x) at y = h(x) and any other root, bisected where g is
     monotone: these cut the inner panels. The outer ones are cut where
     such cuts meet, leave the box or appear, and where h or h o h crosses
-    the uniform grid. err adds 4 Phi(-span), the mass outside the box.
+    the uniform grid.
     """
     r1, r2 = pop.reviewer1, pop.reviewer2
     logf = log_marginal_score_density
@@ -379,8 +376,7 @@ def _quality_zeta_eta(pop: Population, span: float) -> tuple[float, float, float
         rows = [inner(x[i : i + _ROWS], n) for i in range(0, x.size, _ROWS)]
         results.append([float(w @ np.concatenate(r)) for r in zip(*rows)])
     (zeta_c, eta_c), (zeta, eta) = results
-    err = abs(zeta - zeta_c) + abs(eta - eta_c) + 4.0 * std_normal_cdf(-span)
-    return zeta, eta, err
+    return zeta, eta, abs(zeta - zeta_c) + abs(eta - eta_c)
 
 
 def zeta_eta(
@@ -394,8 +390,8 @@ def zeta_eta(
     with n and 2n nodes per panel, and err sums their differences. For
     two affine profiles the inner integral is exact, and the box is the
     score box of settings.theta_span. Any other pair is integrated over
-    the qualities in [-theta_span, theta_span]^2, and err adds
-    4 Phi(-theta_span) for the mass outside. When err exceeds
+    the qualities in [-theta_span, theta_span]^2. On both paths err adds
+    4 Phi(-theta_span) for the mass outside the box. When err exceeds
     settings.abs_tol, AccuracyError is raised carrying zeta and err.
     There is no fallback path.
     """
@@ -407,6 +403,8 @@ def zeta_eta(
         zeta, eta, err = _affine_zeta_eta(pop, settings.theta_span)
     else:
         zeta, eta, err = _quality_zeta_eta(pop, settings.theta_span)
+    # Either box leaves out at most this much of min(u, v)/2.
+    err += 4.0 * std_normal_cdf(-settings.theta_span)
     if err > settings.abs_tol:
         raise AccuracyError("quadrature tolerance unmet", zeta, err)
     return zeta, eta, err

@@ -145,53 +145,45 @@ class ReviewerProfile:
         The probe checks forward(inverse(s)) = s within 1e-9 and strict
         monotonicity of the inverse on a grid of _PROBE_POINTS scores
         spanned by forward([-_PROBE_SPAN, _PROBE_SPAN]). Densities and
-        simulation call the maps on arrays, so each map is also called
-        once on its grid as an array and must match its float calls.
+        simulation call the maps on arrays, so each map is called once on
+        its grid as an array and must match its float calls there; the
+        checks then run on the float calls' values.
         """
-        thetas = [
-            -_PROBE_SPAN + 2.0 * _PROBE_SPAN * i / (_PROBE_POINTS - 1)
-            for i in range(_PROBE_POINTS)
-        ]
+        steps = 2.0 * _PROBE_SPAN * np.arange(_PROBE_POINTS) / (_PROBE_POINTS - 1)
+        thetas = steps - _PROBE_SPAN
+
+        def probe(name: str, fn, args: np.ndarray) -> np.ndarray:
+            values = np.array([fn(x) for x in args.tolist()], dtype=float)
+            try:
+                same = np.allclose(fn(args.copy()), values, 1e-9, 1e-9, True)
+            except (TypeError, ValueError):
+                # Float-only code fails on an array converting it to a
+                # float (TypeError) or testing its truth (ValueError).
+                same = False
+            if not same:
+                raise ConfigurationError(f"the {name} map treats an array unlike floats")
+            return values
+
         # Mismatched maps can overflow inside user-supplied callables; the
         # probe converts any such failure into a ConfigurationError, so the
         # intermediate warnings carry no information.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            scores = [forward(t) for t in thetas]
-            probe_pairs = [(inverse(s), s) for s in scores]
-            round_trip = [forward(theta) for theta, _ in probe_pairs]
-            derivs = [inverse_derivative(s) for s in scores]
-        for lo, hi in zip(scores, scores[1:]):
-            if not hi > lo:
+            scores = probe("forward", forward, thetas)
+            back = probe("inverse", inverse, scores)
+            probe("inverse_derivative", inverse_derivative, scores)
+            round_trip = forward(back)
+            scale = np.maximum(1.0, np.abs(scores))
+            if not np.all(scores[1:] > scores[:-1]):
                 raise ConfigurationError("forward map is not strictly increasing")
-        prev = None
-        for (theta, s), back in zip(probe_pairs, round_trip):
-            if not math.isfinite(s):
+            if not np.all(np.isfinite(scores)):
                 raise ConfigurationError("forward map produced a non-finite score")
-            if not abs(back - s) <= 1e-9 * max(1.0, abs(s)):
+            if not np.all(np.abs(round_trip - scores) <= 1e-9 * scale):
                 raise ConfigurationError(
                     "forward(inverse(s)) deviates from s beyond 1e-9 on the probe grid"
                 )
-            if prev is not None and theta <= prev:
+            if not np.all(back[1:] > back[:-1]):
                 raise ConfigurationError("inverse map is not strictly increasing")
-            prev = theta
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for name, fn, args, values in (
-                ("forward", forward, thetas, scores),
-                ("inverse", inverse, scores, [theta for theta, _ in probe_pairs]),
-                ("inverse_derivative", inverse_derivative, scores, derivs),
-            ):
-                try:
-                    same = np.allclose(fn(np.array(args)), values, 1e-9, 1e-9, True)
-                except (TypeError, ValueError):
-                    # Float-only code fails on an array converting it to a
-                    # float (TypeError) or testing its truth (ValueError).
-                    same = False
-                if not same:
-                    raise ConfigurationError(
-                        f"the {name} map treats an array unlike floats"
-                    )
         return ReviewerProfile(
             ProfileKind.GENERAL_MONOTONE,
             forward_fn=forward,
@@ -206,8 +198,6 @@ class ReviewerProfile:
         into (theta itself may be it), with the same values bit for bit.
         """
         if self.kind is ProfileKind.AFFINE:
-            if out is None:
-                return self.a * theta + self.b
             return _affine(theta, self.a, self.b, out)
         return _into(out, self.forward_fn(theta))
 

@@ -5,7 +5,9 @@ in the per-instance and average-case theory, and reproducing the
 exogenous-calibration benefit study (three scoring methods compared by
 Kendall-tau distance and the messy-middle error). It keeps no model
 math: the regime, posterior and MAP-guess formulas it applies to arrays
-live beside their scalar twins in model and adversary.
+live beside their scalar twins in model and adversary, the per-instance
+simulator reads its adversary errors from adversary.scenario_table, and
+Alg1Rule forms mechanism.alg1_policy's q2 expression on arrays.
 
 Determinism contract: all randomness flows from counter-based Philox
 streams derived as stream(seed, index) = Philox(key=seed, counter with
@@ -61,13 +63,14 @@ from .model import (
     ConfigurationError,
     Decision,
     Instance,
+    ModeError,
     Population,
     map_decisions,
     posterior_weight_arrays,
     quality_posterior,
 )
 from .frontier import ErrorPair, instance_geometry
-from .adversary import map_guess, map_guess_arrays
+from .adversary import map_guess_arrays, scenario_table
 from .mechanism import Policy, QuadratureSettings, alg2_policy
 
 _BLOCK = 1 << 16
@@ -231,12 +234,12 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
 
     Each replicate draws the assignment from its score posterior,
     qualities from the score-conditioned posteriors, runs the
-    randomized decision, and lets the MAP adversary guess (map_guess,
-    once per decision). Adversary ties are tallied as half an error.
-    A block counts its replicates in the four (assignment, accepted
-    paper) cells; each cell's adversary error, and in noiseless mode
-    its conference error, is fixed. An Infeasible target is not a
-    policy and raises ConfigurationError.
+    randomized decision, and lets the MAP adversary guess. Adversary
+    ties are tallied as half an error. A block counts its replicates in
+    the four (assignment, accepted paper) cells; each cell's adversary
+    error is read from scenario_table, and in noiseless mode its
+    conference error is fixed by the qualities the scores invert to. An
+    Infeasible target is not a policy and raises ConfigurationError.
     """
     if n < 1:
         raise ConfigurationError("n must be at least 1")
@@ -244,15 +247,10 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
     pu = geom.pu
     noisy = not inst.noiseless
     d1_p1 = geom.d1 is Decision.PAPER1
-    # Cell 2 * is_a1 + acc_p1 holds (assignment, accepted paper).
-    cells = [
-        (a, d)
-        for a in (Assignment.A2, Assignment.A1)
-        for d in (Decision.PAPER2, Decision.PAPER1)
-    ]
-    adv_table = np.array(
-        [map_guess(inst, policy, d).wrong_probability(a) for a, d in cells]
-    )
+    # Cell 2 * is_a1 + acc_p1 holds (assignment, accepted paper): the
+    # scenario table's order, (A1, paper 1) first, reversed.
+    cells = scenario_table(inst, policy).cells[::-1]
+    adv_table = np.array([c.adversary_wrong_prob for c in cells])
 
     if noisy:
         # Per paper: the draw maps of its quality posteriors under A1 and A2.
@@ -263,16 +261,9 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
     else:
         r1, r2 = inst.reviewer1, inst.reviewer2
         s1, s2 = inst.scores.s1, inst.scores.s2
-        # The qualities of papers 1 and 2 under each assignment.
-        th = {
-            Assignment.A1: (r1.invert(s1), r2.invert(s2)),
-            Assignment.A2: (r2.invert(s1), r1.invert(s2)),
-        }
-        worse = {a: (t1 < t2, t2 < t1) for a, (t1, t2) in th.items()}
-        conf_table = np.array(
-            [_count_wrong(np.bool_(d is Decision.PAPER1), *worse[a]) for a, d in cells],
-            dtype=float,
-        )
+        # The qualities of papers 1 and 2: (t1, t2) under A1, (u1, u2) under A2.
+        t1, t2, u1, u2 = r1.invert(s1), r2.invert(s2), r2.invert(s1), r1.invert(s2)
+        conf_table = np.array([u2 < u1, u1 < u2, t2 < t1, t1 < t2], dtype=float)
 
     def worker(block: int, offset: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
@@ -340,16 +331,15 @@ class Alg1Rule:
 
     def __init__(self, pop: Population, ec_value: float):
         if not pop.noiseless:
-            raise ConfigurationError("Alg1Rule is noiseless only")
+            raise ModeError("Alg1Rule requires sigma2 = 0")
         if not (0.0 <= ec_value <= 1.0):
             raise ConfigurationError("ec_value must lie in [0, 1]")
         self.pop = pop
         self.ec_value = float(ec_value)
 
     def batch(self, pu: np.ndarray, pv: np.ndarray):
-        # q2 = clip((1 - min(ec_value, pu, pv) - pu) / pv, 0, 1), formed in
-        # one array. A posterior weight can underflow to 0 at extreme
-        # scores; the ceiling is then 0 and truthful play is already optimal.
+        # alg1_policy's q2, clip((1 - min(ec_value, pu, pv) - pu) / pv, 0, 1),
+        # in one array. Where pv underflowed to 0, truthful play is optimal.
         q2 = np.minimum(pu, pv)
         np.minimum(self.ec_value, q2, out=q2)
         np.subtract(1.0, q2, out=q2)
@@ -503,6 +493,11 @@ class StudyConfig:
         for name in ("n_papers", "n_reviewers", "reviews_per_paper", "iterations"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be at least 1")
+        if self.reviews_per_paper > self.n_reviewers:
+            raise ConfigurationError(
+                f"reviews_per_paper ({self.reviews_per_paper}) exceeds "
+                f"n_reviewers ({self.n_reviewers}): a paper needs distinct reviewers"
+            )
         if (self.reviews_per_paper * self.n_papers) % self.n_reviewers != 0:
             raise ConfigurationError(
                 "total reviews must divide evenly among reviewers"
@@ -571,17 +566,23 @@ def _balanced_assignment(
     """Reviewer indices per (paper, slot), no reviewer repeated on a paper.
 
     Sampled by shuffling the reviewer multiset over the review slots and
-    rejecting draws where some paper sees the same reviewer twice.
+    rejecting draws where some paper sees the same reviewer twice. A draw
+    passes with probability about exp(-P k (k - 1) / (2 R)) for P papers,
+    R reviewers and k reviews per paper; the default config needs at most
+    46 draws. After 1,000 rejections a random permutation of the
+    reviewers is repeated cyclically over the slots instead: any k <= R
+    consecutive entries of it are distinct, and each reviewer fills load
+    slots.
     """
     load = cfg.reviews_per_paper * cfg.n_papers // cfg.n_reviewers
     slots = np.repeat(np.arange(cfg.n_reviewers), load)
-    for _ in range(10_000):
-        perm = rng.permutation(slots)
-        mat = perm.reshape(cfg.n_papers, cfg.reviews_per_paper)
+    shape = (cfg.n_papers, cfg.reviews_per_paper)
+    for _ in range(1_000):
+        mat = rng.permutation(slots).reshape(shape)
         srt = np.sort(mat, axis=1)
         if not np.any(srt[:, 1:] == srt[:, :-1]):
             return mat
-    raise ConfigurationError("could not sample a balanced assignment in 10000 tries")
+    return np.tile(rng.permutation(cfg.n_reviewers), load).reshape(shape)
 
 
 def _draw_conference(

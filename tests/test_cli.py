@@ -281,6 +281,32 @@ class TestStudyCommand:
         assert err.count("\n") == 1
         assert not (tmp_path / "study.csv").exists()
 
+    @pytest.mark.parametrize(
+        "papers, reviewers, k", [(12, 3, 3), (20, 4, 3), (10, 5, 5), (60, 4, 2)]
+    )
+    def test_dense_reviewer_pools_run(self, papers, reviewers, k, tmp_path):
+        """Pools too dense for rejection sampling still run the study."""
+        entries = {
+            **self.CFG,
+            "study.n_papers": papers,
+            "study.n_reviewers": reviewers,
+            "study.reviews_per_paper": k,
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        assert main(["study", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        _, rows = _read_csv(tmp_path / "study.csv")
+        assert len(rows) == 3
+
+    def test_more_reviews_than_reviewers_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.CFG, "study.n_reviewers": 2}))
+        assert main(["study", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: reviews_per_paper (3) exceeds")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "study.csv").exists()
+
     def test_zero_noise_variance_runs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**self.CFG, "study.noise_variances": [0.0]}))
@@ -474,6 +500,15 @@ class TestConfigFuzz:
         @example({**_TINY_STUDY, "study.noise_variances": [1e308]})
         @example({**_TINY_STUDY, "study.slope_rate": 1e-300})
         @example({**_TINY_STUDY, "study.bias_variance": 1e308})
+        @example({**_TINY_STUDY, "study.n_papers": 12, "study.reviews_per_paper": 3})
+        @example(
+            {
+                **_TINY_STUDY,
+                "study.n_papers": 10,
+                "study.n_reviewers": 5,
+                "study.reviews_per_paper": 5,
+            }
+        )
         def run(entries):
             _exits_0_2_or_3("study", entries, tmp_path)
 

@@ -30,6 +30,7 @@ from privcal import (
     zeta_eta,
 )
 from privcal.adversary import per_instance_errors
+from privcal.model import std_normal_cdf
 from privcal.frontier import frontier, instance_geometry, max_adversary_error_curve
 from privcal.simlab import Alg1Rule, TruthfulRule, simulate_average, simulate_instance
 from conftest import (
@@ -133,6 +134,8 @@ class TestAlg1Policy:
         noisy = make_instance(1, 0, 1, 1, 0.5, 0.5, 1.0)
         with pytest.raises(ModeError):
             alg1_policy(noisy, 0.2)
+        with pytest.raises(ModeError):
+            Alg1Rule(Population(noisy.reviewer1, noisy.reviewer2, 0.5), 0.2)
         inst = make_instance(1, 0, 1, 1, 0.0, 0.5, 1.0)
         with pytest.raises(ConfigurationError):
             alg1_policy(inst, -0.1)
@@ -151,6 +154,32 @@ class TestAlg1Policy:
             assert err.ec == pytest.approx(want, abs=1e-12)
             assert err.ea == pytest.approx(want, abs=1e-12)
             assert 0.0 <= pol.q2 <= 1.0
+
+    def test_q2_equals_alg1_rule_bit_for_bit(self, rng):
+        """alg1_policy and Alg1Rule.batch form q2 by one expression. On
+        random noiseless instances with slopes 0.05-20, underflowed
+        posterior weights included, they agree bit for bit at the targets
+        0, m and 1, next to m, and drawn either side of m."""
+        randomizing = underflowed = 0
+        for _ in range(1000):
+            a = np.exp(rng.uniform(math.log(0.05), math.log(20.0), 2))
+            b = rng.normal(0.0, 1.0, 2)
+            s = rng.normal(0.0, 3.0, 2)
+            inst = make_instance(a[0], b[0], a[1], b[1], 0.0, s[0], s[1])
+            geom = instance_geometry(inst)
+            if not geom.part2:
+                continue
+            randomizing += 1
+            underflowed += geom.m == 0.0
+            m, pop = geom.m, Population(inst.reviewer1, inst.reviewer2)
+            targets = [0.0, m, 1.0, np.nextafter(m, 0.0), np.nextafter(m, 1.0)]
+            targets += [rng.uniform(0.0, m), rng.uniform(m, 1.0)]
+            for ec in map(float, targets):
+                want = np.array([alg1_policy(inst, ec).q2])
+                _, q2 = Alg1Rule(pop, ec).batch(np.array([geom.pu]), np.array([geom.pv]))
+                assert q2.view(np.int64) == want.view(np.int64), (inst, ec)
+        assert underflowed > 20
+        assert randomizing - underflowed > 100
 
 
 def general_part2_instances(pop: Population, rng, count: int) -> list:
@@ -373,10 +402,27 @@ class TestZetaEta:
             ReviewerProfile.affine(a[0], b[0]), ReviewerProfile.affine(a[1], b[1])
         )
         span = float(rng.uniform(0.5, 4.0))
-        zeta, eta, _ = zeta_eta(pop, QuadratureSettings(theta_span=span))
+        # err counts 4 Phi(-span), up to 1.23 at span 0.5, for the mass
+        # outside the box, which the oracle leaves out as well.
+        zeta, eta, _ = zeta_eta(pop, QuadratureSettings(abs_tol=4.0, theta_span=span))
         want = nested_quad_zeta_eta(pop, span)
         assert zeta == pytest.approx(want[0], abs=1e-9)
         assert eta == pytest.approx(want[1], abs=1e-9)
+
+    def test_narrow_box_raises_on_both_paths(self):
+        """At theta_span 2 about 4 Phi(-2) = 0.091 of min(u, v)/2 lies
+        outside the box. Both paths count it in err, so REF1 raises with
+        the bound of its general-map form."""
+        narrow = QuadratureSettings(theta_span=2.0)
+        general = Population(as_general(REF1.reviewer1), as_general(REF1.reviewer2))
+        with pytest.raises(AccuracyError) as affine:
+            zeta_eta(REF1, narrow)
+        with pytest.raises(AccuracyError) as quality:
+            zeta_eta(general, narrow)
+        assert affine.value.error_bound >= 4.0 * std_normal_cdf(-2.0)
+        assert affine.value.error_bound == pytest.approx(
+            quality.value.error_bound, abs=1e-9
+        )
 
     def test_settings_have_no_fallback_fields(self):
         assert [f.name for f in dataclasses.fields(QuadratureSettings)] == [

@@ -710,6 +710,31 @@ class TestBalancedAssignment:
         counts = np.bincount(mat.ravel(), minlength=cfg.n_reviewers)
         assert np.all(counts == cfg.reviews_per_paper * cfg.n_papers // cfg.n_reviewers)
 
+    @pytest.mark.parametrize(
+        "papers, reviewers, k", [(12, 3, 3), (20, 3, 3), (10, 5, 5), (100, 10, 3)]
+    )
+    def test_dense_pools_fall_back_to_a_cyclic_permutation(self, papers, reviewers, k):
+        """Pools whose shuffles all repeat a reviewer on some paper get a
+        random permutation of the reviewers repeated over the slots: its
+        rows hold distinct reviewers, and every reviewer the same load."""
+        cfg = StudyConfig(
+            n_papers=papers,
+            n_reviewers=reviewers,
+            reviews_per_paper=k,
+            accept_top=5,
+            messy_lo=1,
+            messy_hi=papers,
+        )
+        load = k * papers // reviewers
+        for seed in range(3):
+            mat = _balanced_assignment(stream(seed, 0), cfg)
+            assert mat.shape == (papers, k)
+            flat = mat.ravel()
+            assert np.array_equal(flat, np.tile(flat[:reviewers], load))
+            srt = np.sort(mat, axis=1)
+            assert not np.any(srt[:, 1:] == srt[:, :-1])
+            assert np.all(np.bincount(flat, minlength=reviewers) == load)
+
 
 class TestStudy:
     SMALL = StudyConfig(
@@ -773,6 +798,8 @@ class TestStudy:
             StudyConfig(accept_top=50, messy_lo=11, messy_hi=40)
         with pytest.raises(ConfigurationError):
             StudyConfig(slope_rate=0.0)
+        with pytest.raises(ConfigurationError, match="reviews_per_paper"):
+            StudyConfig(n_papers=4, n_reviewers=2, reviews_per_paper=3, messy_lo=1)
 
 
 class TestWithinConferenceFit:
