@@ -4,9 +4,9 @@ The adversary observes the scores, the published policy, and the
 accepted paper, and guesses the assignment by maximizing the posterior.
 The scenario table enumerating the four (assignment, decision) outcomes
 is the single source of truth for error probabilities: map_guess and
-scenario_table read the MAP comparison from _decision_probs and
-_compare, per_instance_errors and the per-instance simulator read the
-table, and the average-case simulator reads its array twin,
+scenario_table read each observed decision's likelihoods and MAP guess
+from _observe, per_instance_errors and the per-instance simulator read
+the table, and the average-case simulator reads its array twin,
 map_guess_arrays. The independent
 cross-checks (the piecewise closed form and a vectorized grid form) live
 in the test suite, not here. The randomized-response bookkeeping for the
@@ -61,14 +61,6 @@ class ScenarioTable:
         return sum(c.probability * c.adversary_wrong_prob for c in self.cells)
 
 
-def _compare(l1: float, l2: float) -> Guess:
-    if l1 > l2:
-        return Guess(GuessKind.A1)
-    if l1 < l2:
-        return Guess(GuessKind.A2)
-    return Guess(GuessKind.UNIFORM_TIE)
-
-
 def _q(policy) -> tuple[float, float]:
     """(q1, q2) of a policy. An Infeasible target has no policy to evaluate."""
     if isinstance(policy, Infeasible):
@@ -76,16 +68,20 @@ def _q(policy) -> tuple[float, float]:
     return policy.q1, policy.q2
 
 
-def _decision_probs(geom: InstanceGeometry, q1: float, q2: float, d: Decision):
-    """(Pr(D = d | A1), Pr(D = d | A2)) under the policy."""
+def _observe(geom: InstanceGeometry, q1: float, q2: float, d: Decision):
+    """(Pr(D = d | A1), Pr(D = d | A2), MAP guess given D = d) under the policy.
+
+    The guess compares pu * Pr(d | A1) against pv * Pr(d | A2); exact
+    equality yields a uniform coin flip.
+    """
     if not geom.part2:
-        if geom.tie:
-            return 0.5, 0.5
-        on = 1.0 if d is geom.d1 else 0.0
-        return on, on
-    p_a1 = q1 if d is geom.d1 else 1.0 - q1
-    p_a2 = q2 if d is geom.d2 else 1.0 - q2
-    return p_a1, p_a2
+        p_a1 = p_a2 = 0.5 if geom.tie else 1.0 if d is geom.d1 else 0.0
+    else:
+        p_a1 = q1 if d is geom.d1 else 1.0 - q1
+        p_a2 = q2 if d is geom.d2 else 1.0 - q2
+    l1, l2 = geom.pu * p_a1, geom.pv * p_a2
+    kind = GuessKind.A1 if l1 > l2 else GuessKind.A2 if l1 < l2 else GuessKind.UNIFORM_TIE
+    return p_a1, p_a2, Guess(kind)
 
 
 def map_guess(inst: Instance, policy, observed: Decision) -> Guess:
@@ -96,10 +92,7 @@ def map_guess(inst: Instance, policy, observed: Decision) -> Guess:
     instances the decision carries no information and the comparison
     reduces to the scores alone.
     """
-    geom = instance_geometry(inst)
-    q1, q2 = _q(policy)
-    p_a1, p_a2 = _decision_probs(geom, q1, q2, observed)
-    return _compare(geom.pu * p_a1, geom.pv * p_a2)
+    return _observe(instance_geometry(inst), *_q(policy), observed)[2]
 
 
 def map_guess_arrays(pu, pv, idx, q1, q2, d1, d2, acc, out=None):
@@ -141,16 +134,14 @@ def _observed_likelihood(w, idx, q, d_own, d_other, acc, out, scratch):
 def scenario_table(inst: Instance, policy) -> ScenarioTable:
     """Enumerate the four scenarios and the adversary's fate in each."""
     geom = instance_geometry(inst)
-    q1, q2 = _q(policy)
-    cells = []
-    for truth, weight in ((Assignment.A1, geom.pu), (Assignment.A2, geom.pv)):
-        for d in (Decision.PAPER1, Decision.PAPER2):
-            p_a1, p_a2 = _decision_probs(geom, q1, q2, d)
-            cond = p_a1 if truth is Assignment.A1 else p_a2
-            guess = _compare(geom.pu * p_a1, geom.pv * p_a2)
-            cells.append(
-                ScenarioCell(truth, d, weight * cond, guess.wrong_probability(truth))
-            )
+    decisions = (Decision.PAPER1, Decision.PAPER2)
+    seen = [_observe(geom, *_q(policy), d) for d in decisions]
+    weights = ((Assignment.A1, geom.pu), (Assignment.A2, geom.pv))
+    cells = [
+        ScenarioCell(truth, d, weight * obs[k], obs[2].wrong_probability(truth))
+        for k, (truth, weight) in enumerate(weights)
+        for d, obs in zip(decisions, seen)
+    ]
     return ScenarioTable(tuple(cells))
 
 

@@ -7,15 +7,18 @@ calibration benefit study). Every run writes a CSV and a JSON manifest
 holding the fully resolved configuration; re-running with the manifest
 as the config reproduces the CSV byte for byte.
 
-Each config value is coerced to the type of its default: floats, or
-integers, which must be integral (seeds lie in [0, 2^64)), or for the
-study's noise variances a nonempty list of floats. The study's keys and
-defaults come from the fields of StudyConfig.
+A flag (--seed, --ec, --grid) is a config entry, its text read as JSON
+(else kept as a string). _coerce alone converts each value to the type
+of its default: floats, or integers, which must be integral, or for the
+study's noise variances a nonempty list of floats; simlab owns the seed
+and replicate-count ranges. The study's keys and defaults come from the
+fields of StudyConfig.
 
 Exit codes: 0 success (infeasible policy targets included), 2
-configuration error, 3 numerical failure: a quadrature accuracy
-failure, or a degenerate instance whose scores are so extreme that both
-assignment likelihoods underflow to zero.
+configuration error (parser errors included), 3 numerical failure: a
+quadrature accuracy failure, or a degenerate instance whose scores are
+so extreme that both assignment likelihoods underflow to zero. Exits 2
+and 3 print one line to stderr.
 """
 
 from __future__ import annotations
@@ -81,7 +84,8 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: malformed JSON or UTF-8, or an integer past the digit limit.
+    except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}")
     if not isinstance(data, dict):
         raise ConfigurationError("config must be a JSON object of flat keys")
@@ -104,42 +108,36 @@ def _coerce(key: str, value, default):
             return float(value)
         if isinstance(value, float) and not value.is_integer():
             raise ValueError
-        number = int(value)
+        return int(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(f"{key} must be {kind}, got {value!r}") from None
-    if key == "seed" and not 0 <= number < 2**64:
-        raise ConfigurationError(f"seed must lie in [0, 2^64), got {number}")
-    return number
 
 
-def _typed(command: str, cfg: dict) -> dict:
-    """The resolved config with every value coerced to its default's type."""
+def _resolve(args: argparse.Namespace) -> tuple[dict, dict]:
+    """(raw, typed) config: the defaults, then the file's entries, then the
+    flags'; typed holds each value coerced to its default's type."""
+    command = args.command
     defaults = _DEFAULTS[command]
-    return {key: _coerce(key, value, defaults[key]) for key, value in cfg.items()}
-
-
-def _resolve(command: str, args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS[command])
+    cfg = dict(defaults)
     if args.config:
-        file_cfg = _load_config(args.config)
-        for key, value in file_cfg.items():
+        for key, value in _load_config(args.config).items():
             if key not in cfg:
                 raise ConfigurationError(f"unknown config key for {command}: {key}")
             cfg[key] = value
     for flag in ("seed", "ec", "grid"):
-        value = getattr(args, flag, None)
-        if value is not None:
+        text = getattr(args, flag)
+        if text is not None:
             if flag not in cfg:
                 raise ConfigurationError(f"--{flag} is not accepted by {command}")
-            cfg[flag] = value
-    if getattr(args, "mode", None) is not None and "instance.sigma2" in cfg:
-        noisy = _coerce("instance.sigma2", cfg["instance.sigma2"], 0.0) > 0.0
-        if (args.mode == "noisy") != noisy:
-            raise ConfigurationError(
-                f"--mode {args.mode} conflicts with instance.sigma2="
-                f"{cfg['instance.sigma2']}"
-            )
-    return cfg
+            try:
+                cfg[flag] = json.loads(text)
+            except ValueError:
+                cfg[flag] = text
+    typed = {key: _coerce(key, value, defaults[key]) for key, value in cfg.items()}
+    sigma2 = typed.get("instance.sigma2")
+    if args.mode and sigma2 is not None and (args.mode == "noisy") != (sigma2 > 0.0):
+        raise ConfigurationError(f"--mode {args.mode} conflicts with instance.sigma2={sigma2}")
+    return cfg, typed
 
 
 def _build_instance(cfg: dict) -> Instance:
@@ -323,48 +321,50 @@ def cmd_study(cfg: dict) -> list[list[str]]:
 
 
 _COMMANDS = {
-    "frontier": (cmd_frontier, _FRONTIER_HEADER),
-    "policy": (cmd_policy, _POLICY_HEADER),
-    "simulate": (cmd_simulate, _SIMULATE_HEADER),
-    "study": (cmd_study, _STUDY_HEADER),
+    "frontier": (cmd_frontier, _FRONTIER_HEADER, "Pareto endpoints and max-adversary curve"),
+    "policy": (cmd_policy, _POLICY_HEADER, "one policy with its analytic errors"),
+    "simulate": (cmd_simulate, _SIMULATE_HEADER, "seeded Monte Carlo of one instance"),
+    "study": (cmd_study, _STUDY_HEADER, "reviewer-calibration benefit study"),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors are configuration errors; --help still exits 0."""
+
+    def error(self, message: str):
+        raise ConfigurationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="privcal",
         description="Privacy-preserving calibration: frontiers, policies, simulations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("frontier", "Pareto endpoints and the max-adversary-error curve"),
-        ("policy", "one policy with its analytic errors"),
-        ("simulate", "seeded Monte Carlo of one instance"),
-        ("study", "reviewer-calibration benefit study"),
-    ):
+    for name, (_, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config (flat dotted keys) or a manifest")
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--seed", type=int, help="64-bit unsigned seed")
-        p.add_argument("--ec", type=float, help="conference-error target")
+        p.add_argument("--seed", help="64-bit unsigned seed")
+        p.add_argument("--ec", help="conference-error target")
         p.add_argument(
             "--mode",
             choices=("noiseless", "noisy"),
             help="assert the instance's noise mode",
         )
-        p.add_argument("--grid", type=int, help="grid point count (frontier)")
+        p.add_argument("--grid", help="grid point count (frontier)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        cfg = _resolve(args.command, args)
+        args = _build_parser().parse_args(argv)
+        cfg, typed = _resolve(args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        runner, header = _COMMANDS[args.command]
-        rows = runner(_typed(args.command, cfg))
+        runner, header, _ = _COMMANDS[args.command]
+        rows = runner(typed)
         csv_path = out / f"{args.command}.csv"
         _write_csv(csv_path, header, rows)
         _write_manifest(out, args.command, cfg, started, csv_path)

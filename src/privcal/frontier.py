@@ -166,32 +166,15 @@ def _endpoint(geom: InstanceGeometry) -> tuple[float, tuple[float, float]]:
     big = max(geom.pu, geom.pv)
     candidates = []
     # A posterior weight can underflow to exactly 0 at extreme scores;
-    # the corresponding vertex is then the other one with q = 1.
+    # the corresponding vertex is then the other one with q = 1. Both
+    # vertices lie in [0, 1] after rounding: 0 <= big - pu <= pv, and
+    # likewise for pv.
     if geom.pv > 0.0:
-        q2 = (big - geom.pu) / geom.pv
-        if -1e-12 <= q2 <= 1.0 + 1e-12:
-            candidates.append((1.0, min(max(q2, 0.0), 1.0)))
+        candidates.append((1.0, (big - geom.pu) / geom.pv))
     if geom.pu > 0.0:
-        q1 = (big - geom.pv) / geom.pu
-        if -1e-12 <= q1 <= 1.0 + 1e-12:
-            candidates.append((min(max(q1, 0.0), 1.0), 1.0))
+        candidates.append(((big - geom.pv) / geom.pu, 1.0))
     best = max(candidates, key=lambda q: geom.alpha1 * q[0] + geom.alpha2 * q[1])
     return geom.conference_error(*best), best
-
-
-def _segment(geom: InstanceGeometry) -> FrontierSegment:
-    end_ec, _ = _endpoint(geom)
-    return FrontierSegment(
-        SegmentKind.SEGMENT,
-        ErrorPair(geom.truthful_ec, 0.0),
-        ErrorPair(end_ec, geom.m),
-        geom.truthful_ec,
-    )
-
-
-def _point(geom: InstanceGeometry) -> FrontierSegment:
-    p = ErrorPair(geom.forced_ec, geom.m)
-    return FrontierSegment(SegmentKind.POINT, p, p, p.ec)
 
 
 def frontier(inst: Instance) -> FrontierSegment:
@@ -203,7 +186,12 @@ def frontier(inst: Instance) -> FrontierSegment:
     the score-only ceiling m.
     """
     geom = instance_geometry(inst)
-    return _segment(geom) if geom.part2 else _point(geom)
+    if not geom.part2:
+        p = ErrorPair(geom.forced_ec, geom.m)
+        return FrontierSegment(SegmentKind.POINT, p, p, p.ec)
+    end = ErrorPair(_endpoint(geom)[0], geom.m)
+    start = ErrorPair(geom.truthful_ec, 0.0)
+    return FrontierSegment(SegmentKind.SEGMENT, start, end, geom.truthful_ec)
 
 
 def _w_interval(geom: InstanceGeometry, t: float) -> tuple[float, float, float, float]:

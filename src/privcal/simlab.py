@@ -12,17 +12,18 @@ Alg1Rule forms mechanism.alg1_policy's q2 expression on arrays.
 Determinism contract: all randomness flows from counter-based Philox
 streams derived as stream(seed, index) = Philox(key=seed, counter with
 index in the high word). Replicates are processed in fixed-size blocks,
-block i drawing from stream(seed, i), and partial sums are reduced in
+block i drawing from stream(seed, i), and block totals are summed in
 block order, so results are a pure function of (inputs, seed) no matter
 how many threads run the blocks: PRIVCAL_THREADS, by default one per
-core the process may use, the calling thread among them.
+core the process may use, the calling thread among them. stream owns the
+seed rule and _run_blocks the replicate-count rule, for every caller.
 
 A block draws all its random numbers first, in a fixed order, and then
 evaluates them in slices of _CHUNK (2^15) replicates, two per block. It
 reduces its replicates to exact counts: conference errors, firm wrong
-guesses of the adversary, and its ties at half an error. Every block
-total is an integer or half-integer far below 2^53, so it equals the
-float sum of per-replicate errors bit for bit.
+guesses of the adversary, and its ties at half an error. Every running
+total is an integer or half-integer of at most n, and 2n <= 2^53, so it
+equals the float sum of per-replicate errors bit for bit.
 
 Workspace: each thread keeps, for as long as it lives, the arrays its
 blocks use (_Workspace, 4.3 MiB, touched only as far as a block needs):
@@ -54,6 +55,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -86,12 +88,15 @@ _DRAW_ROWS = 6
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
-    """The documented counter-based stream derivation.
+    """The documented counter-based stream derivation, and the seed rule.
 
     Distinct indices occupy disjoint counter ranges of the same keyed
     Philox generator, so streams never overlap and the derivation is
-    reproducible across platforms.
+    reproducible across platforms. A seed that is not an integer in
+    [0, 2^64), a bool included, raises ConfigurationError.
     """
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 2**64:
+        raise ConfigurationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     bg = np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, np.uint64(index)])
     return np.random.Generator(bg)
 
@@ -171,6 +176,13 @@ def _gather(a: np.ndarray, idx: np.ndarray, row: np.ndarray) -> np.ndarray:
     return view
 
 
+def _accepts_paper1(d1_p1, a1, coin, q1, q2):
+    """Paper 1 is accepted iff d1 is paper 1 XOR (truthful play != A1); play
+    is truthful when coin < q1 under A1 and coin < q2 under A2."""
+    truthful = (a1 & (coin < q1)) | (~a1 & (coin < q2))
+    return d1_p1 ^ (truthful != a1)
+
+
 def _count_wrong(acc_p1, p1_worse, p2_worse) -> int:
     """Replicates whose accepted paper has the lower quality."""
     return np.count_nonzero((acc_p1 & p1_worse) | (~acc_p1 & p2_worse))
@@ -185,20 +197,32 @@ def _helpers(count: int) -> ThreadPoolExecutor:
 def _run_blocks(n: int, seed: int, worker: Callable[[int, int, int], np.ndarray]):
     """Run worker(block_index, offset, count) on every block, from the calling
     thread and helpers that take block indices from one locked iterator, and
-    sum its (conference, adversary) totals in block order into a SimResult."""
-    parts = [None] * -(-n // _BLOCK)
-    blocks, lock = iter(range(len(parts))), threading.Lock()
+    fold its (conference, adversary) totals, in block order as soon as every
+    earlier block's are in, into a SimResult. n must be an integer in
+    [1, 2^52]: totals count half errors, so their float sum is exact only
+    while 2n <= 2^53."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or not 1 <= n <= 2**52:
+        raise ConfigurationError(f"n must be an integer in [1, 2^52], got {n!r}")
+    count = -(-n // _BLOCK)
+    blocks, lock = iter(range(count)), threading.Lock()
+    total, pending, folded = np.zeros(2), {}, 0
 
     def drain() -> None:
+        nonlocal total, folded
         while True:
             with lock:
                 i = next(blocks, None)
             if i is None:
                 return
-            parts[i] = worker(i, i * _BLOCK, min(_BLOCK, n - i * _BLOCK))
+            part = worker(i, i * _BLOCK, min(_BLOCK, n - i * _BLOCK))
+            with lock:
+                pending[i] = part
+                while folded in pending:
+                    total += pending.pop(folded)
+                    folded += 1
 
     threads = _thread_count()
-    spare = min(threads, len(parts)) - 1
+    spare = min(threads, count) - 1
     helpers = [_helpers(threads - 1).submit(drain) for _ in range(spare)]
     try:
         drain()
@@ -207,7 +231,7 @@ def _run_blocks(n: int, seed: int, worker: Callable[[int, int, int], np.ndarray]
         for helper in helpers:
             if not helper.cancel():
                 helper.result()
-    conf_total, adv_total = sum(parts[1:], parts[0])
+    conf_total, adv_total = total
     p_ec, p_ea = float(conf_total) / n, float(adv_total) / n
     return SimResult(
         ErrorPair(p_ec, p_ea), _binomial_se(p_ec, n), _binomial_se(p_ea, n), n, seed
@@ -241,8 +265,6 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
     conference error is fixed by the qualities the scores invert to. An
     Infeasible target is not a policy and raises ConfigurationError.
     """
-    if n < 1:
-        raise ConfigurationError("n must be at least 1")
     geom = instance_geometry(inst)
     pu = geom.pu
     noisy = not inst.noiseless
@@ -288,9 +310,7 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
                 sl = slice(lo, lo + _CHUNK)
                 a1 = is_a1[sl]
                 if geom.part2:
-                    c = coin[sl]
-                    truthful = (a1 & (c < policy.q1)) | (~a1 & (c < policy.q2))
-                    acc_p1 = d1_p1 ^ (truthful != a1)
+                    acc_p1 = _accepts_paper1(d1_p1, a1, coin[sl], policy.q1, policy.q2)
                 elif geom.tie:
                     acc_p1 = tie_coin[sl] < 0.5
                 else:
@@ -387,8 +407,6 @@ def simulate_average(
     population (pop) must carry this one, since it reads this
     population's posterior weights.
     """
-    if n < 1:
-        raise ConfigurationError("n must be at least 1")
     if getattr(policy_rule, "pop", pop) != pop:
         raise ConfigurationError("the policy rule was built for another population")
     r1, r2 = pop.reviewer1, pop.reviewer2
@@ -418,7 +436,7 @@ def simulate_average(
         # From here the rows hold randomizing replicates only.
         rows = rows[:, : idx.size]
         c = np.take(coin[sl], idx, out=rows[2], mode="clip")
-        acc = d1 ^ (((a1p & (c < q1)) | (~a1p & (c < q2))) != a1p)
+        acc = _accepts_paper1(d1, a1p, c, q1, q2)
         acc_p1 = d1_p1
         acc_p1[idx] = acc
         guess_a1, guess_a2 = map_guess_arrays(
@@ -567,17 +585,19 @@ def _balanced_assignment(
 
     Sampled by shuffling the reviewer multiset over the review slots and
     rejecting draws where some paper sees the same reviewer twice. A draw
-    passes with probability about exp(-P k (k - 1) / (2 R)) for P papers,
-    R reviewers and k reviews per paper; the default config needs at most
-    46 draws. After 1,000 rejections a random permutation of the
-    reviewers is repeated cyclically over the slots instead: any k <= R
-    consecutive entries of it are distinct, and each reviewer fills load
-    slots.
+    passes with probability about exp(-P k (k - 1) / (2 R)) =
+    exp(-(k - 1) load / 2) for P papers, R reviewers, k reviews per paper
+    and load = P k / R; the default config needs at most 46 draws. After
+    1,000 rejections, or at once when the estimate is below 1e-9, a
+    random permutation of the reviewers is repeated cyclically over the
+    slots instead: any k <= R consecutive entries of it are distinct, and
+    each reviewer fills load slots.
     """
     load = cfg.reviews_per_paper * cfg.n_papers // cfg.n_reviewers
     slots = np.repeat(np.arange(cfg.n_reviewers), load)
     shape = (cfg.n_papers, cfg.reviews_per_paper)
-    for _ in range(1_000):
+    hopeless = (cfg.reviews_per_paper - 1) * load > 2 * math.log(1e9)
+    for _ in range(0 if hopeless else 1_000):
         mat = rng.permutation(slots).reshape(shape)
         srt = np.sort(mat, axis=1)
         if not np.any(srt[:, 1:] == srt[:, :-1]):

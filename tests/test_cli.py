@@ -57,6 +57,18 @@ class TestConfigResolution:
         assert main(["policy", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize(
+        "raw", [b'{"ec": 0.2\xff}', b'{"seed": ' + b"1" * 5000 + b"}"], ids=["utf8", "digits"]
+    )
+    def test_undecodable_config_exits_2(self, raw, tmp_path, capsys):
+        """Bytes that are not UTF-8, or an integer past Python's digit limit."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(raw)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot read config")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "command, entries, key",
         [
             ("frontier", {"instance.s1": "abc"}, "instance.s1"),
@@ -74,6 +86,7 @@ class TestConfigResolution:
             ("study", {"study.noise_variances": [None]}, "study.noise_variances"),
             ("study", {"study.noise_variances": 0.5}, "study.noise_variances"),
             ("study", {"study.noise_variances": []}, "study.noise_variances"),
+            ("simulate", {"simulate.n": 1e18}, "n must be an integer"),
         ],
     )
     def test_uncoercible_value_exits_2(self, command, entries, key, tmp_path, capsys):
@@ -84,6 +97,33 @@ class TestConfigResolution:
         assert err.startswith(f"configuration error: {key}")
         assert err.count("\n") == 1
         assert not (tmp_path / f"{command}.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["policy", "--ec", "abc"],
+            ["simulate", "--seed", "-3"],
+            ["simulate", "--seed", "2.5"],
+            ["frontier", "--grid", "3.9"],
+            ["frontier", "--mode", "weird"],
+            ["policy", "--bogus", "1"],
+            [],
+        ],
+    )
+    def test_bad_argument_exits_2_with_one_line(self, argv, tmp_path, capsys):
+        """Flags go through the config's coercion, and parser errors are
+        configuration errors: no usage text, no SystemExit."""
+        assert main(argv + ["--out", str(tmp_path)] if argv else []) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["policy", "--help"])
+        assert stop.value.code == 0
+        assert "--ec" in capsys.readouterr().out
 
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--seed", "-3", "--out", str(tmp_path)]) == 2
@@ -108,6 +148,19 @@ class TestConfigResolution:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(entries))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize(
+        "command, flag, text", [("frontier", "grid", "11.0"), ("simulate", "seed", "1e3")]
+    )
+    def test_integral_flag_values_accepted(self, command, flag, text, tmp_path):
+        """A flag reads as its config entry: --grid 11.0 runs as {"grid": 11.0}."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag: json.loads(text)}))
+        by_flag, by_file = tmp_path / "flag", tmp_path / "file"
+        assert main([command, f"--{flag}", text, "--out", str(by_flag)]) == 0
+        assert main([command, "--config", str(cfg), "--out", str(by_file)]) == 0
+        csv = f"{command}.csv"
+        assert (by_flag / csv).read_bytes() == (by_file / csv).read_bytes()
 
 
 class TestFrontierCommand:
@@ -353,6 +406,16 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert (tmp_path / "policy.csv").exists()
 
+    def test_entry_point_exits_2_with_one_line(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "privcal.cli", "policy", "--ec", "abc", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "configuration error: ec must be a number, got 'abc'\n"
+        assert not (tmp_path / "policy.csv").exists()
+
 
 class TestGoldenCsv:
     """CLI CSVs compared byte for byte with tests/data/golden/.
@@ -459,18 +522,25 @@ _TINY_STUDY = {
 }
 
 
-def _exits_0_2_or_3(command: str, entries: dict, tmp_path: Path) -> None:
-    """The run exits 0, or 2 or 3 with one stderr line and no CSV."""
-    cfg = tmp_path / "cfg.json"
+def _outcome(command: str, entries: dict, flags: list, out: Path) -> tuple:
+    """(exit code, first stderr line, CSV bytes or None) of one run, which
+    exits 0, or 2 or 3 with one stderr line and no CSV, and never raises
+    SystemExit."""
+    cfg = out.with_suffix(".json")
     cfg.write_text(json.dumps(entries))
-    out = tmp_path / "out"
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main([command, "--config", str(cfg), "--out", str(out)])
+    try:
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg), *flags, "--out", str(out)])
+    except SystemExit as stop:
+        pytest.fail(f"SystemExit({stop.code}) out of main(): {err.getvalue()!r}")
     assert code in (0, 2, 3)
     assert err.getvalue().count("\n") == (code != 0)
-    assert (out / f"{command}.csv").exists() == (code == 0)
-    (out / f"{command}.csv").unlink(missing_ok=True)
+    csv = out / f"{command}.csv"
+    assert csv.exists() == (code == 0)
+    data = csv.read_bytes() if csv.exists() else None
+    csv.unlink(missing_ok=True)
+    return code, err.getvalue().splitlines()[:1], data
 
 
 class TestConfigFuzz:
@@ -487,7 +557,7 @@ class TestConfigFuzz:
         @example({"instance.sigma2": 1.2e308})
         @example({"instance.a1": 5e-324, "instance.a2": 5e-324, "instance.sigma2": 1e-170})
         def run(entries):
-            _exits_0_2_or_3(command, entries, tmp_path)
+            _outcome(command, entries, [], tmp_path / "out")
 
         run()
 
@@ -510,7 +580,35 @@ class TestConfigFuzz:
             }
         )
         def run(entries):
-            _exits_0_2_or_3("study", entries, tmp_path)
+            _outcome("study", entries, [], tmp_path / "out")
+
+        run()
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("frontier", "grid"),
+            ("policy", "ec"),
+            ("simulate", "ec"),
+            ("simulate", "seed"),
+            ("study", "seed"),
+        ],
+    )
+    def test_flag_runs_as_its_config_entry(self, command, key, tmp_path):
+        """--KEY=<json.dumps(value)> and a config file {KEY: value} give the
+        same exit code, first stderr line and CSV bytes. The flag is one
+        --KEY=TEXT token: argparse reads a separate token such as -1e-05 or
+        -Infinity as an option rather than as the flag's value."""
+        base = {"simulate": {"simulate.n": 2000}, "study": _TINY_STUDY}.get(command, {})
+        values = _COUNT_KEYS["grid"] if key == "grid" else _ANY_VALUE
+
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        @given(values)
+        def run(value):
+            flag = [f"--{key}={json.dumps(value)}"]
+            by_flag = _outcome(command, base, flag, tmp_path / "flag")
+            by_file = _outcome(command, {**base, key: value}, [], tmp_path / "file")
+            assert by_flag == by_file
 
         run()
 

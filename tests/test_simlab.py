@@ -1,7 +1,9 @@
 """Tests for the simulation harness and the calibration study."""
 
+import dataclasses
 import math
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -44,7 +46,7 @@ from privcal.simlab import (
 from privcal.adversary import per_instance_errors
 from privcal.model import posterior_weight_arrays
 from privcal.mechanism import alg1_policy, alg3_policy
-from privcal.frontier import instance_geometry
+from privcal.frontier import ErrorPair, instance_geometry
 from conftest import (
     kendall_tau_pairs,
     make_instance,
@@ -86,6 +88,56 @@ class TestStreams:
         a = stream(0, 0).random(1 << 12)
         b = stream(0, 1).random(1 << 12)
         assert not np.intersect1d(a, b).size
+
+
+class TestInputRules:
+    """stream owns the seed rule and _run_blocks the replicate-count rule,
+    so both simulators and the study share them."""
+
+    STUDY = StudyConfig(
+        n_papers=3, n_reviewers=3, iterations=1, accept_top=2, messy_lo=1, messy_hi=3
+    )
+
+    @staticmethod
+    def _simulations(n, seed) -> list:
+        inst = make_instance(1, 0, 1, 1, 0.0, 0.5, 1.0)
+        pop = _oracle_populations()["affine"]
+        return [
+            lambda: simulate_instance(inst, Policy(1.0, 0.5), n, seed),
+            lambda: simulate_average(pop, TruthfulRule(), n, seed),
+        ]
+
+    def _study(self, seed):
+        return run_calibration_study(dataclasses.replace(self.STUDY, seed=seed))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+    def test_seed_outside_the_rule_raises(self, seed):
+        rule = re.escape("seed must be an integer in [0, 2^64)")
+        for run in self._simulations(100, seed) + [lambda: self._study(seed)]:
+            with pytest.raises(ConfigurationError, match=rule):
+                run()
+
+    def test_integer_seeds_in_range_run(self):
+        for big, three, uint in zip(
+            self._simulations(100, 2**64 - 1),
+            self._simulations(100, 3),
+            self._simulations(100, np.uint64(3)),
+        ):
+            assert big().seed == 2**64 - 1
+            assert uint() == three()
+        self._study(2**64 - 1)
+        assert self._study(np.uint64(3)) == self._study(3)
+
+    @pytest.mark.parametrize("n", [0, 2**52 + 1, 1e6, True])
+    def test_replicate_count_outside_the_rule_raises_before_any_block(self, n):
+        rule = re.escape("n must be an integer in [1, 2^52]")
+        calls = []
+        with pytest.raises(ConfigurationError, match=rule):
+            _run_blocks(n, 0, lambda *block: calls.append(block))
+        assert calls == []
+        for run in self._simulations(n, 0):
+            with pytest.raises(ConfigurationError, match=rule):
+                run()
 
 
 class TestSimulateInstance:
@@ -556,6 +608,41 @@ class TestThreadCount:
         for x in xs[1:]:
             in_order += x
         assert res.empirical.ec == float(in_order) / n
+
+    def test_a_late_first_block_is_still_summed_first(self, monkeypatch):
+        # Block 0 finishes after every other block. In block order 1.0 is
+        # rounded away by 2^53 before the big terms cancel, giving 0; in
+        # completion order it would be added last, giving 1.
+        monkeypatch.setenv("PRIVCAL_THREADS", "2")
+        xs = [1.0, 2.0**53, -(2.0**53), 0.0]
+        others_done, finished = threading.Event(), []
+
+        def worker(block, offset, cnt):
+            if block == 0:
+                assert others_done.wait(timeout=60)
+            else:
+                finished.append(block)
+                if len(finished) == len(xs) - 1:
+                    others_done.set()
+            return np.array([xs[block], 0.0])
+
+        res = _run_blocks(len(xs) * _BLOCK, 0, worker)
+        assert sorted(finished) == [1, 2, 3]
+        assert res.empirical.ec == 0.0
+
+    def test_totals_fold_in_constant_memory(self, monkeypatch):
+        # Each block's totals join the running total as soon as they are
+        # in, so no list of one array per block builds up.
+        monkeypatch.setenv("PRIVCAL_THREADS", "1")
+        blocks = 100_000
+        tracemalloc.start()
+        try:
+            res = _run_blocks(blocks * _BLOCK, 0, lambda *block: np.array([1.0, 0.5]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert res.empirical == ErrorPair(1.0 / _BLOCK, 0.5 / _BLOCK)
 
 
 class TestWorkspace:
