@@ -362,7 +362,10 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         cfg, typed = _resolve(args)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot create --out {out}: {exc.strerror}") from None
         runner, header, _ = _COMMANDS[args.command]
         rows = runner(typed)
         csv_path = out / f"{args.command}.csv"

@@ -100,18 +100,19 @@ def nested_quad_zeta_eta(pop: Population, theta_span: float = 10.0):
     """(zeta, eta) of an affine noiseless population by nested scipy quad.
 
     Shares no code with privcal: the densities, thresholds and score box
-    (the profiles' images of [-theta_span, theta_span]) are written out
-    here. u = v where (s1 - s2)(k (s1 + s2) + m) = 0, so the inner quad
-    is split at s1 = s2 and s1 = t* - s2 (t* = -m / k, absent when
-    k = 0), and the outer quad at every crossing of those two lines, the
-    thresholds and the box edges.
+    are written out here. The box bounds the latent qualities: s1 runs
+    over reviewer 1's image of [-theta_span, theta_span], s2 over
+    reviewer 2's. u = v where (s1 - s2)(k (s1 + s2) + m) = 0, so the
+    inner quad is split at s1 = s2 and s1 = t* - s2 (t* = -m / k, absent
+    when k = 0), and the outer quad at every crossing of those two lines,
+    the thresholds and the s1 edges.
     """
     from scipy.integrate import quad
 
     a1, b1 = pop.reviewer1.a, pop.reviewer1.b
     a2, b2 = pop.reviewer2.a, pop.reviewer2.b
-    lo = min(b1 - a1 * theta_span, b2 - a2 * theta_span)
-    hi = max(b1 + a1 * theta_span, b2 + a2 * theta_span)
+    lo1, hi1 = b1 - a1 * theta_span, b1 + a1 * theta_span
+    lo2, hi2 = b2 - a2 * theta_span, b2 + a2 * theta_span
 
     def log_density(s, a, b):
         return -0.5 * ((s - b) / a) ** 2 - math.log(a * math.sqrt(2.0 * math.pi))
@@ -129,15 +130,15 @@ def nested_quad_zeta_eta(pop: Population, theta_span: float = 10.0):
         (1.0, 0.0),
         (a2 / a1, b2 - a2 * b1 / a1),
         (a1 / a2, b1 - a1 * b2 / a2),
-        (0.0, lo),
-        (0.0, hi),
+        (0.0, lo1),
+        (0.0, hi1),
     ]
     if t_star is not None:
         lines.append((-1.0, t_star))
     crossings = set()
     for i, (p1, q1) in enumerate(lines):
         for p2, q2 in lines[i + 1 :]:
-            if p1 != p2 and lo < (q2 - q1) / (p1 - p2) < hi:
+            if p1 != p2 and lo2 < (q2 - q1) / (p1 - p2) < hi2:
                 crossings.add((q2 - q1) / (p1 - p2))
 
     def inner(s2, c, d):
@@ -154,14 +155,78 @@ def nested_quad_zeta_eta(pop: Population, theta_span: float = 10.0):
         return min(ta, tb), max(ta, tb)
 
     def zeta_at(s2):
+        c, d = (min(max(t, lo1), hi1) for t in band(s2))
+        return inner(s2, c, d)
+
+    def eta_at(s2):
+        c, d = (min(max(t, lo1), hi1) for t in band(s2))
+        return inner(s2, lo1, c) + inner(s2, d, hi1)
+
+    opts = dict(points=sorted(crossings) or None, epsabs=1e-13, epsrel=1e-12, limit=500)
+    return quad(zeta_at, lo2, hi2, **opts)[0], quad(eta_at, lo2, hi2, **opts)[0]
+
+
+def nested_quad_sinh_zeta_eta(theta_span: float = 6.0):
+    """(zeta, eta) of sinh against affine(1, 0.5) by nested scipy quad.
+
+    Shares no code with privcal. Reviewer 1 reports sinh(theta), whose
+    score density is phi(asinh(s)) / sqrt(1 + s^2); reviewer 2 reports
+    theta + 0.5, a normal. The box bounds the latent qualities: s1 runs
+    over sinh([-theta_span, theta_span]), s2 over 0.5 + [-theta_span,
+    theta_span]. At fixed s2 the band of s1 between the thresholds runs
+    from asinh(s2) + 0.5 to sinh(s2 - 0.5). u = v where k(s1) = k(s2),
+    k = log f1 - log f2: at s1 = s2 and at any root a 4001-point scan of
+    the s1 range brackets for brentq. These split the inner quad.
+    """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    log_sqrt_2pi = 0.5 * math.log(2.0 * math.pi)
+
+    def log_f1(s):
+        return -0.5 * np.arcsinh(s) ** 2 - 0.5 * np.log1p(s * s) - log_sqrt_2pi
+
+    def log_f2(s):
+        return -0.5 * (s - 0.5) ** 2 - log_sqrt_2pi
+
+    def k(s):
+        return log_f1(s) - log_f2(s)
+
+    lo1, hi1 = math.sinh(-theta_span), math.sinh(theta_span)
+    lo2, hi2 = 0.5 - theta_span, 0.5 + theta_span
+    scan = np.linspace(lo1, hi1, 4001)
+    k_scan = k(scan)
+
+    def half_min(s1, s2):
+        logu = log_f1(s1) + log_f2(s2)
+        logv = log_f2(s1) + log_f1(s2)
+        return 0.5 * math.exp(min(logu, logv))
+
+    def inner(s2, c, d):
+        if not c < d:
+            return 0.0
+        level = k(s2)
+        diff = k_scan - level
+        kinks = {s2}
+        for j in np.flatnonzero(diff[:-1] * diff[1:] < 0.0):
+            kinks.add(brentq(lambda s: k(s) - level, scan[j], scan[j + 1], xtol=1e-15))
+        kinks = sorted(x for x in kinks if c < x < d) or None
+        opts = dict(points=kinks, epsabs=1e-14, epsrel=1e-12, limit=200)
+        return quad(half_min, c, d, args=(s2,), **opts)[0]
+
+    def band(s2):
+        c, d = math.asinh(s2) + 0.5, math.sinh(s2 - 0.5)
+        return min(max(min(c, d), lo1), hi1), min(max(max(c, d), lo1), hi1)
+
+    def zeta_at(s2):
         return inner(s2, *band(s2))
 
     def eta_at(s2):
-        c, d = (min(max(t, lo), hi) for t in band(s2))
-        return inner(s2, lo, c) + inner(s2, d, hi)
+        c, d = band(s2)
+        return inner(s2, lo1, c) + inner(s2, d, hi1)
 
-    opts = dict(points=sorted(crossings) or None, epsabs=1e-13, epsrel=1e-12, limit=500)
-    return quad(zeta_at, lo, hi, **opts)[0], quad(eta_at, lo, hi, **opts)[0]
+    opts = dict(epsabs=1e-13, epsrel=1e-12, limit=500)
+    return quad(zeta_at, lo2, hi2, **opts)[0], quad(eta_at, lo2, hi2, **opts)[0]
 
 
 def general_policy_errors(inst: Instance, g1: float, g2: float):

@@ -119,6 +119,19 @@ class TestConfigResolution:
         assert err.count("\n") == 1
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, under, tmp_path, capsys):
+        """An --out naming a file, or a path below one, is a configuration
+        error with one stderr line, and the file is left as it was."""
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken / "x" if under else taken
+        assert main(["policy", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot create --out {out}")
+        assert err.count("\n") == 1
+        assert taken.read_text() == "kept"
+
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as stop:
             main(["policy", "--help"])

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,7 @@ from conftest import (
     general_policy_errors,
     make_instance,
     map_accept,
+    nested_quad_sinh_zeta_eta,
     nested_quad_zeta_eta,
     random_part2_instance,
     sinh_profile,
@@ -59,6 +61,7 @@ AFFINE_PAIRS = {
     "equal_slopes": (1.2, 0.3, 1.2, -0.4),
     "near_slopes": (1.0, 0.3, 1.0 + 1e-12, -0.4),
     "slope_ratio_10": (0.3, 0.5, 3.0, -1.0),
+    "slope_ratio_10_swapped": (3.0, -1.0, 0.3, 0.5),
 }
 
 
@@ -334,7 +337,7 @@ class TestZetaEta:
         assert info.value.error_bound == err
 
     def test_affine_rule_difference_above_tolerance_raises(self):
-        """The affine path raises when its own n/2n difference exceeds abs_tol."""
+        """An affine population raises when the n/2n difference exceeds abs_tol."""
         zeta, _, err = zeta_eta(REF1)
         assert err > 0.0
         with pytest.raises(AccuracyError) as info:
@@ -368,7 +371,8 @@ class TestZetaEta:
 
     @pytest.mark.parametrize("a1, b1, a2, b2", AFFINE_PAIRS.values(), ids=list(AFFINE_PAIRS))
     def test_general_path_matches_the_closed_form(self, a1, b1, a2, b2):
-        """Affine maps given as general profiles take the quality-space path."""
+        """Affine maps given as general profiles agree with the affine
+        profiles: one integrator, reached through two profile kinds."""
         pop = Population(ReviewerProfile.affine(a1, b1), ReviewerProfile.affine(a2, b2))
         zeta, eta, err = zeta_eta(pop)
         general = Population(as_general(pop.reviewer1), as_general(pop.reviewer2))
@@ -411,8 +415,8 @@ class TestZetaEta:
 
     def test_narrow_box_raises_on_both_paths(self):
         """At theta_span 2 about 4 Phi(-2) = 0.091 of min(u, v)/2 lies
-        outside the box. Both paths count it in err, so REF1 raises with
-        the bound of its general-map form."""
+        outside the box. The one integrator counts it in err, so REF1
+        raises with the bound of its general-map form."""
         narrow = QuadratureSettings(theta_span=2.0)
         general = Population(as_general(REF1.reviewer1), as_general(REF1.reviewer2))
         with pytest.raises(AccuracyError) as affine:
@@ -423,6 +427,35 @@ class TestZetaEta:
         assert affine.value.error_bound == pytest.approx(
             quality.value.error_bound, abs=1e-9
         )
+
+    def test_sinh_matches_nested_quad_oracle(self):
+        """A non-affine population against a score-space oracle."""
+        zeta, eta, err = zeta_eta(SINH, QuadratureSettings(theta_span=6.0))
+        want = nested_quad_sinh_zeta_eta(6.0)
+        assert err <= 1e-6
+        assert zeta == pytest.approx(want[0], abs=1e-10)
+        assert eta == pytest.approx(want[1], abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "pop",
+        [
+            REF1,
+            REF2,
+            Population(ReviewerProfile.affine(0.3, 0.5), ReviewerProfile.affine(3.0, -1.0)),
+            SINH,
+        ],
+        ids=["ref1", "ref2", "slope_ratio_10", "sinh"],
+    )
+    def test_a_warm_call_peaks_under_4_mib(self, pop):
+        """The panels are evaluated a bounded number of nodes at a time."""
+        zeta_eta(pop)
+        tracemalloc.start()
+        try:
+            zeta_eta(pop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_settings_have_no_fallback_fields(self):
         assert [f.name for f in dataclasses.fields(QuadratureSettings)] == [
