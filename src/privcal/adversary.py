@@ -7,7 +7,8 @@ is the single source of truth for error probabilities: map_guess and
 scenario_table read each observed decision's likelihoods and MAP guess
 from _observe, per_instance_errors and the per-instance simulator read
 the table, and the average-case simulator reads its array twin,
-map_guess_arrays. The independent
+map_guess_arrays. The regime is the geometry's d1 and d2, so a tie
+accepts paper 1 here as in model.map_decisions. The independent
 cross-checks (the piecewise closed form and a vectorized grid form) live
 in the test suite, not here. The randomized-response bookkeeping for the
 gamma/epsilon correspondence lives here too.
@@ -75,7 +76,7 @@ def _observe(geom: InstanceGeometry, q1: float, q2: float, d: Decision):
     equality yields a uniform coin flip.
     """
     if not geom.part2:
-        p_a1 = p_a2 = 0.5 if geom.tie else 1.0 if d is geom.d1 else 0.0
+        p_a1 = p_a2 = 1.0 if d is geom.d1 else 0.0
     else:
         p_a1 = q1 if d is geom.d1 else 1.0 - q1
         p_a2 = q2 if d is geom.d2 else 1.0 - q2

@@ -188,6 +188,9 @@ def _policy(inst: Instance, ec: float) -> tuple:
 
 def cmd_frontier(cfg: dict) -> list[list[str]]:
     inst = _build_instance(cfg)
+    count = cfg["grid"]
+    if count < 2:
+        raise ConfigurationError("grid must be at least 2")
     seg = frontier(inst)
     schema = "privcal.frontier.v1"
     rows = []
@@ -196,12 +199,7 @@ def cmd_frontier(cfg: dict) -> list[list[str]]:
         return rows
     rows.append([schema, "start", _fmt(seg.start.ec), _fmt(seg.start.ea)])
     rows.append([schema, "end", _fmt(seg.end.ec), _fmt(seg.end.ea)])
-    geom = instance_geometry(inst)
-    lo = seg.min_feasible_ec
-    hi = geom.ec_intercept
-    count = cfg["grid"]
-    if count < 2:
-        raise ConfigurationError("grid must be at least 2")
+    lo, hi = seg.min_feasible_ec, instance_geometry(inst).ec_intercept
     for i in range(count):
         # Roundoff can carry the last point one ulp past hi.
         ec = min(lo + (hi - lo) * i / (count - 1), hi)
@@ -369,8 +367,11 @@ def main(argv=None) -> int:
         runner, header, _ = _COMMANDS[args.command]
         rows = runner(typed)
         csv_path = out / f"{args.command}.csv"
-        _write_csv(csv_path, header, rows)
-        _write_manifest(out, args.command, cfg, started, csv_path)
+        try:
+            _write_csv(csv_path, header, rows)
+            _write_manifest(out, args.command, cfg, started, csv_path)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write {exc.filename}: {exc.strerror}") from None
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -81,8 +81,8 @@ class InstanceGeometry:
     mode). d1 and d2 are the MAP decisions under an assumed A1 and A2,
     from model.map_decisions, the rule simulate_average applies to each
     replicate; they differ exactly in the randomizing regime (part2).
-    For forced instances d1 == d2 is the score-determined decision; tie
-    marks the boundary where MAP is indifferent under both assignments.
+    For forced instances d1 == d2 is the score-determined decision, paper
+    1 on a tie, where MAP is indifferent under both assignments.
 
     The derived scalars are computed once, at construction, and take
     no part in ==, hash or repr: m = min(pu, pv) is the score-only
@@ -100,7 +100,6 @@ class InstanceGeometry:
     phi2: float
     d1: Decision
     d2: Decision
-    tie: bool = False
     m: float = field(init=False, repr=False, compare=False)
     alpha1: float = field(init=False, repr=False, compare=False)
     alpha2: float = field(init=False, repr=False, compare=False)
@@ -147,13 +146,13 @@ def instance_geometry(inst: Instance) -> InstanceGeometry:
 def _build_geometry(inst: Instance) -> InstanceGeometry:
     """The geometry of one instance, in either noise mode (see InstanceGeometry)."""
     pu, pv = posterior_weights(inst)
-    p1_a1, p1_a2, tie = map_decisions(inst, inst.scores.s1, inst.scores.s2)
+    p1_a1, p1_a2 = map_decisions(inst, inst.scores.s1, inst.scores.s2)
     d1, d2 = (Decision.PAPER1 if p1 else Decision.PAPER2 for p1 in (p1_a1, p1_a2))
     phi1, phi2 = 0.0, 1.0
     if not inst.noiseless:
         pp = phi_pair(inst)
         phi1, phi2 = min(pp.phi1, 1.0 - pp.phi1), 1.0 - min(pp.phi2, 1.0 - pp.phi2)
-    return InstanceGeometry(d1 is not d2, pu, pv, phi1, phi2, d1, d2, tie=tie)
+    return InstanceGeometry(d1 is not d2, pu, pv, phi1, phi2, d1, d2)
 
 
 def _endpoint(geom: InstanceGeometry) -> tuple[float, tuple[float, float]]:

@@ -446,17 +446,16 @@ def thresholds(model, s2, out=None):
 
 
 def map_decisions(model, s1, s2, out=None):
-    """The one regime rule: (accepts paper 1 under A1, under A2, tie).
+    """The one regime rule: (accepts paper 1 under A1, under A2).
 
     Floats or arrays. On a threshold (see thresholds) MAP is indifferent
-    under that assignment and takes the other one's decision; on both
-    (tie) it accepts paper 1. The scores randomize where the two differ.
-    out, if given, holds the thresholds (see thresholds).
+    under that assignment and takes the other one's decision; on both (a
+    tie) it accepts paper 1, the tie's only reading. The scores randomize
+    where the two differ. out, if given, holds the thresholds.
     """
     ta, tb = thresholds(model, s2, out)
     p1_a1 = (s1 > tb) | ((s1 == tb) & (s1 >= ta))
-    p1_a2 = (s1 > ta) | ((s1 == ta) & p1_a1)
-    return p1_a1, p1_a2, (s1 == ta) & (s1 == tb)
+    return p1_a1, (s1 > ta) | ((s1 == ta) & p1_a1)
 
 
 def phi_pair(inst: Instance) -> PhiPair:

@@ -290,19 +290,20 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
     def worker(block: int, offset: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
         with _workspace() as ws:
-            z, (u,), (coin_row,), (tie_row,) = ws.carve(cnt, 2, 1, 1, 1)
+            z, (u,), (coin_row,) = ws.carve(cnt, 2, 1, 1)
 
-            def uniforms(read: bool, later: bool, row) -> Optional[np.ndarray]:
-                # Unread coins are not drawn, or skipped in Philox's 4-output steps.
-                if read or (later and cnt % 4):
+            def uniforms(read: bool, row) -> Optional[np.ndarray]:
+                # A row of coins, drawn if read. Unread, it is left out, or
+                # skipped in Philox's 4-output steps where the qualities follow.
+                if read or (noisy and cnt % 4):
                     return rng.random(out=row)
-                if later:
+                if noisy:
                     rng.bit_generator.advance(cnt // 4)
                 return None
 
             is_a1 = np.less(rng.random(out=u), pu, out=ws.flags[:cnt])
-            coin = uniforms(geom.part2, geom.tie or noisy, coin_row)
-            tie_coin = uniforms(geom.tie, noisy, tie_row)
+            coin = uniforms(geom.part2, coin_row)
+            uniforms(False, z[0])  # a retired row, which nothing reads
             if noisy:
                 rng.standard_normal(out=z)
             n_a1 = n_acc = n_both = conf = 0
@@ -311,8 +312,6 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
                 a1 = is_a1[sl]
                 if geom.part2:
                     acc_p1 = _accepts_paper1(d1_p1, a1, coin[sl], policy.q1, policy.q2)
-                elif geom.tie:
-                    acc_p1 = tie_coin[sl] < 0.5
                 else:
                     acc_p1 = np.full(a1.size, d1_p1)
                 n_a1 += np.count_nonzero(a1)
@@ -427,7 +426,7 @@ def simulate_average(
         if noisy:
             s1 += np.multiply(eps[0, sl], sd, out=eps[0, sl])
             s2 += np.multiply(eps[1, sl], sd, out=eps[1, sl])
-        d1_p1, d2_p1, _ = map_decisions(pop, s1, s2, out=rows[:2])
+        d1_p1, d2_p1 = map_decisions(pop, s1, s2, out=rows[:2])
         pu, pv = posterior_weight_arrays(pop, s1, s2, out=rows[:3])
         # Only the randomizing replicates need q; the rest are forced.
         idx = np.flatnonzero(d1_p1 != d2_p1)

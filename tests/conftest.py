@@ -464,7 +464,7 @@ def reference_simulate_instance(
         rng = stream(seed, block)
         is_a1 = rng.random(cnt) < pu
         coin = rng.random(cnt)
-        tie_coin = rng.random(cnt)
+        rng.random(cnt)  # a retired row, which nothing reads
         if noisy:
             z = rng.standard_normal((2, cnt))
             m1a = np.where(
@@ -496,8 +496,6 @@ def reference_simulate_instance(
                 np.where(is_a1, d1_p1, d2_p1),
                 np.where(is_a1, d2_p1, d1_p1),
             )
-        elif geom.tie:
-            acc_p1 = tie_coin < 0.5
         else:
             acc_p1 = np.full(cnt, d1_p1)
 

@@ -87,6 +87,10 @@ class TestConfigResolution:
             ("study", {"study.noise_variances": 0.5}, "study.noise_variances"),
             ("study", {"study.noise_variances": []}, "study.noise_variances"),
             ("simulate", {"simulate.n": 1e18}, "n must be an integer"),
+            ("frontier", {"grid": -5}, "grid"),
+            # A forced instance has no curve, and its grid is checked all the same.
+            ("frontier", {"grid": -5, "instance.s1": 5.0}, "grid"),
+            ("frontier", {"grid": 1, "instance.s1": 5.0}, "grid"),
         ],
     )
     def test_uncoercible_value_exits_2(self, command, entries, key, tmp_path, capsys):
@@ -131,6 +135,16 @@ class TestConfigResolution:
         assert err.startswith(f"configuration error: cannot create --out {out}")
         assert err.count("\n") == 1
         assert taken.read_text() == "kept"
+
+    @pytest.mark.parametrize("name", ["policy.csv", "policy_manifest.json"])
+    def test_output_file_that_is_a_directory_exits_2(self, name, tmp_path, capsys):
+        """A directory in the way of an output file is a configuration error
+        with one stderr line naming the path."""
+        (tmp_path / name).mkdir()
+        assert main(["policy", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write {tmp_path / name}: ")
+        assert err.count("\n") == 1
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as stop:

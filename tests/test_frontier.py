@@ -247,7 +247,7 @@ class TestRegimeRule:
     @pytest.mark.parametrize("noisy", [False, True])
     def test_one_array_call_matches_scalar_geometry(self, rng, noisy):
         """map_decisions on an array agrees exactly with the scalar geometry's
-        d1, d2 and tie: at random scores, on each threshold and one ulp
+        d1 and d2: at random scores, on each threshold and one ulp
         either side, and for identical reviewers at equal scores."""
         for k in range(500):
             inst = random_noisy_instance(rng) if noisy else random_noiseless_instance(rng)
@@ -259,19 +259,18 @@ class TestRegimeRule:
                 for t in thresholds(pop, s2)
                 for x in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf))
             ]
-            p1_a1, p1_a2, tie = map_decisions(pop, np.array(s1s), np.full(len(s1s), s2))
+            p1_a1, p1_a2 = map_decisions(pop, np.array(s1s), np.full(len(s1s), s2))
             for i, x in enumerate(s1s):
                 geom = instance_geometry(pop.instance(x, s2))
                 assert (geom.d1 is Decision.PAPER1) == p1_a1[i]
                 assert (geom.d2 is Decision.PAPER1) == p1_a2[i]
-                assert geom.tie == tie[i]
 
     @pytest.mark.parametrize("sigma2", [0.0, 0.5])
     def test_identical_reviewers_tie_at_equal_scores(self, rng, sigma2):
         for _ in range(200):
             a, b, s = rng.uniform(0.3, 3.0), rng.normal(), rng.normal(0.0, 2.0)
             geom = instance_geometry(make_instance(a, b, a, b, sigma2, s, s))
-            assert geom.tie and not geom.part2
+            assert geom.d1 is geom.d2 is Decision.PAPER1
 
 
 class TestMaxAdversaryErrorCurve:

@@ -43,8 +43,8 @@ from privcal.simlab import (
     fit_within_conference,
     stream,
 )
-from privcal.adversary import per_instance_errors
-from privcal.model import posterior_weight_arrays
+from privcal.adversary import per_instance_errors, scenario_table
+from privcal.model import Decision, map_decisions, posterior_weight_arrays
 from privcal.mechanism import alg1_policy, alg3_policy
 from privcal.frontier import ErrorPair, instance_geometry
 from conftest import (
@@ -332,6 +332,8 @@ def _oracle_instances() -> dict:
         "noisy_forced": make_instance(1, 0, 1, 1, 0.5, -5.0, 1.0),
         "noiseless_tie": make_instance(1, 0, 1, 0, 0.0, 0.7, 0.7),
         "noisy_tie": make_instance(1, 0, 1, 0, 0.5, 0.7, 0.7),
+        "noiseless_distinct_tie": make_instance(2, 0, 1, 0, 0.0, 0.0, 0.0),
+        "noisy_distinct_tie": make_instance(2, 0, 1, 0, 0.5, 0.0, 0.0),
     }
 
 
@@ -355,7 +357,8 @@ class TestKernelsMatchReference:
         rng = np.random.default_rng(len(name))
         geom = instance_geometry(inst)
         assert geom.part2 == name.endswith("part2")
-        assert geom.tie == name.endswith("tie")
+        if name.endswith("tie"):
+            assert geom.d1 is geom.d2 is Decision.PAPER1
         policies = [Policy(0.0, 0.0), Policy(1.0, 1.0), Policy(0.0, 1.0)]
         policies += [Policy(*(float(q) for q in rng.uniform(0, 1, 2))) for _ in range(2)]
         for pol in policies:
@@ -447,7 +450,7 @@ class TestDrawOrder:
     drawing what nothing read follows, or by advancing the stream, which
     is exact when the block's count is a multiple of Philox's 4 outputs
     per step. Results alone miss a misplaced draw that no count depends
-    on, such as the coins of the noiseless tie instance."""
+    on, such as a row a noiseless block would draw after its last read."""
 
     # Full blocks, a partial last block whose count is a multiple of 4,
     # and partial blocks whose counts are not.
@@ -480,14 +483,16 @@ class TestDrawOrder:
                 draw = ("random", cnt)
                 skip = ("advance", cnt // 4) if cnt % 4 == 0 else draw
                 normals = ("standard_normal", (2, cnt))
-                # is_a1, coin, tie coin, then the noisy qualities.
+                # is_a1, coin, a retired row, then the noisy qualities.
                 want = {
                     "noiseless_part2": [draw, draw],
                     "noiseless_forced": [draw],
-                    "noiseless_tie": [draw, skip, draw],
+                    "noiseless_tie": [draw],
                     "noisy_part2": [draw, draw, skip, normals],
                     "noisy_forced": [draw, skip, skip, normals],
-                    "noisy_tie": [draw, skip, draw, normals],
+                    "noisy_tie": [draw, skip, skip, normals],
+                    "noiseless_distinct_tie": [draw],
+                    "noisy_distinct_tie": [draw, skip, skip, normals],
                 }[name]
                 assert logs[block] == want, (name, n, block)
 
@@ -505,6 +510,34 @@ class TestDrawOrder:
                 want = [normals, ("random", cnt), ("random", cnt)]
                 want += [normals] if not pop.noiseless else []
                 assert logs[block] == want, (name, n, block)
+
+
+class TestTieReading:
+    """A tie instance, whose s1 lies on both thresholds, accepts paper 1 on
+    every path: the regime rule, the policies, the scenario table, the
+    exact errors and the simulator. Two of the ties have identical
+    reviewers and two have distinct ones."""
+
+    TIES = sorted(name for name in _oracle_instances() if name.endswith("tie"))
+
+    @pytest.mark.parametrize("name", TIES)
+    def test_a_tie_accepts_paper1(self, name):
+        inst = _oracle_instances()[name]
+        pop = Population(inst.reviewer1, inst.reviewer2, inst.sigma2)
+        s1, s2 = inst.scores.s1, inst.scores.s2
+        assert map_decisions(pop, s1, s2) == (True, True)
+        arrays = map_decisions(pop, np.array([s1]), np.array([s2]))
+        assert [a.tolist() for a in arrays] == [[True], [True]]
+        algorithm = alg1_policy if inst.noiseless else alg3_policy
+        assert algorithm(inst, 0.2).forced is Decision.PAPER1
+        want = ErrorPair(0.0 if inst.noiseless else 0.5, 0.5)
+        for k, pol in enumerate([Policy(0.3, 0.8), Policy(1.0, 1.0), Policy(0.0, 0.0)]):
+            cells = scenario_table(inst, pol).cells
+            assert [c.probability for c in cells if c.decision is Decision.PAPER2] == [0, 0]
+            assert per_instance_errors(inst, pol) == want
+            res = simulate_instance(inst, pol, 200_000, seed=k)
+            assert abs(res.empirical.ec - want.ec) <= 5.0 * _se(want.ec, res, "ec")
+            assert abs(res.empirical.ea - want.ea) <= 5.0 * _se(want.ea, res, "ea")
 
 
 class TestThreadCount:
