@@ -5,14 +5,17 @@ curve on a grid), policy (one policy with its analytic errors),
 simulate (seeded Monte Carlo of one instance), and study (the
 calibration benefit study). Every run writes a CSV and a JSON manifest
 holding the fully resolved configuration; re-running with the manifest
-as the config reproduces the CSV byte for byte.
+as the config reproduces the CSV byte for byte. A run whose manifest
+cannot be written removes the CSV it wrote.
 
 A flag (--seed, --ec, --grid) is a config entry, its text read as JSON
-(else kept as a string). _coerce alone converts each value to the type
-of its default: floats, or integers, which must be integral, or for the
-study's noise variances a nonempty list of floats; simlab owns the seed
-and replicate-count ranges. The study's keys and defaults come from the
-fields of StudyConfig.
+(else kept as a string); only the subcommands whose config has that
+entry accept it, and --mode only those that build an instance. _coerce
+alone converts each value to the type of its default: floats, or
+integers, which must be integral, or for the study's noise variances a
+nonempty list of floats; simlab owns the seed and replicate-count
+ranges. The study's keys and defaults come from the fields of
+StudyConfig.
 
 Exit codes: 0 success (infeasible policy targets included), 2
 configuration error (parser errors included), 3 numerical failure: a
@@ -76,6 +79,13 @@ _DEFAULTS = {
 }
 
 
+_FLAGS = {
+    "seed": "64-bit unsigned seed",
+    "ec": "conference-error target",
+    "grid": "grid point count",
+}
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -124,19 +134,17 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, dict]:
             if key not in cfg:
                 raise ConfigurationError(f"unknown config key for {command}: {key}")
             cfg[key] = value
-    for flag in ("seed", "ec", "grid"):
-        text = getattr(args, flag)
+    for flag in _FLAGS:
+        text = getattr(args, flag, None)
         if text is not None:
-            if flag not in cfg:
-                raise ConfigurationError(f"--{flag} is not accepted by {command}")
             try:
                 cfg[flag] = json.loads(text)
             except ValueError:
                 cfg[flag] = text
     typed = {key: _coerce(key, value, defaults[key]) for key, value in cfg.items()}
-    sigma2 = typed.get("instance.sigma2")
-    if args.mode and sigma2 is not None and (args.mode == "noisy") != (sigma2 > 0.0):
-        raise ConfigurationError(f"--mode {args.mode} conflicts with instance.sigma2={sigma2}")
+    mode, sigma2 = getattr(args, "mode", None), typed.get("instance.sigma2")
+    if mode and (mode == "noisy") != (sigma2 > 0.0):
+        raise ConfigurationError(f"--mode {mode} conflicts with instance.sigma2={sigma2}")
     return cfg, typed
 
 
@@ -149,16 +157,16 @@ def _build_instance(cfg: dict) -> Instance:
     )
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _csv_bytes(header: list[str], rows: list[list[str]]) -> bytes:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _write_manifest(
-    out: Path, command: str, cfg: dict, started: float, csv_path: Path
-) -> Path:
-    digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    out: Path, command: str, cfg: dict, started: float, csv_path: Path, csv: bytes
+) -> None:
+    digest = hashlib.sha256(csv).hexdigest()
     manifest = {
         "schema": "privcal.manifest.v1",
         "command": command,
@@ -168,11 +176,9 @@ def _write_manifest(
         "duration_seconds": time.monotonic() - started,
         "outputs": {csv_path.name: {"sha256": digest}},
     }
-    path = out / f"{command}_manifest.json"
-    path.write_text(
+    (out / f"{command}_manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    return path
 
 
 def _policy(inst: Instance, ec: float) -> tuple:
@@ -343,14 +349,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config (flat dotted keys) or a manifest")
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--seed", help="64-bit unsigned seed")
-        p.add_argument("--ec", help="conference-error target")
-        p.add_argument(
-            "--mode",
-            choices=("noiseless", "noisy"),
-            help="assert the instance's noise mode",
-        )
-        p.add_argument("--grid", help="grid point count (frontier)")
+        for flag, flag_help in _FLAGS.items():
+            if flag in _DEFAULTS[name]:
+                p.add_argument(f"--{flag}", help=flag_help)
+        if "instance.sigma2" in _DEFAULTS[name]:
+            p.add_argument(
+                "--mode",
+                choices=("noiseless", "noisy"),
+                help="assert the instance's noise mode",
+            )
     return parser
 
 
@@ -367,9 +374,15 @@ def main(argv=None) -> int:
         runner, header, _ = _COMMANDS[args.command]
         rows = runner(typed)
         csv_path = out / f"{args.command}.csv"
+        csv = _csv_bytes(header, rows)
         try:
-            _write_csv(csv_path, header, rows)
-            _write_manifest(out, args.command, cfg, started, csv_path)
+            csv_path.write_bytes(csv)
+            try:
+                _write_manifest(out, args.command, cfg, started, csv_path, csv)
+            except OSError:
+                # All or nothing: no CSV stays without its manifest.
+                csv_path.unlink()
+                raise
         except OSError as exc:
             raise ConfigurationError(f"cannot write {exc.filename}: {exc.strerror}") from None
     except ConfigurationError as exc:

@@ -18,12 +18,14 @@ how many threads run the blocks: PRIVCAL_THREADS, by default one per
 core the process may use, the calling thread among them. stream owns the
 seed rule and _run_blocks the replicate-count rule, for every caller.
 
-A block draws all its random numbers first, in a fixed order, and then
-evaluates them in slices of _CHUNK (2^15) replicates, two per block. It
-reduces its replicates to exact counts: conference errors, firm wrong
-guesses of the adversary, and its ties at half an error. Every running
-total is an integer or half-integer of at most n, and 2n <= 2^53, so it
-equals the float sum of per-replicate errors bit for bit.
+A block draws exactly the rows it reads, in a fixed order, before it
+evaluates any of them. A simulate_instance block is evaluated in one
+pass; a simulate_average block, in slices of _CHUNK (2^15) replicates,
+two per block. A block reduces its replicates to exact counts:
+conference errors, firm wrong guesses of the adversary, and its ties at
+half an error. Every running total is an integer or half-integer of at
+most n, and 2n <= 2^53, so it equals the float sum of per-replicate
+errors bit for bit.
 
 Workspace: each thread keeps, for as long as it lives, the arrays its
 blocks use (_Workspace, 4.3 MiB, touched only as far as a block needs):
@@ -76,14 +78,15 @@ from .adversary import map_guess_arrays, scenario_table
 from .mechanism import Policy, QuadratureSettings, alg2_policy
 
 _BLOCK = 1 << 16
-# Replicates per slice of a block's arithmetic. Two slices per block keep
-# the count of GIL-releasing numpy calls, and so of hand-offs of the GIL
-# between threads, low: at 2^14 the same slices ran up to 20 % slower on
-# two threads of a 2-vCPU host.
+# Replicates per slice of a simulate_average block's arithmetic. Two
+# slices per block keep the count of GIL-releasing numpy calls, and so of
+# hand-offs of the GIL between threads, low: at 2^14 the same slices ran
+# up to 20 % slower on two threads of a 2-vCPU host.
 _CHUNK = 1 << 15
-# Float64 rows of _BLOCK draws a block takes at most: simulate_average's
-# two of qualities, one of assignment uniforms, one of coins and two of
-# score noise.
+# Float64 rows of _BLOCK a block takes at most: simulate_average's two of
+# qualities, one for the assignment, one of coins and two of score noise.
+# simulate_instance takes five: two of qualities, one for the assignment,
+# one of coins and _pick's scratch row.
 _DRAW_ROWS = 6
 
 
@@ -269,9 +272,7 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
     pu = geom.pu
     noisy = not inst.noiseless
     d1_p1 = geom.d1 is Decision.PAPER1
-    # Cell 2 * is_a1 + acc_p1 holds (assignment, accepted paper): the
-    # scenario table's order, (A1, paper 1) first, reversed.
-    cells = scenario_table(inst, policy).cells[::-1]
+    cells = scenario_table(inst, policy).cells
     adv_table = np.array([c.adversary_wrong_prob for c in cells])
 
     if noisy:
@@ -285,47 +286,30 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
         s1, s2 = inst.scores.s1, inst.scores.s2
         # The qualities of papers 1 and 2: (t1, t2) under A1, (u1, u2) under A2.
         t1, t2, u1, u2 = r1.invert(s1), r2.invert(s2), r2.invert(s1), r1.invert(s2)
-        conf_table = np.array([u2 < u1, u1 < u2, t2 < t1, t1 < t2], dtype=float)
+        conf_table = np.array([t1 < t2, t2 < t1, u1 < u2, u2 < u1], dtype=float)
 
     def worker(block: int, offset: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
         with _workspace() as ws:
-            z, (u,), (coin_row,) = ws.carve(cnt, 2, 1, 1)
-
-            def uniforms(read: bool, row) -> Optional[np.ndarray]:
-                # A row of coins, drawn if read. Unread, it is left out, or
-                # skipped in Philox's 4-output steps where the qualities follow.
-                if read or (noisy and cnt % 4):
-                    return rng.random(out=row)
-                if noisy:
-                    rng.bit_generator.advance(cnt // 4)
-                return None
-
-            is_a1 = np.less(rng.random(out=u), pu, out=ws.flags[:cnt])
-            coin = uniforms(geom.part2, coin_row)
-            uniforms(False, z[0])  # a retired row, which nothing reads
+            th, (u,), (coin,), (scratch,) = ws.carve(cnt, 2, 1, 1, 1)
+            a1 = np.less(rng.random(out=u), pu, out=ws.flags[:cnt])
+            if geom.part2:
+                rng.random(out=coin)
+                acc_p1 = _accepts_paper1(d1_p1, a1, coin, policy.q1, policy.q2)
+            else:
+                acc_p1 = np.full(cnt, d1_p1)
             if noisy:
-                rng.standard_normal(out=z)
-            n_a1 = n_acc = n_both = conf = 0
-            for lo in range(0, cnt, _CHUNK):
-                sl = slice(lo, lo + _CHUNK)
-                a1 = is_a1[sl]
-                if geom.part2:
-                    acc_p1 = _accepts_paper1(d1_p1, a1, coin[sl], policy.q1, policy.q2)
-                else:
-                    acc_p1 = np.full(a1.size, d1_p1)
-                n_a1 += np.count_nonzero(a1)
-                n_acc += np.count_nonzero(acc_p1)
-                n_both += np.count_nonzero(a1 & acc_p1)
-                if noisy:
-                    # The qualities, written over their deviates z.
-                    th1, th2 = z[:, sl]
-                    scratch = ws.rows[0, : a1.size]
-                    for (post_a1, post_a2), th in zip(post, (th1, th2)):
-                        _pick(a1, post_a1, post_a2, th, scratch)
-                    conf += _count_wrong(acc_p1, th1 < th2, th2 < th1)
+                # The qualities, written over their deviates.
+                rng.standard_normal(out=th)
+                for (post_a1, post_a2), row in zip(post, th):
+                    _pick(a1, post_a1, post_a2, row, scratch)
+                conf = _count_wrong(acc_p1, th[0] < th[1], th[1] < th[0])
+            n_a1, n_acc = np.count_nonzero(a1), np.count_nonzero(acc_p1)
+            n_both = np.count_nonzero(a1 & acc_p1)
+        # The counts of the scenario table's cells: (A1, paper 1),
+        # (A1, paper 2), (A2, paper 1), (A2, paper 2).
         counts = np.array(
-            [cnt - n_a1 - n_acc + n_both, n_acc - n_both, n_a1 - n_both, n_both]
+            [n_both, n_a1 - n_both, n_acc - n_both, cnt - n_a1 - n_acc + n_both]
         )
         if not noisy:
             conf = counts @ conf_table

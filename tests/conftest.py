@@ -422,7 +422,10 @@ def reference_simulate_instance(
 
     Every replicate's conference and adversary error is formed as a
     float and each block sums the arrays. The library reduces a block
-    to exact counts instead; both must give equal results.
+    to exact counts instead; both must give equal results. A block
+    draws exactly the rows it reads, the rows the library draws: the
+    assignment's row, the coins only when the instance randomizes, then
+    the quality deviates only when it is noisy.
     """
     if n < 1:
         raise ConfigurationError("n must be at least 1")
@@ -463,8 +466,8 @@ def reference_simulate_instance(
     def worker(block: int, offset: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
         is_a1 = rng.random(cnt) < pu
-        coin = rng.random(cnt)
-        rng.random(cnt)  # a retired row, which nothing reads
+        if geom.part2:
+            coin = rng.random(cnt)
         if noisy:
             z = rng.standard_normal((2, cnt))
             m1a = np.where(

@@ -91,6 +91,7 @@ class TestConfigResolution:
             # A forced instance has no curve, and its grid is checked all the same.
             ("frontier", {"grid": -5, "instance.s1": 5.0}, "grid"),
             ("frontier", {"grid": 1, "instance.s1": 5.0}, "grid"),
+            ("policy", [1, 2], "config must be a JSON object"),
         ],
     )
     def test_uncoercible_value_exits_2(self, command, entries, key, tmp_path, capsys):
@@ -112,6 +113,8 @@ class TestConfigResolution:
             ["frontier", "--mode", "weird"],
             ["policy", "--bogus", "1"],
             [],
+            # Each subcommand takes only its own flags.
+            ["study", "--mode", "noisy"],
         ],
     )
     def test_bad_argument_exits_2_with_one_line(self, argv, tmp_path, capsys):
@@ -139,12 +142,13 @@ class TestConfigResolution:
     @pytest.mark.parametrize("name", ["policy.csv", "policy_manifest.json"])
     def test_output_file_that_is_a_directory_exits_2(self, name, tmp_path, capsys):
         """A directory in the way of an output file is a configuration error
-        with one stderr line naming the path."""
+        with one stderr line naming the path, and no CSV stays behind."""
         (tmp_path / name).mkdir()
         assert main(["policy", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: cannot write {tmp_path / name}: ")
         assert err.count("\n") == 1
+        assert not (tmp_path / "policy.csv").is_file()
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as stop:
@@ -457,6 +461,8 @@ class TestGoldenCsv:
         "default": {},
         "noisy": {"instance.sigma2": 0.7, "instance.s1": 0.3},
         "ec1": {"ec": 1.0},
+        # Alg. 3's endpoint, where the noisy simulation runs.
+        "noisy_ec1": {"instance.sigma2": 0.7, "instance.s1": 0.3, "ec": 1.0},
     }
 
     @pytest.mark.parametrize(
@@ -467,9 +473,11 @@ class TestGoldenCsv:
             ("policy", "default"),
             ("policy", "noisy"),
             ("policy", "ec1"),
+            ("policy", "noisy_ec1"),
             ("simulate", "default"),
             ("simulate", "noisy"),
             ("simulate", "ec1"),
+            ("simulate", "noisy_ec1"),
             ("study", "default"),
         ],
     )

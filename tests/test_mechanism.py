@@ -278,6 +278,9 @@ class TestAlg3Policy:
         inst = make_instance(1, 0, 1, 1, 0.0, 0.5, 1.0)
         with pytest.raises(ModeError):
             alg3_policy(inst, 0.2)
+        noisy = make_instance(1, 0, 1, 1, 0.5, 0.5, 1.0)
+        with pytest.raises(ConfigurationError, match="ec_max"):
+            alg3_policy(noisy, 1.5)
 
 
 class TestDecide:

@@ -43,10 +43,26 @@ class TestReviewerProfile:
             ReviewerProfile.affine(0.0, 1.0)
         with pytest.raises(ConfigurationError):
             ReviewerProfile.affine(-1.0, 0.0)
+        with pytest.raises(ConfigurationError, match="finite"):
+            ReviewerProfile.affine(math.inf, 0.0)
+
+    def test_scores_must_be_finite(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ScorePair(math.nan, 0.0)
 
     def test_monotone_round_trip_probe_rejects_mismatched_maps(self):
         with pytest.raises(ConfigurationError):
             ReviewerProfile.monotone(np.sinh, np.cosh, np.cosh)
+
+    def test_monotone_rejects_a_non_finite_score(self):
+        """exp(120 t) overflows only at the probe grid's last point, so the
+        forward map still increases there."""
+        with pytest.raises(ConfigurationError, match="non-finite score"):
+            ReviewerProfile.monotone(
+                lambda t: np.exp(120.0 * t),
+                lambda s: np.log(s) / 120.0,
+                lambda s: 1.0 / (120.0 * s),
+            )
 
     def test_monotone_rejects_decreasing_inverse(self):
         with pytest.raises(ConfigurationError):
@@ -294,6 +310,11 @@ class TestQualityPosterior:
         inst = make_instance(1, 0, 1, 1, 0.0, 0.5, 1.0)
         with pytest.raises(ModeError):
             quality_posterior(inst, 1, Assignment.A1)
+
+    def test_paper_must_be_1_or_2(self):
+        inst = make_instance(1, 0, 1, 1, 0.5, 0.5, 1.0)
+        with pytest.raises(ConfigurationError, match="paper"):
+            quality_posterior(inst, 3, Assignment.A1)
 
 
 class TestThresholds:

@@ -420,19 +420,11 @@ class TestKernelsMatchReference:
 
 
 class _RecordingStream:
-    """A stream that logs each draw, and each skip of the bit generator,
-    as (kind, size) in the order the kernel makes them."""
+    """A stream that logs each draw as (kind, size) in the order the
+    kernel makes them."""
 
     def __init__(self, rng: np.random.Generator, log: list):
         self._rng, self._log = rng, log
-
-    @property
-    def bit_generator(self):
-        return self
-
-    def advance(self, delta):
-        self._log.append(("advance", delta))
-        return self._rng.bit_generator.advance(delta)
 
     def random(self, size=None, out=None):
         self._log.append(("random", size if out is None else out.size))
@@ -444,16 +436,12 @@ class _RecordingStream:
 
 
 class TestDrawOrder:
-    """Every block takes each value it reads from the position the
-    reference kernels of tests/conftest.py read it from, which draw every
-    array. A kernel may leave out only arrays it never reads: by not
-    drawing what nothing read follows, or by advancing the stream, which
-    is exact when the block's count is a multiple of Philox's 4 outputs
-    per step. Results alone miss a misplaced draw that no count depends
-    on, such as a row a noiseless block would draw after its last read."""
+    """A block draws exactly the rows it reads, in one fixed order, and
+    the reference kernels of tests/conftest.py draw the same rows.
+    Results alone miss a misplaced draw that no count depends on, such as
+    a row a noiseless block would draw after its last read."""
 
-    # Full blocks, a partial last block whose count is a multiple of 4,
-    # and partial blocks whose counts are not.
+    # Full blocks and partial last blocks of several counts.
     NS = _NS + (_BLOCK + 1000,)
 
     def _record(self, monkeypatch, run) -> dict:
@@ -481,18 +469,17 @@ class TestDrawOrder:
             assert sorted(logs) == list(range(len(self._counts(n))))
             for block, cnt in enumerate(self._counts(n)):
                 draw = ("random", cnt)
-                skip = ("advance", cnt // 4) if cnt % 4 == 0 else draw
                 normals = ("standard_normal", (2, cnt))
-                # is_a1, coin, a retired row, then the noisy qualities.
+                # is_a1, the coin where randomizing, then the noisy qualities.
                 want = {
                     "noiseless_part2": [draw, draw],
                     "noiseless_forced": [draw],
                     "noiseless_tie": [draw],
-                    "noisy_part2": [draw, draw, skip, normals],
-                    "noisy_forced": [draw, skip, skip, normals],
-                    "noisy_tie": [draw, skip, skip, normals],
+                    "noisy_part2": [draw, draw, normals],
+                    "noisy_forced": [draw, normals],
+                    "noisy_tie": [draw, normals],
                     "noiseless_distinct_tie": [draw],
-                    "noisy_distinct_tie": [draw, skip, skip, normals],
+                    "noisy_distinct_tie": [draw, normals],
                 }[name]
                 assert logs[block] == want, (name, n, block)
 
@@ -812,6 +799,10 @@ class TestMessyMiddle:
         e = t.copy()
         e[:10] = rng.permutation(e[:10])
         assert messy_middle_error(t, e, self.CFG) == 0.0
+
+    def test_shape_guard(self):
+        with pytest.raises(ValueError, match="equal length"):
+            messy_middle_error(np.arange(1, 101), np.arange(1, 100), self.CFG)
 
     def test_empty_band_guard(self):
         cfg = StudyConfig(accept_top=25, messy_lo=25, messy_hi=25)
