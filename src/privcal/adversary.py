@@ -96,40 +96,36 @@ def map_guess(inst: Instance, policy, observed: Decision) -> Guess:
     return _observe(instance_geometry(inst), *_q(policy), observed)[2]
 
 
-def map_guess_arrays(pu, pv, idx, q1, q2, d1, d2, acc, out=None):
+def map_guess_arrays(pu, pv, idx, wu, wv, q1, q2, d1, acc, out=None):
     """Array twin of map_guess: (guesses A1, guesses A2) per replicate, neither a tie.
 
-    idx indexes the randomizing replicates of pu and pv, given with their
-    q1, q2, d1 and d2 (map_decisions) and acc (paper 1 accepted). A forced
+    idx indexes the randomizing replicates of pu and pv, whose weights
+    pu[idx] and pv[idx] are given as wu and wv, with their q1, q2, d1
+    (paper 1 is A1's MAP decision, map_decisions; A2's is the other
+    paper) and acc (paper 1 accepted). The observed decision's likelihood
+    under an assignment is q where it is that assignment's MAP decision
+    and 1 - q otherwise, the same floats _observe forms. A forced
     decision carries no information, so there pu and pv alone compare.
-    out, if given, is three float arrays of idx's length, none of them an
+    out, if given, is two float arrays of idx's length, none of them an
     input, that the call uses as scratch; the guesses are the same.
     """
     guess_a1, guess_a2 = pu > pv, pu < pv
-    l1_out, l2_out, scratch = (None, None, None) if out is None else out
-    l1 = _observed_likelihood(pu, idx, q1, d1, d2, acc, l1_out, scratch)
-    l2 = _observed_likelihood(pv, idx, q2, d2, d1, acc, l2_out, scratch)
+    l1, l2 = np.empty((2, idx.size)) if out is None else out
+    own1 = np.equal(acc, d1)
+    l1 = _observed_likelihood(wu, q1, own1, l1)
+    l2 = _observed_likelihood(wv, q2, ~own1, l2)
     guess_a1[idx], guess_a2[idx] = l1 > l2, l1 < l2
     return guess_a1, guess_a2
 
 
-def _observed_likelihood(w, idx, q, d_own, d_other, acc, out, scratch):
-    """w[idx] * Pr(observed decision | an assignment), in out if given.
-
-    Under the assignment the policy plays its MAP decision d_own with
-    probability q and d_other otherwise, so paper 1 is accepted with
-    probability p1 = q * d_own + (1 - q) * d_other. Booleans act as 0
-    and 1, so acc * p1 + ~acc * (1 - p1) selects the observed decision's.
-    """
-    p1 = np.subtract(1.0, q, out=out)
-    p1 *= d_other
-    p1 += np.multiply(q, d_own, out=scratch)
-    miss = np.subtract(1.0, p1, out=scratch)
-    miss *= ~acc
-    p1 *= acc
-    p1 += miss
-    p1 *= np.take(w, idx, out=scratch, mode="clip")
-    return p1
+def _observed_likelihood(w, q, own, out):
+    """w * (q where own, else 1 - q), written into out: the weight times
+    Pr(observed decision | an assignment), own marking the replicates
+    whose observed decision is the assignment's MAP decision."""
+    p = np.subtract(1.0, q, out=out)
+    np.copyto(p, q, where=own)
+    p *= w
+    return p
 
 
 def scenario_table(inst: Instance, policy) -> ScenarioTable:

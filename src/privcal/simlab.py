@@ -9,14 +9,15 @@ live beside their scalar twins in model and adversary, the per-instance
 simulator reads its adversary errors from adversary.scenario_table, and
 Alg1Rule forms mechanism.alg1_policy's q2 expression on arrays.
 
-Determinism contract: all randomness flows from counter-based Philox
-streams derived as stream(seed, index) = Philox(key=seed, counter with
-index in the high word). Replicates are processed in fixed-size blocks,
-block i drawing from stream(seed, i), and block totals are summed in
-block order, so results are a pure function of (inputs, seed) no matter
-how many threads run the blocks: PRIVCAL_THREADS, by default one per
-core the process may use, the calling thread among them. stream owns the
-seed rule and _run_blocks the replicate-count rule, for every caller.
+Determinism contract: all randomness flows from stream(seed, index),
+SFC64 seeded by SeedSequence(seed, spawn_key=(index,)); streams are
+independent by seeding, not disjoint by construction. Replicates are
+processed in fixed-size blocks, block i drawing from stream(seed, i),
+and block totals are summed in block order, so results are a pure
+function of (inputs, seed) no matter how many threads run the blocks:
+PRIVCAL_THREADS, by default one per core the process may use, the
+calling thread among them. stream owns the seed rule and _run_blocks the
+replicate-count rule, for every caller.
 
 A block draws exactly the rows it reads, in a fixed order, before it
 evaluates any of them. A simulate_instance block is evaluated in one
@@ -28,8 +29,8 @@ most n, and 2n <= 2^53, so it equals the float sum of per-replicate
 errors bit for bit.
 
 Workspace: each thread keeps, for as long as it lives, the arrays its
-blocks use (_Workspace, 4.3 MiB, touched only as far as a block needs):
-rows for a block's draws, which it draws into with out=, five float64
+blocks use (_Workspace, 4.1 MiB, touched only as far as a block needs):
+rows for a block's draws, which it draws into with out=, four float64
 rows of a slice's arithmetic, and the block's assignment flags. A slice
 computes in place through the out= forms of the array twins in model
 and adversary, so no array of a slice's size is allocated: glibc maps
@@ -91,17 +92,18 @@ _DRAW_ROWS = 6
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
-    """The documented counter-based stream derivation, and the seed rule.
+    """The documented stream derivation, and the seed rule.
 
-    Distinct indices occupy disjoint counter ranges of the same keyed
-    Philox generator, so streams never overlap and the derivation is
-    reproducible across platforms. A seed that is not an integer in
-    [0, 2^64), a bool included, raises ConfigurationError.
+    SFC64 seeded by SeedSequence(seed, spawn_key=(index,)), numpy's
+    documented seeding of parallel streams, reproducible across
+    platforms: streams are independent by seeding, not disjoint by
+    construction. A seed that is not an integer in [0, 2^64), a bool
+    included, raises ConfigurationError.
     """
     if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 2**64:
         raise ConfigurationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    bg = np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, np.uint64(index)])
-    return np.random.Generator(bg)
+    seq = np.random.SeedSequence(seed, spawn_key=(index,))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _thread_count() -> int:
@@ -120,13 +122,13 @@ class _Workspace:
 
     draws holds a block's draws, up to _DRAW_ROWS rows of _BLOCK, which
     carve lays out as contiguous rows of the block's count; rows holds
-    five float64 rows of a slice's arithmetic and flags the block's
-    assignments. 4.3 MiB in all, touched only as far as a block uses it.
+    four float64 rows of a slice's arithmetic and flags the block's
+    assignments. 4.1 MiB in all, touched only as far as a block uses it.
     """
 
     def __init__(self):
         self.draws = np.empty(_DRAW_ROWS * _BLOCK)
-        self.rows = np.empty((5, _CHUNK))
+        self.rows = np.empty((4, _CHUNK))
         self.flags = np.empty(_BLOCK, dtype=bool)
 
     def carve(self, cnt: int, *heights: int) -> list:
@@ -414,8 +416,9 @@ def simulate_average(
         pu, pv = posterior_weight_arrays(pop, s1, s2, out=rows[:3])
         # Only the randomizing replicates need q; the rest are forced.
         idx = np.flatnonzero(d1_p1 != d2_p1)
-        a1p, d1, d2 = a1[idx], d1_p1[idx], d2_p1[idx]
-        q1, q2 = policy_rule.batch(_gather(pu, idx, s1), _gather(pv, idx, s2))
+        a1p, d1 = a1[idx], d1_p1[idx]
+        wu, wv = _gather(pu, idx, s1), _gather(pv, idx, s2)
+        q1, q2 = policy_rule.batch(wu, wv)
         # From here the rows hold randomizing replicates only.
         rows = rows[:, : idx.size]
         c = np.take(coin[sl], idx, out=rows[2], mode="clip")
@@ -423,7 +426,7 @@ def simulate_average(
         acc_p1 = d1_p1
         acc_p1[idx] = acc
         guess_a1, guess_a2 = map_guess_arrays(
-            pu, pv, idx, q1, q2, d1, d2, acc, out=rows[2:]
+            pu, pv, idx, wu, wv, q1, q2, d1, acc, out=rows[2:]
         )
         firm = np.count_nonzero(guess_a1) + np.count_nonzero(guess_a2)
         wrong = np.count_nonzero(guess_a1 & ~a1) + np.count_nonzero(guess_a2 & a1)

@@ -578,10 +578,10 @@ def reference_simulate_average(
         conf_wrong = np.where(acc_p1, th[0] < th[1], th[1] < th[0])
 
         pu, pv = posterior_weight_arrays(pop, s1, s2)
-        prob_p1_a1 = np.where(part2, q1 * d1_p1 + (1.0 - q1) * d2_p1, d1_p1)
-        prob_p1_a2 = np.where(part2, q2 * d2_p1 + (1.0 - q2) * d1_p1, d1_p1)
-        po_a1 = np.where(acc_p1, prob_p1_a1, 1.0 - prob_p1_a1)
-        po_a2 = np.where(acc_p1, prob_p1_a2, 1.0 - prob_p1_a2)
+        # Pr(observed | A): q where the observed decision is A's MAP
+        # decision, else 1 - q; a forced decision carries no information.
+        po_a1 = np.where(part2, np.where(acc_p1 == d1_p1, q1, 1.0 - q1), 1.0)
+        po_a2 = np.where(part2, np.where(acc_p1 == d2_p1, q2, 1.0 - q2), 1.0)
         l1 = pu * po_a1
         l2 = pv * po_a2
         adv_wrong = np.where(

@@ -21,7 +21,8 @@ from privcal import (
     rr_gamma,
     scenario_table,
 )
-from privcal.frontier import instance_geometry
+from privcal.adversary import _observe, map_guess_arrays
+from privcal.frontier import InstanceGeometry, instance_geometry
 from privcal.mechanism import alg1_policy
 from conftest import (
     _scenario_errors_grid,
@@ -64,6 +65,65 @@ class TestMapGuess:
         g = Guess(GuessKind.A1)
         assert g.wrong_probability(Assignment.A1) == 0.0
         assert g.wrong_probability(Assignment.A2) == 1.0
+
+
+class TestMapGuessArrays:
+    """map_guess_arrays against its scalar twin _observe, case by case,
+    on stand-in geometries: every (pu, pv), q1, q2, MAP decision of A1 and
+    accepted paper, in one array call."""
+
+    WEIGHTS = [(0.1, 0.9), (0.9, 0.1), (0.3, 0.7), (0.5, 0.5), (0.25, 0.75)]
+    QS = [0.0, 0.1, 1.0 / 3.0, 0.5, 0.7, 0.9, 1.0]
+    PAPERS = (Decision.PAPER1, Decision.PAPER2)
+
+    @staticmethod
+    def _kind(guess_a1, guess_a2):
+        assert not (guess_a1 and guess_a2)
+        return GuessKind.A1 if guess_a1 else GuessKind.A2 if guess_a2 else GuessKind.UNIFORM_TIE
+
+    def _check(self, cases, scratch):
+        """cases: (geometry, q1, q2, observed decision) tuples."""
+        pu = np.array([g.pu for g, *_ in cases])
+        pv = np.array([g.pv for g, *_ in cases])
+        idx = np.flatnonzero([g.part2 for g, *_ in cases])
+        picked = [cases[i] for i in idx]
+        q1 = np.array([c[1] for c in picked])
+        q2 = np.array([c[2] for c in picked])
+        d1 = np.array([g.d1 is Decision.PAPER1 for g, *_ in picked])
+        acc = np.array([d is Decision.PAPER1 for *_, d in picked])
+        out = np.full((2, idx.size), np.nan) if scratch else None
+        guess_a1, guess_a2 = map_guess_arrays(
+            pu, pv, idx, pu[idx], pv[idx], q1, q2, d1, acc, out=out
+        )
+        for k, (geom, a, b, d) in enumerate(cases):
+            want = _observe(geom, a, b, d)[2].kind
+            assert self._kind(guess_a1[k], guess_a2[k]) is want, (geom, a, b, d)
+
+    @pytest.mark.parametrize("scratch", [False, True])
+    def test_matches_observe_case_by_case(self, scratch):
+        randomizing = [
+            (InstanceGeometry(True, pu, pv, 0.0, 1.0, d1, d2), a, b, d)
+            for pu, pv in self.WEIGHTS
+            for d1, d2 in (self.PAPERS, self.PAPERS[::-1])
+            for a in self.QS
+            for b in self.QS
+            for d in self.PAPERS
+        ]
+        forced = [
+            (InstanceGeometry(False, pu, pv, 0.0, 1.0, d, d), 0.5, 0.5, d)
+            for pu, pv in self.WEIGHTS
+            for d in self.PAPERS
+        ]
+        self._check(randomizing + forced, scratch)
+
+    def test_an_exact_tie_of_observe_is_a_tie(self):
+        # pu (1 - q1) and pv q2 are the same float here, so _observe reads
+        # a tie; 1 - (1 - q2) in place of q2 would make l2 the smaller.
+        geom = InstanceGeometry(True, 0.1, 0.9, 0.0, 1.0, Decision.PAPER1, Decision.PAPER2)
+        p_a1, p_a2, guess = _observe(geom, 0.1, 0.1, Decision.PAPER2)
+        assert geom.pu * p_a1 == geom.pv * p_a2 == 0.09000000000000001
+        assert guess.kind is GuessKind.UNIFORM_TIE
+        self._check([(geom, 0.1, 0.1, Decision.PAPER2)], scratch=True)
 
 
 class TestScenarioTable:

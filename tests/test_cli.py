@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import privcal
 from privcal import max_adversary_error_curve
 from privcal.cli import _DEFAULTS, main
 from privcal.frontier import frontier, instance_geometry
@@ -428,11 +430,20 @@ class TestManifestReplay:
 
 
 class TestConsoleScript:
+    @staticmethod
+    def _env() -> dict:
+        """The environment with privcal's source root first on PYTHONPATH:
+        pytest's pythonpath setting reaches only its own process."""
+        src = str(Path(privcal.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        return {**os.environ, "PYTHONPATH": os.pathsep.join([src] + ([path] if path else []))}
+
     def test_entry_point_runs(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "privcal.cli", "policy", "--out", str(tmp_path)],
             capture_output=True,
             text=True,
+            env=self._env(),
         )
         assert proc.returncode == 0
         assert (tmp_path / "policy.csv").exists()
@@ -442,6 +453,7 @@ class TestConsoleScript:
             [sys.executable, "-m", "privcal.cli", "policy", "--ec", "abc", "--out", str(tmp_path)],
             capture_output=True,
             text=True,
+            env=self._env(),
         )
         assert proc.returncode == 2
         assert proc.stderr == "configuration error: ec must be a number, got 'abc'\n"

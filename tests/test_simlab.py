@@ -82,9 +82,17 @@ class TestStreams:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_stream_is_sfc64_seeded_by_a_spawn_key(self):
+        for seed, index in ((0, 0), (7, 3), (2**64 - 1, 2**32 + 5)):
+            seq = np.random.SeedSequence(seed, spawn_key=(index,))
+            want = np.random.Generator(np.random.SFC64(seq))
+            got = stream(seed, index)
+            assert np.array_equal(got.random(64), want.random(64))
+            assert np.array_equal(got.standard_normal(64), want.standard_normal(64))
+
     def test_adjacent_streams_share_no_block(self):
-        # Each stream owns a disjoint counter range, so even long draws
-        # from neighboring indices never overlap.
+        # Neighboring indices seed independent SFC64 states, so even long
+        # draws from them share no value.
         a = stream(0, 0).random(1 << 12)
         b = stream(0, 1).random(1 << 12)
         assert not np.intersect1d(a, b).size
