@@ -168,20 +168,17 @@ _GL_NODES = 6
 _QUALITY_STEP = 0.5
 _BRACKETS = 16
 _BISECTIONS = 60
-# Inner nodes evaluated at a time. This bounds the working memory: a warm
-# call peaks near 1 MiB.
-_POINTS = 1 << 13
 # The half-step of the central difference that locates g's extrema.
 _SLOPE_STEP = 1e-7
+# libm's erfc, elementwise (numpy has none), written into float arrays.
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _gl_panels(edges: np.ndarray, rule: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes and weights of rule = leggauss(n), panel by panel along the last axis."""
+    """The nodes and weights of rule = leggauss(n), panel by panel."""
     x, w = rule
-    half = 0.5 * np.diff(edges)[..., None]
-    centre = edges[..., :-1, None] + half
-    shape = edges.shape[:-1] + (-1,)
-    return (centre + half * x).reshape(shape), (half * w).reshape(shape)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (edges[:-1, None] + half + half * x).ravel(), (half * w).ravel()
 
 
 def _unique(*parts: np.ndarray) -> np.ndarray:
@@ -220,14 +217,15 @@ def _quality_zeta_eta(pop: Population, span: float) -> tuple[float, float, float
     for g = k o r2 and K = k o r1, affine profiles or not. At fixed x the
     band of y between the thresholds runs from x to h(h(x)), h = r2^-1 o
     r1 clipped to the box, and g(y) = K(x) at y = h(x) and at most once
-    in each monotone piece of g, between its extrema. These roots, the
-    grid and its image under h cut the inner panels. The outer ones are
-    cut at the grid and its images under h, h^-1 and h^-1 o h^-1, which
-    resolve g, K and g o h o h along x, and at the events where the inner
-    cuts meet, leave the box or appear. Events are bracketed on the fine
-    grid and the same images of it, so a steep h cannot hide two in one
-    bracket. A rule bisects the roots of all its outer nodes at once and
-    sums their panels _POINTS nodes at a time.
+    in each monotone piece of g, between its extrema. Between these cuts
+    the inner integral is exact: phi(y) dy = d Phi(y) where g >= K(x),
+    and exp(g(y)) phi(y) dy = d Phi(h^-1(y)) where g < K(x). There the
+    outer weight is exp(log phi(x) - K(x)) = f2(r1(x)) r1'(x), a bounded
+    density, so nothing overflows. The outer panels are cut at the
+    grid and its images under h, h^-1 and h^-1 o h^-1, which resolve g,
+    K and g o h o h along x, and at the events where the inner cuts meet,
+    leave the box or appear. Events are bracketed on the fine grid and
+    the same images of it, so a steep h cannot hide two in one bracket.
     """
     r1, r2 = pop.reviewer1, pop.reviewer2
     logf = log_marginal_score_density
@@ -256,7 +254,6 @@ def _quality_zeta_eta(pop: Population, span: float) -> tuple[float, float, float
     # g is monotone between consecutive ends, so each piece holds at most
     # one root of g = K(x).
     ends = np.concatenate([[-span], extrema, [span]])
-    y_grid = _unique(grid, h(grid), extrema)
     # A root meets y = x or y = h(h(x)), leaves the box, or appears in a
     # pair; x, h(x) and h(h(x)) meet at the fixed points of h.
     events = [lambda x: k(r2, x) - k(r1, x), lambda x: k(r2, h(h(x))) - k(r1, x)]
@@ -269,12 +266,9 @@ def _quality_zeta_eta(pop: Population, span: float) -> tuple[float, float, float
 
     results = []
     for n in (_GL_NODES, 2 * _GL_NODES):
-        rule = leggauss(n)
-        x, w = _gl_panels(edges, rule)
-        w *= 0.5 * np.exp(_LOG_INV_SQRT_2PI - 0.5 * x * x)
+        x, w = _gl_panels(edges, leggauss(n))
         kx = k(r1, x)[:, None]
         hhx = h(h(x))
-        band_lo, band_hi = np.minimum(x, hhx)[:, None], np.maximum(x, hhx)[:, None]
         # A piece of g over which g - K(x) changes sign holds a root; x
         # stands in for the root of any other piece.
         d = k(r2, ends) - kx
@@ -283,18 +277,21 @@ def _quality_zeta_eta(pop: Population, span: float) -> tuple[float, float, float
         roots[row, piece] = _bisect(
             lambda y: k(r2, y) - kx[row, 0], ends[piece], ends[piece + 1]
         )
-        cuts = np.column_stack([x, h(x), hhx, roots])
-        inside, total = np.empty(x.size), np.empty(x.size)
-        # Slices of outer nodes whose inner panels hold at most _POINTS nodes.
-        rows = max(1, _POINTS // ((y_grid.size + cuts.shape[1]) * n))
-        for start in range(0, x.size, rows):
-            j = slice(start, start + rows)
-            grids = np.broadcast_to(y_grid, (cuts[j].shape[0], y_grid.size))
-            y, wy = _gl_panels(np.sort(np.column_stack([grids, cuts[j]])), rule)
-            f = wy * np.exp(_LOG_INV_SQRT_2PI - 0.5 * y * y + np.minimum(0.0, k(r2, y) - kx[j]))
-            total[j] = f.sum(axis=1)
-            inside[j] = np.where((band_lo[j] < y) & (y < band_hi[j]), f, 0.0).sum(axis=1)
-        results.append((float(w @ inside), float(w @ (total - inside))))
+        box = np.full(x.size, span)
+        cuts = np.sort(np.column_stack([-box, x, h(x), hhx, roots, box]))
+        mid = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
+        # erfc(-y / sqrt 2) = 2 Phi(y) at the cuts and at their images
+        # under h^-1, unclipped. A piece where g < K(x) is a mass of
+        # Phi o h^-1, and its exp(-K(x)) moves into the outer weight.
+        t = np.stack([cuts, r1.invert(r2.apply(cuts))]) / -math.sqrt(2.0)
+        _ERFC(t, out=t, casting="unsafe")
+        above = k(r2, mid) >= kx
+        log_w = (_LOG_INV_SQRT_2PI - 0.5 * x * x)[:, None] - np.where(above, 0.0, kx)
+        mass = np.where(above, np.diff(t[0]), np.diff(t[1]))
+        f = 0.25 * w[:, None] * np.exp(log_w) * mass
+        inside = (np.minimum(x, hhx)[:, None] < mid) & (mid < np.maximum(x, hhx)[:, None])
+        zeta_n = float(f[inside].sum())
+        results.append((zeta_n, float(f.sum()) - zeta_n))
     (zeta_c, eta_c), (zeta, eta) = results
     return zeta, eta, abs(zeta - zeta_c) + abs(eta - eta_c)
 
@@ -306,22 +303,24 @@ def zeta_eta(
 
     zeta integrates the score-only adversary error min(u, v)/2 over the
     randomizing regime (s1 strictly between the thresholds), eta over
-    the forced regime. Every population takes one integrator: fixed
-    Gauss-Legendre rules over the qualities in [-theta_span,
-    theta_span]^2, taken with n and 2n nodes per panel (see
-    _quality_zeta_eta). err sums their differences and adds
+    the forced regime. Every population takes one integrator over the
+    qualities in [-theta_span, theta_span]^2: the inner integral exact,
+    the outer one by Gauss-Legendre rules with n and 2n nodes per panel
+    (see _quality_zeta_eta). err sums their differences and adds
     4 Phi(-theta_span) for the mass outside the box. When err exceeds
-    settings.abs_tol, AccuracyError is raised carrying zeta and err.
-    There is no fallback path.
+    settings.abs_tol or any of the three is not finite, AccuracyError
+    is raised carrying zeta and err. There is no fallback path.
     """
     if settings is None:
         settings = QuadratureSettings()
     if not pop.noiseless:
         raise ModeError("zeta/eta are defined for the noiseless average case")
-    zeta, eta, err = _quality_zeta_eta(pop, settings.theta_span)
+    # Maps that leave each other's range give NaN, which raises below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zeta, eta, err = _quality_zeta_eta(pop, settings.theta_span)
     # The box leaves out at most this much of min(u, v)/2.
     err += 4.0 * std_normal_cdf(-settings.theta_span)
-    if err > settings.abs_tol:
+    if not (math.isfinite(zeta + eta) and err <= settings.abs_tol):
         raise AccuracyError("quadrature tolerance unmet", zeta, err)
     return zeta, eta, err
 

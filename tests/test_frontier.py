@@ -400,8 +400,9 @@ class TestMaxAdversaryErrorCurve:
         pieces alike, up to grid resolution.
 
         The one-sided maxima come from bucketing the grid points between
-        consecutive targets, which needs no sort of the 4 M points, and
-        one search of the targets per point serves both sides.
+        consecutive targets. E_C = (c0 - alpha1 q1) - alpha2 q2 falls
+        along each row of the grid, also in floating point, so one search
+        of the targets per row finds the buckets as runs of the row.
         """
         q = np.linspace(0.0, 1.0, 2001)
         checked = 0
@@ -409,9 +410,7 @@ class TestMaxAdversaryErrorCurve:
             noisy = bool(rng.integers(0, 2))
             inst = random_part2_instance(rng, noisy=noisy)
             geom = instance_geometry(inst)
-            ec_all, ea_all = (
-                e.ravel() for e in _scenario_errors_grid(geom, q[:, None], q[None, :])
-            )
+            ec_all, ea_all = _scenario_errors_grid(geom, q[:, None], q[None, :])
             lo = geom.ec_intercept - geom.alpha1 - geom.alpha2
             targets = np.linspace(lo, geom.ec_intercept, 101)
             # With k targets strictly under its E_C, a point lands in slot
@@ -419,12 +418,23 @@ class TestMaxAdversaryErrorCurve:
             # to 2k + 1 hold the points with E_C <= target k, slots from
             # 2k + 1 on those with E_C >= target k. E_A >= 0, so a slot
             # with no point holds 0, the value of an empty side.
-            k = np.searchsorted(targets, ec_all)
-            slot = 2 * k + (ec_all == targets.take(k, mode="clip"))
-            table = np.zeros(2 * targets.size + 2)
-            np.maximum.at(table, slot, ea_all)
-            lefts = np.maximum.accumulate(table)[1::2][:-1]
-            rights = np.maximum.accumulate(table[::-1])[::-1][1::2][:-1]
+            # Each row runs from the last slot down to slot 0. -E_C rises
+            # along it, and the keys -t and the next float up count the
+            # points with E_C > t and with E_C >= t: the runs' bounds.
+            down = -targets[::-1]
+            keys = np.column_stack([down, np.nextafter(down, np.inf)]).ravel()
+            starts = np.zeros((q.size, keys.size + 1), dtype=np.intp)
+            for bounds, u in zip(starts, -ec_all):
+                bounds[1:] = np.searchsorted(u, keys)
+            starts = (starts + q.size * np.arange(q.size)[:, None]).ravel()
+            # reduceat cannot take an empty run; with those left out, each
+            # run still ends where the next one starts.
+            live = np.diff(starts, append=ea_all.size) > 0
+            runs = np.zeros(starts.size)
+            runs[live] = np.maximum.reduceat(ea_all.ravel(), starts[live])
+            table = runs.reshape(q.size, -1).max(axis=0)[::-1]
+            lefts = np.maximum.accumulate(table)[1::2]
+            rights = np.maximum.accumulate(table[::-1])[::-1][1::2]
             for ec, left, right in zip(targets, lefts, rights):
                 ec = float(ec)
                 brute = min(left, right)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,12 @@ REF1 = Population(ReviewerProfile.affine(1.0, 0.0), ReviewerProfile.affine(1.0, 
 REF2 = Population(ReviewerProfile.affine(1.5, -0.5), ReviewerProfile.affine(0.8, 0.7))
 SINH = Population(sinh_profile(), ReviewerProfile.affine(1.0, 0.5))
 CUBIC = Population(cubic_profile(), ReviewerProfile.affine(1.0, 0.5))
+SLOPE_RATIO_10 = Population(ReviewerProfile.affine(0.3, 0.5), ReviewerProfile.affine(3.0, -1.0))
+# exp and affine(1, 0) reach scores the other cannot: log of a
+# non-positive score is NaN, and so are zeta, eta and err.
+EXP = Population(
+    ReviewerProfile.monotone(np.exp, np.log, lambda s: 1.0 / s), ReviewerProfile.affine(1.0, 0.0)
+)
 
 # (a1, b1, a2, b2) of the affine populations checked against the oracle.
 AFFINE_PAIRS = {
@@ -439,18 +446,43 @@ class TestZetaEta:
         assert zeta == pytest.approx(want[0], abs=1e-10)
         assert eta == pytest.approx(want[1], abs=1e-10)
 
+    @pytest.mark.parametrize("swap", [False, True], ids=["exp_first", "exp_second"])
+    def test_non_finite_values_raise(self, swap):
+        """NaN fails every comparison, so err > abs_tol alone let it pass.
+        Under the suite's filter a RuntimeWarning would fail this test."""
+        pop = Population(EXP.reviewer2, EXP.reviewer1) if swap else EXP
+        with pytest.raises(AccuracyError):
+            zeta_eta(pop)
+
+    @pytest.mark.parametrize(
+        "pop",
+        [SLOPE_RATIO_10, Population(SLOPE_RATIO_10.reviewer2, SLOPE_RATIO_10.reviewer1), SINH],
+        ids=["slope_ratio_10", "slope_ratio_10_swapped", "sinh"],
+    )
+    def test_a_wide_box_agrees_with_the_default(self, pop):
+        """At theta_span 40 on the slope-ratio-10 pair K falls to about
+        -790, so exp(-K(x)) overflows unless it joins the outer weight in
+        log space. The values move by no more than the two bounds."""
+        zeta, eta, err = zeta_eta(pop)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zeta_w, eta_w, err_w = zeta_eta(pop, QuadratureSettings(theta_span=40.0))
+        assert abs(zeta_w - zeta) <= err + err_w
+        assert abs(eta_w - eta) <= err + err_w
+
     @pytest.mark.parametrize(
         "pop",
         [
             REF1,
             REF2,
-            Population(ReviewerProfile.affine(0.3, 0.5), ReviewerProfile.affine(3.0, -1.0)),
+            SLOPE_RATIO_10,
             SINH,
         ],
         ids=["ref1", "ref2", "slope_ratio_10", "sinh"],
     )
     def test_a_warm_call_peaks_under_4_mib(self, pop):
-        """The panels are evaluated a bounded number of nodes at a time."""
+        """The inner integral is exact, so a call holds a few arrays of
+        one entry per outer node and inner piece; none grows with a grid."""
         zeta_eta(pop)
         tracemalloc.start()
         try:
@@ -549,6 +581,10 @@ class TestAlg2Policy:
         avg = alg2_policy(pop, 0.0)
         assert avg.mix == 1.0
         assert avg.conference_error == pytest.approx(0.0, abs=1e-9)
+
+    def test_non_finite_zeta_raises(self):
+        with pytest.raises(AccuracyError):
+            alg2_policy(EXP, 0.05)
 
     def test_budget_range_guard(self):
         pop = Population(
