@@ -15,7 +15,6 @@ from .model import (
     Decision,
     DegenerateInstanceError,
     Instance,
-    LikelihoodPair,
     ModeError,
     PhiPair,
     Population,
@@ -23,9 +22,6 @@ from .model import (
     QualityPosterior,
     ReviewerProfile,
     ScorePair,
-    assignment_posterior,
-    likelihoods,
-    marginal_score_density,
     phi_pair,
     quality_posterior,
 )

@@ -22,7 +22,7 @@ from .model import (
     ConfigurationError,
     Population,
     _LOG_INV_SQRT_2PI,
-    log_marginal_score_density,
+    log_ratio,
     std_normal_cdf,
 )
 from .frontier import Infeasible, _endpoint, _w_interval, instance_geometry
@@ -228,7 +228,6 @@ def _quality_zeta_eta(pop: Population, span: float) -> tuple[float, float, float
     the same images of it, so a steep h cannot hide two in one bracket.
     """
     r1, r2 = pop.reviewer1, pop.reviewer2
-    logf = log_marginal_score_density
 
     def h(x):
         return np.clip(r2.invert(r1.apply(x)), -span, span)
@@ -237,8 +236,7 @@ def _quality_zeta_eta(pop: Population, span: float) -> tuple[float, float, float
         return np.clip(r1.invert(r2.apply(y)), -span, span)
 
     def k(prof, t):
-        s = prof.apply(t)
-        return logf(r1, 0.0, s) - logf(r2, 0.0, s)
+        return log_ratio(pop, prof.apply(t))
 
     def slope(y):
         return k(r2, y + _SLOPE_STEP) - k(r2, y - _SLOPE_STEP)

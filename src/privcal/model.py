@@ -5,9 +5,16 @@ transformation of the paper's latent quality, optionally plus Gaussian
 noise, and the secret is which reviewer saw which paper. Everything
 downstream (frontiers, policies, adversaries) is built from the
 quantities defined here: marginal score densities, the assignment
-likelihood pair (u, v), the posterior over assignments, the pair of
-conditional probabilities (Phi1, Phi2) that paper 1 is the worse one,
+log likelihoods (log u, log v), the posterior over assignments, the pair
+of conditional probabilities (Phi1, Phi2) that paper 1 is the worse one,
 and the Gaussian quality posteriors.
+
+The posterior depends on the scores through one log ratio per score,
+log_ratio(model, s) = log f1(s) - log f2(s) for reviewer j's marginal
+score density f_j, as log v - log u = log_ratio(s2) - log_ratio(s1);
+two affine reviewers make it a quadratic in s. The simulators'
+posterior_weight_arrays and mechanism's zeta/eta integrand read it; the
+scalar log_likelihoods and posterior_weights keep the four log densities.
 """
 
 from __future__ import annotations
@@ -297,14 +304,6 @@ class Population(_NoiseModel):
 
 
 @dataclass(frozen=True)
-class LikelihoodPair:
-    """u = f1(s1) f2(s2), v = f2(s1) f1(s2): score likelihoods of the two assignments."""
-
-    u: float
-    v: float
-
-
-@dataclass(frozen=True)
 class PhiPair:
     """Phi1 = Pr(paper 1 worse | A1, scores), Phi2 = same under A2. Noisy mode only."""
 
@@ -344,11 +343,6 @@ def log_marginal_score_density(profile: ReviewerProfile, sigma2: float, s, out=N
     return _norm_logpdf(s, profile.b, profile.a * profile.a + sigma2, out)
 
 
-def marginal_score_density(profile: ReviewerProfile, sigma2: float, s: float) -> float:
-    """Marginal density of a reported score. See log_marginal_score_density."""
-    return math.exp(log_marginal_score_density(profile, sigma2, s))
-
-
 def log_likelihoods(inst: Instance) -> tuple[float, float]:
     """(log u, log v), computed in log space so extreme scores stay usable."""
     s1, s2 = inst.scores.s1, inst.scores.s2
@@ -357,12 +351,6 @@ def log_likelihoods(inst: Instance) -> tuple[float, float]:
     lf2_s1 = log_marginal_score_density(inst.reviewer2, inst.sigma2, s1)
     lf1_s2 = log_marginal_score_density(inst.reviewer1, inst.sigma2, s2)
     return lf1_s1 + lf2_s2, lf2_s1 + lf1_s2
-
-
-def likelihoods(inst: Instance) -> LikelihoodPair:
-    """The assignment likelihood pair (u, v)."""
-    logu, logv = log_likelihoods(inst)
-    return LikelihoodPair(math.exp(logu), math.exp(logv))
 
 
 def posterior_weights(inst: Instance) -> tuple[float, float]:
@@ -379,35 +367,53 @@ def posterior_weights(inst: Instance) -> tuple[float, float]:
     return 1.0 - pv, pv
 
 
+def log_ratio(model, s, out=None):
+    """log f1(s) - log f2(s), f_j reviewer j's marginal score density.
+
+    model is any object with reviewer1, reviewer2 and sigma2 (an Instance
+    or a Population); s is a float or an array, out an array of its shape
+    other than s. Two affine reviewers, whose scores are normal with mean
+    b_j and variance v_j = a_j^2 + sigma2, give (A s + B) s + C with
+    A = 1/(2 v2) - 1/(2 v1), B = b1/v1 - b2/v2 and C = b2^2/(2 v2) -
+    b1^2/(2 v1) + log(v2/v1)/2; equal reviewers give 0 exactly. Any other
+    pair gives the difference of the two log_marginal_score_density terms.
+    """
+    r1, r2, g2 = model.reviewer1, model.reviewer2, model.sigma2
+    if r1.kind is not ProfileKind.AFFINE or r2.kind is not ProfileKind.AFFINE:
+        k = log_marginal_score_density(r1, g2, s, out)
+        return np.subtract(k, log_marginal_score_density(r2, g2, s), out=out)
+    v1, v2 = r1.a * r1.a + g2, r2.a * r2.a + g2
+    a = 0.5 / v2 - 0.5 / v1
+    b = r1.b / v1 - r2.b / v2
+    c = 0.5 * (r2.b * r2.b / v2 - r1.b * r1.b / v1 + (math.log(v2) - math.log(v1)))
+    if out is None:
+        return (a * s + b) * s + c
+    k = _affine(s, a, b, out)
+    k *= s
+    k += c
+    return k
+
+
 def posterior_weight_arrays(
     pop: Population, s1: np.ndarray, s2: np.ndarray, out=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (pu, pv) over score arrays: the array twin of posterior_weights.
 
-    out, if given, is three arrays of the scores' shape, none of them s1
-    or s2: pu and pv are written into the first two, and the third is
-    scratch. The values are those of the allocating call, bit for bit.
+    Reads log v - log u as log_ratio(s2) - log_ratio(s1). out, if given,
+    is two arrays of the scores' shape, neither of them s1 or s2, which
+    receive pu and pv. The values are those of the allocating call, bit
+    for bit.
     """
-    r1, r2, g2 = pop.reviewer1, pop.reviewer2, pop.sigma2
-    pu, pv, scratch = (None, None, None) if out is None else out
-    logf = log_marginal_score_density
-    logu = logf(r1, g2, s1, pu)
-    logu += logf(r2, g2, s2, scratch)
-    d = logf(r2, g2, s1, pv)
-    d += logf(r1, g2, s2, scratch)
-    d -= logu
+    pu, pv = (None, None) if out is None else out
+    d = log_ratio(pop, s2, pu)
+    d -= log_ratio(pop, s1, pv)
     # exp overflows to inf above about 709.78, where pu = 0 all the same,
     # and underflows below about -745, where pu = 1.
     with np.errstate(over="ignore"):
-        e = np.exp(d, out=logu)
+        e = np.exp(d, out=d)
     e += 1.0
     pu = np.divide(1.0, e, out=e)
     return pu, np.subtract(1.0, pu, out=pv)
-
-
-def assignment_posterior(inst: Instance) -> float:
-    """Posterior probability of assignment A1 given the scores (uniform prior)."""
-    return posterior_weights(inst)[0]
 
 
 def thresholds(model, s2, out=None):

@@ -19,21 +19,26 @@ PRIVCAL_THREADS, by default one per core the process may use, the
 calling thread among them. stream owns the seed rule and _run_blocks the
 replicate-count rule, for every caller.
 
-A block draws exactly the rows it reads, in a fixed order, before it
-evaluates any of them. A simulate_instance block is evaluated in one
-pass; a simulate_average block, in slices of _CHUNK (2^15) replicates,
-two per block. A block reduces its replicates to exact counts:
+A block draws exactly what it reads, in a fixed order, before it
+evaluates any of it. Its assignments are one draw, the count k of A1
+replicates, Binomial(cnt, pu) in simulate_instance and Binomial(cnt,
+1/2) in simulate_average: replicates [0, k) are A1 and [k, cnt) A2. The
+replicates are i.i.d. and a block keeps only sums over them, so putting
+them in assignment order changes the draws, not the law. A run of one
+assignment has fixed profiles and q. simulate_instance evaluates a
+block run by run, simulate_average in slices of at most _CHUNK (2^15)
+replicates of one run. A block reduces its replicates to exact counts:
 conference errors, firm wrong guesses of the adversary, and its ties at
 half an error. Every running total is an integer or half-integer of at
 most n, and 2n <= 2^53, so it equals the float sum of per-replicate
 errors bit for bit.
 
 Workspace: each thread keeps, for as long as it lives, the arrays its
-blocks use (_Workspace, 4.1 MiB, touched only as far as a block needs):
-rows for a block's draws, which it draws into with out=, four float64
-rows of a slice's arithmetic, and the block's assignment flags. A slice
-computes in place through the out= forms of the array twins in model
-and adversary, so no array of a slice's size is allocated: glibc maps
+blocks use (_Workspace, 3.5 MiB, touched only as far as a block needs):
+up to _DRAW_ROWS rows for a block's draws, which it draws into with
+out=, and four float64 rows of a slice's arithmetic. A slice computes
+in place through the out= forms of the array twins in model and
+adversary, so no float array of a slice's size is allocated: glibc maps
 and unmaps each one of 128 KiB or more on its own, and a block that
 freed its arrays had them faulted in again. Few, large slices make few
 GIL-releasing numpy calls, and so few hand-offs of the GIL between
@@ -70,6 +75,7 @@ from .model import (
     Instance,
     ModeError,
     Population,
+    QualityPosterior,
     map_decisions,
     posterior_weight_arrays,
     quality_posterior,
@@ -84,11 +90,10 @@ _BLOCK = 1 << 16
 # hand-offs of the GIL between threads, low: at 2^14 the same slices ran
 # up to 20 % slower on two threads of a 2-vCPU host.
 _CHUNK = 1 << 15
-# Float64 rows of _BLOCK a block takes at most: simulate_average's two of
-# qualities, one for the assignment, one of coins and two of score noise.
-# simulate_instance takes five: two of qualities, one for the assignment,
-# one of coins and _pick's scratch row.
-_DRAW_ROWS = 6
+# Float64 rows of _BLOCK a block carves at most: simulate_average's two of
+# qualities, one of coins and two of score noise. simulate_instance
+# carves two: one of coins and one of quality differences.
+_DRAW_ROWS = 5
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
@@ -122,14 +127,13 @@ class _Workspace:
 
     draws holds a block's draws, up to _DRAW_ROWS rows of _BLOCK, which
     carve lays out as contiguous rows of the block's count; rows holds
-    four float64 rows of a slice's arithmetic and flags the block's
-    assignments. 4.1 MiB in all, touched only as far as a block uses it.
+    four float64 rows of a slice's arithmetic. 3.5 MiB in all, touched
+    only as far as a block uses it.
     """
 
     def __init__(self):
         self.draws = np.empty(_DRAW_ROWS * _BLOCK)
         self.rows = np.empty((4, _CHUNK))
-        self.flags = np.empty(_BLOCK, dtype=bool)
 
     def carve(self, cnt: int, *heights: int) -> list:
         """Consecutive (height, cnt) views of draws, one per height."""
@@ -159,33 +163,11 @@ def _workspace():
         free.append(ws)
 
 
-def _pick(mask: np.ndarray, f, g, x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """x <- f(x) where mask, else g(x), in place; np.where(mask, f(x), g(x))
-    bit for bit. f and g take out= as ReviewerProfile.apply does, and
-    scratch is an array of x's shape. The selection works on the bits,
-    x ^= (f(x) ^ x) * mask, since np.where's branch per element
-    mispredicts on a random mask."""
-    f(x, out=scratch)
-    g(x, out=x)
-    fi, xi = scratch.view(np.int64), x.view(np.int64)
-    np.bitwise_xor(fi, xi, out=fi)
-    np.multiply(fi, mask, out=fi)
-    np.bitwise_xor(xi, fi, out=xi)
-    return x
-
-
 def _gather(a: np.ndarray, idx: np.ndarray, row: np.ndarray) -> np.ndarray:
     """a[idx], written into row, as a read-only view."""
     view = np.take(a, idx, out=row[: idx.size], mode="clip")
     view.flags.writeable = False
     return view
-
-
-def _accepts_paper1(d1_p1, a1, coin, q1, q2):
-    """Paper 1 is accepted iff d1 is paper 1 XOR (truthful play != A1); play
-    is truthful when coin < q1 under A1 and coin < q2 under A2."""
-    truthful = (a1 & (coin < q1)) | (~a1 & (coin < q2))
-    return d1_p1 ^ (truthful != a1)
 
 
 def _count_wrong(acc_p1, p1_worse, p2_worse) -> int:
@@ -264,26 +246,31 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
     Each replicate draws the assignment from its score posterior,
     qualities from the score-conditioned posteriors, runs the
     randomized decision, and lets the MAP adversary guess. Adversary
-    ties are tallied as half an error. A block counts its replicates in
-    the four (assignment, accepted paper) cells; each cell's adversary
-    error is read from scenario_table, and in noiseless mode its
-    conference error is fixed by the qualities the scores invert to. An
-    Infeasible target is not a policy and raises ConfigurationError.
+    ties are tallied as half an error. A block draws its count k of A1
+    replicates, Binomial(cnt, pu), and counts replicates [0, k) as A1
+    and [k, cnt) as A2 in the four (assignment, accepted paper) cells;
+    each cell's adversary error is read from scenario_table, and in
+    noiseless mode its conference error is fixed by the qualities the
+    scores invert to. Noisy mode draws th1 - th2, whose posterior under
+    an assignment is normal with the difference of the two papers'
+    means and the sum of their variances. An Infeasible target is not a
+    policy and raises ConfigurationError.
     """
     geom = instance_geometry(inst)
-    pu = geom.pu
     noisy = not inst.noiseless
     d1_p1 = geom.d1 is Decision.PAPER1
     cells = scenario_table(inst, policy).cells
     adv_table = np.array([c.adversary_wrong_prob for c in cells])
-
-    if noisy:
-        # Per paper: the draw maps of its quality posteriors under A1 and A2.
-        post = [
-            [quality_posterior(inst, p, a).draw for a in (Assignment.A1, Assignment.A2)]
-            for p in (1, 2)
-        ]
-    else:
+    # Per assignment: q, whether its MAP decision accepts paper 1, and in
+    # noisy mode the posterior of th1 - th2.
+    plays = []
+    for q, d, a in ((policy.q1, geom.d1, Assignment.A1), (policy.q2, geom.d2, Assignment.A2)):
+        diff_post = None
+        if noisy:
+            p1, p2 = (quality_posterior(inst, p, a) for p in (1, 2))
+            diff_post = QualityPosterior(p1.mean - p2.mean, p1.variance + p2.variance)
+        plays.append((q, d is Decision.PAPER1, diff_post))
+    if not noisy:
         r1, r2 = inst.reviewer1, inst.reviewer2
         s1, s2 = inst.scores.s1, inst.scores.s2
         # The qualities of papers 1 and 2: (t1, t2) under A1, (u1, u2) under A2.
@@ -292,27 +279,32 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
 
     def worker(block: int, offset: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
-        with _workspace() as ws:
-            th, (u,), (coin,), (scratch,) = ws.carve(cnt, 2, 1, 1, 1)
-            a1 = np.less(rng.random(out=u), pu, out=ws.flags[:cnt])
-            if geom.part2:
-                rng.random(out=coin)
-                acc_p1 = _accepts_paper1(d1_p1, a1, coin, policy.q1, policy.q2)
-            else:
-                acc_p1 = np.full(cnt, d1_p1)
-            if noisy:
-                # The qualities, written over their deviates.
-                rng.standard_normal(out=th)
-                for (post_a1, post_a2), row in zip(post, th):
-                    _pick(a1, post_a1, post_a2, row, scratch)
-                conf = _count_wrong(acc_p1, th[0] < th[1], th[1] < th[0])
-            n_a1, n_acc = np.count_nonzero(a1), np.count_nonzero(acc_p1)
-            n_both = np.count_nonzero(a1 & acc_p1)
+        k = rng.binomial(cnt, geom.pu)
         # The counts of the scenario table's cells: (A1, paper 1),
         # (A1, paper 2), (A2, paper 1), (A2, paper 2).
-        counts = np.array(
-            [n_both, n_a1 - n_both, n_acc - n_both, cnt - n_a1 - n_acc + n_both]
-        )
+        counts, conf = [], 0
+        with _workspace() as ws:
+            (coin,), (diff,) = ws.carve(cnt, 1, 1)
+            if geom.part2:
+                rng.random(out=coin)
+            if noisy:
+                rng.standard_normal(out=diff)
+            for sl, (q, own_p1, diff_post) in zip((slice(0, k), slice(k, cnt)), plays):
+                size = sl.stop - sl.start
+                # own marks the replicates that accept the assignment's own
+                # MAP decision: truthful play, coin < q, where the instance
+                # randomizes, and every replicate where it is forced.
+                if geom.part2:
+                    own = np.less(coin[sl], q)
+                    n_own = np.count_nonzero(own)
+                else:
+                    own, n_own = np.True_, size
+                n_p1 = n_own if own_p1 else size - n_own
+                counts += [n_p1, size - n_p1]
+                if noisy:
+                    d = diff_post.draw(diff[sl], out=diff[sl])
+                    conf += _count_wrong(own == own_p1, d < 0.0, d > 0.0)
+        counts = np.array(counts)
         if not noisy:
             conf = counts @ conf_table
         return np.array([conf, counts @ adv_table], dtype=float)
@@ -398,51 +390,60 @@ def simulate_average(
     noisy = not pop.noiseless
     sd = math.sqrt(pop.sigma2)
 
-    def chunk(th, is_a1, coin, eps, rows, sl: slice) -> tuple:
-        """Conference, firm and wrong-guess counts of slice sl, in place:
-        its scores are written over its qualities th and its noise eps;
-        its rows hold the thresholds, then the posterior weights, then the
-        adversary's likelihoods; the rule reads the randomizing replicates'
-        weights from th."""
-        th1, th2, a1 = th[0, sl], th[1, sl], is_a1[sl]
-        rows = rows[:, : a1.size]
+    def chunk(th, coin, eps, rows, sl: slice, a1: bool) -> tuple:
+        """Conference, firm and wrong-guess counts of slice sl, whose
+        replicates all have assignment A1 (a1) or all A2, in place: its
+        scores are written over its qualities th and its noise eps; its
+        rows hold the thresholds, then the posterior weights, then the
+        adversary's likelihoods; the rule reads the randomizing
+        replicates' weights from th."""
+        th1, th2 = th[0, sl], th[1, sl]
+        rows = rows[:, : th1.size]
         p1_worse, p2_worse = th1 < th2, th2 < th1
-        s1 = _pick(a1, r1.apply, r2.apply, th1, rows[0])
-        s2 = _pick(a1, r2.apply, r1.apply, th2, rows[0])
+        # Under A1 reviewer j scores paper j; under A2 the routing is crossed.
+        rev1, rev2 = (r1, r2) if a1 else (r2, r1)
+        s1, s2 = rev1.apply(th1, out=th1), rev2.apply(th2, out=th2)
         if noisy:
             s1 += np.multiply(eps[0, sl], sd, out=eps[0, sl])
             s2 += np.multiply(eps[1, sl], sd, out=eps[1, sl])
         d1_p1, d2_p1 = map_decisions(pop, s1, s2, out=rows[:2])
-        pu, pv = posterior_weight_arrays(pop, s1, s2, out=rows[:3])
+        pu, pv = posterior_weight_arrays(pop, s1, s2, out=rows[:2])
         # Only the randomizing replicates need q; the rest are forced.
         idx = np.flatnonzero(d1_p1 != d2_p1)
-        a1p, d1 = a1[idx], d1_p1[idx]
+        d1 = d1_p1[idx]
         wu, wv = _gather(pu, idx, s1), _gather(pv, idx, s2)
         q1, q2 = policy_rule.batch(wu, wv)
         # From here the rows hold randomizing replicates only.
         rows = rows[:, : idx.size]
         c = np.take(coin[sl], idx, out=rows[2], mode="clip")
-        acc = _accepts_paper1(d1, a1p, c, q1, q2)
+        # Truthful play, coin < q, accepts d1 under A1 and d2, the other
+        # paper, under A2.
+        acc = np.equal(c < q1, d1) if a1 else np.not_equal(c < q2, d1)
         acc_p1 = d1_p1
         acc_p1[idx] = acc
         guess_a1, guess_a2 = map_guess_arrays(
             pu, pv, idx, wu, wv, q1, q2, d1, acc, out=rows[2:]
         )
-        firm = np.count_nonzero(guess_a1) + np.count_nonzero(guess_a2)
-        wrong = np.count_nonzero(guess_a1 & ~a1) + np.count_nonzero(guess_a2 & a1)
-        return _count_wrong(acc_p1, p1_worse, p2_worse), firm, wrong
+        n_a1, n_a2 = np.count_nonzero(guess_a1), np.count_nonzero(guess_a2)
+        wrong = n_a2 if a1 else n_a1
+        return _count_wrong(acc_p1, p1_worse, p2_worse), n_a1 + n_a2, wrong
 
     def worker(block: int, offset: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
         with _workspace() as ws:
-            th, (u,), (coin,), eps = ws.carve(cnt, 2, 1, 1, 2)
+            th, (coin,), eps = ws.carve(cnt, 2, 1, 2)
             rng.standard_normal(out=th)
-            is_a1 = np.less(rng.random(out=u), 0.5, out=ws.flags[:cnt])
+            # Replicates [0, k) are A1 and [k, cnt) are A2.
+            k = rng.binomial(cnt, 0.5)
             rng.random(out=coin)
             if noisy:
                 rng.standard_normal(out=eps)
-            sls = (slice(lo, lo + _CHUNK) for lo in range(0, cnt, _CHUNK))
-            parts = (chunk(th, is_a1, coin, eps, ws.rows, sl) for sl in sls)
+            sls = (
+                (slice(lo, min(lo + _CHUNK, hi)), a1)
+                for a1, start, hi in ((True, 0, k), (False, k, cnt))
+                for lo in range(start, hi, _CHUNK)
+            )
+            parts = (chunk(th, coin, eps, ws.rows, sl, a1) for sl, a1 in sls)
             conf, firm, wrong = map(sum, zip(*parts))
         return np.array([conf, wrong + 0.5 * (cnt - firm)])
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -22,7 +23,10 @@ from privcal.mechanism import Policy
 from privcal.model import (
     ConfigurationError,
     Population,
+    log_likelihoods,
+    log_marginal_score_density,
     posterior_weight_arrays,
+    posterior_weights,
     thresholds,
 )
 from privcal.adversary import map_guess
@@ -33,6 +37,30 @@ from privcal.simlab import (
     _run_blocks,
     stream,
 )
+
+
+@dataclass(frozen=True)
+class LikelihoodPair:
+    """u = f1(s1) f2(s2), v = f2(s1) f1(s2): score likelihoods of the two assignments."""
+
+    u: float
+    v: float
+
+
+def likelihoods(inst: Instance) -> LikelihoodPair:
+    """The assignment likelihood pair (u, v)."""
+    logu, logv = log_likelihoods(inst)
+    return LikelihoodPair(math.exp(logu), math.exp(logv))
+
+
+def assignment_posterior(inst: Instance) -> float:
+    """Posterior probability of assignment A1 given the scores (uniform prior)."""
+    return posterior_weights(inst)[0]
+
+
+def marginal_score_density(profile: ReviewerProfile, sigma2: float, s: float) -> float:
+    """Marginal density of a reported score. See log_marginal_score_density."""
+    return math.exp(log_marginal_score_density(profile, sigma2, s))
 
 
 def make_instance(a1, b1, a2, b2, sigma2, s1, s2) -> Instance:
@@ -236,8 +264,6 @@ def general_policy_errors(inst: Instance, g1: float, g2: float):
     Independent of the library's geometry code; used as the comparison
     class for the h-policy dominance property.
     """
-    from privcal.model import posterior_weights
-
     pu, pv = posterior_weights(inst)
     if inst.noiseless:
         t1a = inst.reviewer1.invert(inst.scores.s1)
@@ -423,9 +449,10 @@ def reference_simulate_instance(
     Every replicate's conference and adversary error is formed as a
     float and each block sums the arrays. The library reduces a block
     to exact counts instead; both must give equal results. A block
-    draws exactly the rows it reads, the rows the library draws: the
-    assignment's row, the coins only when the instance randomizes, then
-    the quality deviates only when it is noisy.
+    draws exactly what the library draws: its count K of A1 replicates,
+    which are its first K, then the coins only when the instance
+    randomizes, then one deviate of th1 - th2 per replicate only when it
+    is noisy.
     """
     if n < 1:
         raise ConfigurationError("n must be at least 1")
@@ -441,6 +468,14 @@ def reference_simulate_instance(
             for p in (1, 2)
             for a in (Assignment.A1, Assignment.A2)
         }
+        # The mean and standard deviation of th1 - th2 under A1 and A2.
+        (m_a1, sd_a1), (m_a2, sd_a2) = (
+            (
+                post[(1, a)].mean - post[(2, a)].mean,
+                math.sqrt(post[(1, a)].variance + post[(2, a)].variance),
+            )
+            for a in (Assignment.A1, Assignment.A2)
+        )
     else:
         inv = {
             Assignment.A1: (
@@ -465,32 +500,17 @@ def reference_simulate_instance(
 
     def worker(block: int, offset: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
-        is_a1 = rng.random(cnt) < pu
+        is_a1 = np.arange(cnt) < rng.binomial(cnt, pu)
         if geom.part2:
             coin = rng.random(cnt)
         if noisy:
-            z = rng.standard_normal((2, cnt))
-            m1a = np.where(
-                is_a1, post[(1, Assignment.A1)].mean, post[(1, Assignment.A2)].mean
-            )
-            s1a = np.where(
-                is_a1,
-                math.sqrt(post[(1, Assignment.A1)].variance),
-                math.sqrt(post[(1, Assignment.A2)].variance),
-            )
-            m2a = np.where(
-                is_a1, post[(2, Assignment.A1)].mean, post[(2, Assignment.A2)].mean
-            )
-            s2a = np.where(
-                is_a1,
-                math.sqrt(post[(2, Assignment.A1)].variance),
-                math.sqrt(post[(2, Assignment.A2)].variance),
-            )
-            th1 = m1a + s1a * z[0]
-            th2 = m2a + s2a * z[1]
+            z = rng.standard_normal(cnt)
+            diff = np.where(is_a1, m_a1, m_a2) + np.where(is_a1, sd_a1, sd_a2) * z
+            p1_worse, p2_worse = diff < 0.0, diff > 0.0
         else:
             th1 = np.where(is_a1, inv[Assignment.A1][0], inv[Assignment.A2][0])
             th2 = np.where(is_a1, inv[Assignment.A1][1], inv[Assignment.A2][1])
+            p1_worse, p2_worse = th1 < th2, th2 < th1
 
         if geom.part2:
             truthful = coin < np.where(is_a1, policy.q1, policy.q2)
@@ -502,7 +522,7 @@ def reference_simulate_instance(
         else:
             acc_p1 = np.full(cnt, d1_p1)
 
-        conf_wrong = np.where(acc_p1, th1 < th2, th2 < th1)
+        conf_wrong = np.where(acc_p1, p1_worse, p2_worse)
         adv_wrong = np.where(
             acc_p1,
             np.where(is_a1, wrong_p1[0], wrong_p1[1]),
@@ -539,7 +559,9 @@ def reference_simulate_average(
 
     The rule's q values come from the scores alone (_reference_rule_q),
     the decision from nested np.where, and the adversary's error from a
-    float array of 0, 1/2 and 1 per replicate.
+    float array of 0, 1/2 and 1 per replicate. A block draws what the
+    library draws: the qualities, its count K of A1 replicates, which
+    are its first K, the coins, then the score noise when it is noisy.
     """
     if n < 1:
         raise ConfigurationError("n must be at least 1")
@@ -550,7 +572,7 @@ def reference_simulate_average(
     def worker(block: int, offset: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
         th = rng.standard_normal((2, cnt))
-        is_a1 = rng.random(cnt) < 0.5
+        is_a1 = np.arange(cnt) < rng.binomial(cnt, 0.5)
         coin = rng.random(cnt)
         s1 = np.where(is_a1, r1.apply(th[0]), r2.apply(th[0]))
         s2 = np.where(is_a1, r2.apply(th[1]), r1.apply(th[1]))

@@ -154,7 +154,8 @@ class TestPerInstanceErrors:
 
     def test_noisy_truthful_reveals_everything(self):
         inst = make_instance(1, 0, 2, 0, 1.0, 1.0, 1.0)
-        from privcal import likelihoods, phi_pair
+        from conftest import likelihoods
+        from privcal import phi_pair
 
         lp, pp = likelihoods(inst), phi_pair(inst)
         err = per_instance_errors(inst, Policy(1.0, 1.0))

@@ -79,7 +79,8 @@ class TestNoisyFrontier:
         seg = frontier(inst)
         assert seg.kind is SegmentKind.POINT
         geom = instance_geometry(inst)
-        from privcal import likelihoods, phi_pair
+        from conftest import likelihoods
+        from privcal import phi_pair
 
         lp, pp = likelihoods(inst), phi_pair(inst)
         ec_exp = (lp.u * pp.phi1 + lp.v * pp.phi2) / (lp.u + lp.v)
@@ -89,7 +90,8 @@ class TestNoisyFrontier:
     def test_canonical_case_closed_forms(self, rng):
         """Segment endpoints match the worked closed forms in the canonical
         arrangement (u < v, phi1 < 1/2 < phi2, phi2 - 1/2 < 1/2 - phi1)."""
-        from privcal import likelihoods, phi_pair
+        from conftest import likelihoods
+        from privcal import phi_pair
 
         found = 0
         while found < 25:

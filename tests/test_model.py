@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,16 +18,21 @@ from privcal import (
     ModeError,
     ReviewerProfile,
     ScorePair,
-    assignment_posterior,
-    likelihoods,
-    marginal_score_density,
     phi_pair,
     quality_posterior,
 )
-from privcal.model import Population, thresholds
+from privcal.model import (
+    Population,
+    log_marginal_score_density,
+    log_ratio,
+    thresholds,
+)
 from conftest import (
+    assignment_posterior,
     cubic_profile,
+    likelihoods,
     make_instance,
+    marginal_score_density,
     random_noiseless_instance,
     random_noisy_instance,
     sinh_profile,
@@ -279,6 +285,64 @@ class TestPhiPair:
         lp, lq = likelihoods(inst), likelihoods(swapped)
         assert lq.u == pytest.approx(lp.v, rel=1e-12, abs=1e-300)
         assert lq.v == pytest.approx(lp.u, rel=1e-12, abs=1e-300)
+
+
+class TestLogRatio:
+    def test_affine_difference_matches_exact_rationals(self):
+        """For affine reviewers d = log_ratio(s2) - log_ratio(s1) = log v -
+        log u is rational in the float inputs, since the log-variance terms
+        cancel: the sum of the four (s_i - b_j)^2 / (2 v_j) with signs,
+        which Fraction evaluates exactly. The error is bounded relative
+        to M, 1 plus the sum of the four terms' sizes."""
+        rng = np.random.default_rng(11)
+        aff = ReviewerProfile.affine
+        for k in range(300):
+            sigma2 = (0.0, 1e-6, 0.4)[k % 3]
+            a1, a2 = rng.uniform(0.3, 3.0, 2)
+            if k % 9 < 3:
+                # v1 and v2 a few ulps to a few parts in 1e9 apart.
+                a2 = a1 * (1.0 + 1e-9 * rng.standard_normal())
+            b1, b2 = rng.normal(0.0, 1.0, 2)
+            s1, s2 = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-2.0, 3.0, 2)
+            pop = Population(aff(a1, b1), aff(a2, b2), sigma2)
+            d = log_ratio(pop, s2) - log_ratio(pop, s1)
+            v1 = Fraction(a1) ** 2 + Fraction(sigma2)
+            v2 = Fraction(a2) ** 2 + Fraction(sigma2)
+
+            def term(s, b, v):
+                return (Fraction(s) - Fraction(b)) ** 2 / (2 * v)
+
+            t11, t22 = term(s1, b1, v1), term(s2, b2, v2)
+            t12, t21 = term(s1, b2, v2), term(s2, b1, v1)
+            exact = t11 + t22 - t12 - t21
+            m = 1 + t11 + t22 + t12 + t21
+            assert abs(Fraction(d) - exact) <= Fraction(4e-15) * m, (k, pop, s1, s2)
+
+    @pytest.mark.parametrize("sigma2", [0.0, 0.4])
+    def test_array_forms_match_float_calls(self, rng, sigma2):
+        pop = Population(
+            ReviewerProfile.affine(1.2, -0.3), ReviewerProfile.affine(0.8, 0.6), sigma2
+        )
+        s = rng.normal(0, 3, 200)
+        out = np.empty_like(s)
+        assert log_ratio(pop, s, out) is out
+        assert out.tobytes() == log_ratio(pop, s).tobytes()
+        for i in range(s.size):
+            assert out[i] == log_ratio(pop, float(s[i]))
+
+    def test_general_profiles_take_the_two_log_densities(self, rng):
+        pop = Population(sinh_profile(), ReviewerProfile.affine(1.0, 0.5))
+        s = np.concatenate([rng.normal(0, 3, 200), [0.0, -1e3, 1e3]])
+        want = log_marginal_score_density(pop.reviewer1, 0.0, s)
+        want -= log_marginal_score_density(pop.reviewer2, 0.0, s)
+        assert log_ratio(pop, s).tobytes() == want.tobytes()
+        out = np.empty_like(s)
+        assert log_ratio(pop, s, out).tobytes() == want.tobytes()
+
+    def test_identical_reviewers_give_zero(self):
+        prof = ReviewerProfile.affine(1.7, -0.4)
+        pop = Population(prof, prof, 0.3)
+        assert log_ratio(pop, np.array([-1e3, -1.0, 0.0, 2.5, 1e3])).tolist() == [0.0] * 5
 
 
 class TestQualityPosterior:

@@ -286,20 +286,21 @@ class TestPosteriorWeightArrays:
         pop = TestSimulateAverage.POP
         s1, s2 = np.zeros(d.size), np.zeros(d.size)
 
-        def log_density(profile, sigma2, s, out=None):
-            # Only log f2(s1) is nonzero, so log v - log u is d exactly.
-            val = d if profile is pop.reviewer2 and s is s1 else np.zeros(d.size)
+        def log_ratio(model, s, out=None):
+            # Only the log ratio at s2 is nonzero, so log v - log u is d
+            # exactly.
+            val = d if s is s2 else np.zeros(d.size)
             if out is None:
                 return val.copy()
             out[...] = val
             return out
 
-        monkeypatch.setattr(model, "log_marginal_score_density", log_density)
+        monkeypatch.setattr(model, "log_ratio", log_ratio)
         with np.errstate(over="ignore"):
             clipped = 1.0 / (1.0 + np.exp(np.clip(d, -745.0, 745.0)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = np.empty((3, d.size)) if with_out else None
+            out = np.empty((2, d.size)) if with_out else None
             pu, pv = posterior_weight_arrays(pop, s1, s2, out=out)
         assert pu.tobytes() == clipped.tobytes()
         assert pv.tobytes() == (1.0 - clipped).tobytes()
@@ -442,6 +443,10 @@ class _RecordingStream:
         self._log.append(("standard_normal", size if out is None else out.shape))
         return self._rng.standard_normal(size, out=out)
 
+    def binomial(self, n, p, size=None):
+        self._log.append(("binomial", n, p))
+        return self._rng.binomial(n, p, size)
+
 
 class TestDrawOrder:
     """A block draws exactly the rows it reads, in one fixed order, and
@@ -470,24 +475,27 @@ class TestDrawOrder:
     @pytest.mark.parametrize("name", sorted(_oracle_instances()))
     def test_simulate_instance(self, monkeypatch, name):
         inst = _oracle_instances()[name]
+        pu = instance_geometry(inst).pu
         for n in self.NS:
             logs = self._record(
                 monkeypatch, lambda: simulate_instance(inst, Policy(0.3, 0.8), n, seed=n)
             )
             assert sorted(logs) == list(range(len(self._counts(n))))
             for block, cnt in enumerate(self._counts(n)):
+                count = ("binomial", cnt, pu)
                 draw = ("random", cnt)
-                normals = ("standard_normal", (2, cnt))
-                # is_a1, the coin where randomizing, then the noisy qualities.
+                normals = ("standard_normal", (cnt,))
+                # The A1 count, the coin where randomizing, then th1 - th2
+                # where noisy.
                 want = {
-                    "noiseless_part2": [draw, draw],
-                    "noiseless_forced": [draw],
-                    "noiseless_tie": [draw],
-                    "noisy_part2": [draw, draw, normals],
-                    "noisy_forced": [draw, normals],
-                    "noisy_tie": [draw, normals],
-                    "noiseless_distinct_tie": [draw],
-                    "noisy_distinct_tie": [draw, normals],
+                    "noiseless_part2": [count, draw],
+                    "noiseless_forced": [count],
+                    "noiseless_tie": [count],
+                    "noisy_part2": [count, draw, normals],
+                    "noisy_forced": [count, normals],
+                    "noisy_tie": [count, normals],
+                    "noiseless_distinct_tie": [count],
+                    "noisy_distinct_tie": [count, normals],
                 }[name]
                 assert logs[block] == want, (name, n, block)
 
@@ -501,8 +509,8 @@ class TestDrawOrder:
             assert sorted(logs) == list(range(len(self._counts(n))))
             for block, cnt in enumerate(self._counts(n)):
                 normals = ("standard_normal", (2, cnt))
-                # Qualities, assignment, coin, then the score noise.
-                want = [normals, ("random", cnt), ("random", cnt)]
+                # Qualities, the A1 count, coin, then the score noise.
+                want = [normals, ("binomial", cnt, 0.5), ("random", cnt)]
                 want += [normals] if not pop.noiseless else []
                 assert logs[block] == want, (name, n, block)
 
@@ -702,6 +710,29 @@ class TestWorkspace:
                 tracemalloc.stop()
             assert peak < draw_bytes
 
+    def test_a_warm_benchmark_call_peaks_under_a_mebibyte(self, monkeypatch):
+        # The calls of the monte_carlo benchmark at 2^17 replicates: Alg.
+        # 1's endpoint on ref1 and a noisy randomizing instance. They peak
+        # near half a MiB, so an array of a block's size allocated per
+        # call shows here.
+        monkeypatch.setenv("PRIVCAL_THREADS", "1")
+        pop = _oracle_populations()["affine"]
+        rule = Alg1Rule(pop, 1.0)
+        inst = _oracle_instances()["noisy_part2"]
+        runs = [
+            lambda: simulate_average(pop, rule, 2**17, 4),
+            lambda: simulate_instance(inst, Policy(0.3, 0.8), 2**17, 5),
+        ]
+        for run in runs:
+            run()
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
     def test_a_rule_may_simulate_at_one_thread(self, monkeypatch):
         # The outer block holds the thread's workspace while its rule
         # simulates; the nested call must leave the outer block's arrays be.
@@ -717,7 +748,9 @@ class TestWorkspace:
         got = simulate_average(pop, Nested(), _BLOCK + 1, seed=8)
         assert got == simulate_average(pop, TruthfulRule(), _BLOCK + 1, seed=8)
         plain = simulate_average(pop, TruthfulRule(), _BLOCK + 1, seed=1)
-        assert len(nested) == 3 and all(r == plain for r in nested)
+        # Block 0's A1 and A2 runs take three slices, since neither holds
+        # exactly _CHUNK replicates, and block 1 takes one.
+        assert len(nested) == 4 and all(r == plain for r in nested)
 
     def test_a_rule_sees_read_only_weights(self):
         pop = _oracle_populations()["affine"]
