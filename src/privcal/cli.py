@@ -97,10 +97,11 @@ def _load_config(path: str) -> dict:
     # ValueError: malformed JSON or UTF-8, or an integer past the digit limit.
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}")
+    manifest = isinstance(data, dict) and data.get("schema") == "privcal.manifest.v1"
+    if manifest and "config" in data:
+        data = data["config"]
     if not isinstance(data, dict):
         raise ConfigurationError("config must be a JSON object of flat keys")
-    if data.get("schema") == "privcal.manifest.v1" and "config" in data:
-        return dict(data["config"])
     return data
 
 

@@ -15,7 +15,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .model import (
-    Assignment,
     Decision,
     Instance,
     ModeError,
@@ -54,9 +53,6 @@ class Policy:
             raise ConfigurationError(
                 f"q1 and q2 must lie in [0, 1], got {self.q1} and {self.q2}"
             )
-
-    def q(self, assignment: Assignment) -> float:
-        return self.q1 if assignment is Assignment.A1 else self.q2
 
 
 @dataclass(frozen=True)

@@ -102,18 +102,12 @@ class Assignment(Enum):
     A1 = 1
     A2 = 2
 
-    def other(self) -> "Assignment":
-        return Assignment.A2 if self is Assignment.A1 else Assignment.A1
-
 
 class Decision(Enum):
     """The accepted paper."""
 
     PAPER1 = 1
     PAPER2 = 2
-
-    def other(self) -> "Decision":
-        return Decision.PAPER2 if self is Decision.PAPER1 else Decision.PAPER1
 
 
 @dataclass(frozen=True)

@@ -25,33 +25,37 @@ replicates, Binomial(cnt, pu) in simulate_instance and Binomial(cnt,
 1/2) in simulate_average: replicates [0, k) are A1 and [k, cnt) A2. The
 replicates are i.i.d. and a block keeps only sums over them, so putting
 them in assignment order changes the draws, not the law. A run of one
-assignment has fixed profiles and q. simulate_instance evaluates a
-block run by run, simulate_average in slices of at most _CHUNK (2^15)
-replicates of one run. A block reduces its replicates to exact counts:
+assignment has fixed profiles and q, and a block is evaluated as its
+two runs, one pass each, an empty run included. A block reduces its
+replicates to exact counts:
 conference errors, firm wrong guesses of the adversary, and its ties at
 half an error. Every running total is an integer or half-integer of at
 most n, and 2n <= 2^53, so it equals the float sum of per-replicate
 errors bit for bit.
 
 Workspace: each thread keeps, for as long as it lives, the arrays its
-blocks use (_Workspace, 3.5 MiB, touched only as far as a block needs):
-up to _DRAW_ROWS rows for a block's draws, which it draws into with
-out=, and four float64 rows of a slice's arithmetic. A slice computes
-in place through the out= forms of the array twins in model and
-adversary, so no float array of a slice's size is allocated: glibc maps
-and unmaps each one of 128 KiB or more on its own, and a block that
-freed its arrays had them faulted in again. Few, large slices make few
-GIL-releasing numpy calls, and so few hand-offs of the GIL between
-threads. Workspaces come from a per-thread free list, so a rule that
-simulates from inside a block gets a second one.
+blocks use (_Workspace, touched only as far as a block needs): 2.5 MiB
+of draws, up to _DRAW_ROWS rows that a block draws into with out=, and
+2 MiB of rows, four float64 rows of a run's arithmetic. They stay two
+arrays because numpy asks for transparent huge pages on any array of
+4 MiB or more, where touching one element can fault in a whole 2 MiB
+page. A run computes in place through the out= forms of the array
+twins in model and adversary, so no float array of a run's size is
+allocated: glibc maps and unmaps each one of 128 KiB or more on its
+own, and a block that freed its arrays had them faulted in again. Two
+large runs per block make few GIL-releasing numpy calls, and so few
+hand-offs of the GIL between threads. Workspaces come from a per-thread
+free list, so a rule that simulates from inside a block gets a second
+one.
 
-Average-case policy rules see only the randomizing replicates of a
-slice: rule.batch(pu, pv) maps the posterior weights of their scores
-to (q1, q2), arrays or scalars. It sees at most _CHUNK replicates per
-call, so it must act element by element; pu and pv are read-only views
-of the workspace, which the next slice overwrites. Elsewhere the
-decision is forced and no q is needed. A rule that carries a population
-(pop) must carry the simulated one.
+Average-case policy rules see only the randomizing replicates of a run:
+rule.batch(pu, pv) maps the posterior weights of their scores to (q1,
+q2), arrays or scalars. Each call sees at most one run, up to _BLOCK
+(2^16) replicates, usually about 2^15, and possibly none, so it must
+act element by element; pu and pv are read-only views of the
+workspace, which the next run overwrites. Elsewhere the decision is
+forced and no q is needed. A rule that carries a population (pop) must
+carry the simulated one.
 """
 
 from __future__ import annotations
@@ -85,11 +89,6 @@ from .adversary import map_guess_arrays, scenario_table
 from .mechanism import Policy, QuadratureSettings, alg2_policy
 
 _BLOCK = 1 << 16
-# Replicates per slice of a simulate_average block's arithmetic. Two
-# slices per block keep the count of GIL-releasing numpy calls, and so of
-# hand-offs of the GIL between threads, low: at 2^14 the same slices ran
-# up to 20 % slower on two threads of a 2-vCPU host.
-_CHUNK = 1 << 15
 # Float64 rows of _BLOCK a block carves at most: simulate_average's two of
 # qualities, one of coins and two of score noise. simulate_instance
 # carves two: one of coins and one of quality differences.
@@ -125,15 +124,16 @@ def _thread_count() -> int:
 class _Workspace:
     """The arrays one thread reuses for every block it runs.
 
-    draws holds a block's draws, up to _DRAW_ROWS rows of _BLOCK, which
-    carve lays out as contiguous rows of the block's count; rows holds
-    four float64 rows of a slice's arithmetic. 3.5 MiB in all, touched
-    only as far as a block uses it.
+    draws holds a block's draws, up to _DRAW_ROWS rows of _BLOCK
+    (2.5 MiB), which carve lays out as contiguous rows of the block's
+    count; rows holds four float64 rows of a run's arithmetic (2 MiB).
+    Each stays under 4 MiB, where numpy starts to ask for transparent
+    huge pages, and each is touched only as far as a block uses it.
     """
 
     def __init__(self):
         self.draws = np.empty(_DRAW_ROWS * _BLOCK)
-        self.rows = np.empty((4, _CHUNK))
+        self.rows = np.empty((4, _BLOCK))
 
     def carve(self, cnt: int, *heights: int) -> list:
         """Consecutive (height, cnt) views of draws, one per height."""
@@ -181,10 +181,11 @@ def _helpers(count: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(count)
 
 
-def _run_blocks(n: int, seed: int, worker: Callable[[int, int, int], np.ndarray]):
-    """Run worker(block_index, offset, count) on every block, from the calling
-    thread and helpers that take block indices from one locked iterator, and
-    fold its (conference, adversary) totals, in block order as soon as every
+def _run_blocks(n: int, seed: int, worker: Callable[[int, int], np.ndarray]):
+    """Run worker(block_index, count) on every block, count being _BLOCK
+    but for the last block's remainder, from the calling thread and
+    helpers that take block indices from one locked iterator, and fold its
+    (conference, adversary) totals, in block order as soon as every
     earlier block's are in, into a SimResult. n must be an integer in
     [1, 2^52]: totals count half errors, so their float sum is exact only
     while 2n <= 2^53."""
@@ -201,7 +202,7 @@ def _run_blocks(n: int, seed: int, worker: Callable[[int, int, int], np.ndarray]
                 i = next(blocks, None)
             if i is None:
                 return
-            part = worker(i, i * _BLOCK, min(_BLOCK, n - i * _BLOCK))
+            part = worker(i, min(_BLOCK, n - i * _BLOCK))
             with lock:
                 pending[i] = part
                 while folded in pending:
@@ -277,7 +278,7 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
         t1, t2, u1, u2 = r1.invert(s1), r2.invert(s2), r2.invert(s1), r1.invert(s2)
         conf_table = np.array([t1 < t2, t2 < t1, u1 < u2, u2 < u1], dtype=float)
 
-    def worker(block: int, offset: int, cnt: int) -> np.ndarray:
+    def worker(block: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
         k = rng.binomial(cnt, geom.pu)
         # The counts of the scenario table's cells: (A1, paper 1),
@@ -390,22 +391,22 @@ def simulate_average(
     noisy = not pop.noiseless
     sd = math.sqrt(pop.sigma2)
 
-    def chunk(th, coin, eps, rows, sl: slice, a1: bool) -> tuple:
-        """Conference, firm and wrong-guess counts of slice sl, whose
+    def run(th, coin, eps, rows, a1: bool) -> tuple:
+        """Conference, firm and wrong-guess counts of one run, whose
         replicates all have assignment A1 (a1) or all A2, in place: its
         scores are written over its qualities th and its noise eps; its
         rows hold the thresholds, then the posterior weights, then the
         adversary's likelihoods; the rule reads the randomizing
         replicates' weights from th."""
-        th1, th2 = th[0, sl], th[1, sl]
+        th1, th2 = th
         rows = rows[:, : th1.size]
         p1_worse, p2_worse = th1 < th2, th2 < th1
         # Under A1 reviewer j scores paper j; under A2 the routing is crossed.
         rev1, rev2 = (r1, r2) if a1 else (r2, r1)
         s1, s2 = rev1.apply(th1, out=th1), rev2.apply(th2, out=th2)
         if noisy:
-            s1 += np.multiply(eps[0, sl], sd, out=eps[0, sl])
-            s2 += np.multiply(eps[1, sl], sd, out=eps[1, sl])
+            s1 += np.multiply(eps[0], sd, out=eps[0])
+            s2 += np.multiply(eps[1], sd, out=eps[1])
         d1_p1, d2_p1 = map_decisions(pop, s1, s2, out=rows[:2])
         pu, pv = posterior_weight_arrays(pop, s1, s2, out=rows[:2])
         # Only the randomizing replicates need q; the rest are forced.
@@ -415,7 +416,7 @@ def simulate_average(
         q1, q2 = policy_rule.batch(wu, wv)
         # From here the rows hold randomizing replicates only.
         rows = rows[:, : idx.size]
-        c = np.take(coin[sl], idx, out=rows[2], mode="clip")
+        c = np.take(coin, idx, out=rows[2], mode="clip")
         # Truthful play, coin < q, accepts d1 under A1 and d2, the other
         # paper, under A2.
         acc = np.equal(c < q1, d1) if a1 else np.not_equal(c < q2, d1)
@@ -428,7 +429,7 @@ def simulate_average(
         wrong = n_a2 if a1 else n_a1
         return _count_wrong(acc_p1, p1_worse, p2_worse), n_a1 + n_a2, wrong
 
-    def worker(block: int, offset: int, cnt: int) -> np.ndarray:
+    def worker(block: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
         with _workspace() as ws:
             th, (coin,), eps = ws.carve(cnt, 2, 1, 2)
@@ -438,13 +439,9 @@ def simulate_average(
             rng.random(out=coin)
             if noisy:
                 rng.standard_normal(out=eps)
-            sls = (
-                (slice(lo, min(lo + _CHUNK, hi)), a1)
-                for a1, start, hi in ((True, 0, k), (False, k, cnt))
-                for lo in range(start, hi, _CHUNK)
-            )
-            parts = (chunk(th, coin, eps, ws.rows, sl, a1) for sl, a1 in sls)
-            conf, firm, wrong = map(sum, zip(*parts))
+            a1_run = run(th[:, :k], coin[:k], eps[:, :k], ws.rows, True)
+            a2_run = run(th[:, k:], coin[k:], eps[:, k:], ws.rows, False)
+            conf, firm, wrong = map(sum, zip(a1_run, a2_run))
         return np.array([conf, wrong + 0.5 * (cnt - firm)])
 
     return _run_blocks(n, seed, worker)

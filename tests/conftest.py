@@ -336,7 +336,9 @@ def decide(
     """
     if policy.forced is not None:
         return policy.forced
-    assumed = assignment if random01 < policy.q(assignment) else assignment.other()
+    a1 = assignment is Assignment.A1
+    q, other = (policy.q1, Assignment.A2) if a1 else (policy.q2, Assignment.A1)
+    assumed = assignment if random01 < q else other
     return map_accept(inst, assumed)
 
 
@@ -498,7 +500,7 @@ def reference_simulate_instance(
     wrong_p1 = adversary_wrong(Decision.PAPER1)
     wrong_p2 = adversary_wrong(Decision.PAPER2)
 
-    def worker(block: int, offset: int, cnt: int) -> np.ndarray:
+    def worker(block: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
         is_a1 = np.arange(cnt) < rng.binomial(cnt, pu)
         if geom.part2:
@@ -569,7 +571,7 @@ def reference_simulate_average(
     noisy = not pop.noiseless
     sd = math.sqrt(pop.sigma2)
 
-    def worker(block: int, offset: int, cnt: int) -> np.ndarray:
+    def worker(block: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
         th = rng.standard_normal((2, cnt))
         is_a1 = np.arange(cnt) < rng.binomial(cnt, 0.5)

@@ -94,6 +94,12 @@ class TestConfigResolution:
             ("frontier", {"grid": -5, "instance.s1": 5.0}, "grid"),
             ("frontier", {"grid": 1, "instance.s1": 5.0}, "grid"),
             ("policy", [1, 2], "config must be a JSON object"),
+            # A manifest's config entry is held to the same rule.
+            *(
+                ("policy", {"schema": "privcal.manifest.v1", "config": inner},
+                 "config must be a JSON object")
+                for inner in ([1, 2], "ab", None)
+            ),
         ],
     )
     def test_uncoercible_value_exits_2(self, command, entries, key, tmp_path, capsys):

@@ -30,8 +30,8 @@ from privcal import (
 from privcal import model, simlab
 from privcal.simlab import (
     _BLOCK,
-    _CHUNK,
     _KENDALL_ROWS,
+    _Workspace,
     STUDY_METHODS,
     Alg1Rule,
     Alg2Rule,
@@ -58,8 +58,11 @@ from conftest import (
 
 # One replicate, one partial block, and several blocks with a ragged last one.
 _NS = (1, _BLOCK - 3, 2 * _BLOCK + 1234)
-# Around one chunk, and one chunk past a full block.
-_CHUNK_NS = (_CHUNK - 1, _CHUNK, _CHUNK + 1, _BLOCK + _CHUNK + 1)
+# Around a run's usual length, 2^15, and one past a full block; around
+# one block, where a run may hold all of it.
+_BOUNDARY_NS = (
+    2**15 - 1, 2**15, 2**15 + 1, 2**16 + 2**15 + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1
+)
 
 
 def _se(exact_p: float, res, which: str) -> float:
@@ -409,7 +412,7 @@ class TestKernelsMatchReference:
             (pops["affine"], Alg2Rule(pops["affine"], 0.05)),
             (pops["affine_noisy"], TruthfulRule()),
         ]
-        for n in _CHUNK_NS:
+        for n in _BOUNDARY_NS:
             for name in sorted(insts):
                 got = simulate_instance(insts[name], Policy(0.3, 0.8), n, seed=n)
                 assert got == reference_simulate_instance(
@@ -628,8 +631,8 @@ class TestThreadCount:
         xs = rng.normal(size=65) * 10.0 ** rng.integers(0, 17, 65)
         calls = []
 
-        def worker(block, offset, cnt):
-            calls.append((block, offset, cnt))
+        def worker(block, cnt):
+            calls.append((block, cnt))
             return np.array([xs[block], 0.0])
 
         interval = sys.getswitchinterval()
@@ -638,7 +641,7 @@ class TestThreadCount:
             res = _run_blocks(n, 0, worker)
         finally:
             sys.setswitchinterval(interval)
-        want = [(i, i * _BLOCK, min(_BLOCK, n - i * _BLOCK)) for i in range(65)]
+        want = [(i, min(_BLOCK, n - i * _BLOCK)) for i in range(65)]
         assert sorted(calls) == want
         in_order = xs[0]
         for x in xs[1:]:
@@ -653,7 +656,7 @@ class TestThreadCount:
         xs = [1.0, 2.0**53, -(2.0**53), 0.0]
         others_done, finished = threading.Event(), []
 
-        def worker(block, offset, cnt):
+        def worker(block, cnt):
             if block == 0:
                 assert others_done.wait(timeout=60)
             else:
@@ -748,9 +751,34 @@ class TestWorkspace:
         got = simulate_average(pop, Nested(), _BLOCK + 1, seed=8)
         assert got == simulate_average(pop, TruthfulRule(), _BLOCK + 1, seed=8)
         plain = simulate_average(pop, TruthfulRule(), _BLOCK + 1, seed=1)
-        # Block 0's A1 and A2 runs take three slices, since neither holds
-        # exactly _CHUNK replicates, and block 1 takes one.
+        # Each block calls the rule once per run: block 0 on its A1 and A2
+        # runs, and block 1 on its one replicate's run and on an empty one.
         assert len(nested) == 4 and all(r == plain for r in nested)
+
+    def test_a_rule_is_called_once_per_run(self, monkeypatch):
+        # Two runs per block, each evaluated in one pass whatever its
+        # length, an empty run included.
+        monkeypatch.setenv("PRIVCAL_THREADS", "1")
+        pop = _oracle_populations()["affine"]
+        sizes = []
+
+        class Recording(TruthfulRule):
+            def batch(self, pu, pv):
+                sizes.append(pu.size)
+                return super().batch(pu, pv)
+
+        simulate_average(pop, Recording(), self.N, seed=8)
+        assert len(sizes) == 8
+
+    def test_each_array_stays_below_the_huge_page_threshold(self):
+        # numpy asks for transparent huge pages on any array of 4 MiB or
+        # more. With THP in madvise mode, writing the middle element of a
+        # fresh 4 MiB array added 2112 KiB of RSS, a whole 2 MiB page, and
+        # the same on a 4 MiB - 4 KiB array added 68 KiB (Linux 6.18,
+        # numpy 2.4, 2-vCPU x86-64).
+        ws = _Workspace()
+        assert ws.draws.nbytes < 1 << 22
+        assert ws.rows.nbytes < 1 << 22
 
     def test_a_rule_sees_read_only_weights(self):
         pop = _oracle_populations()["affine"]
