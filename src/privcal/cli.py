@@ -6,7 +6,9 @@ simulate (seeded Monte Carlo of one instance), and study (the
 calibration benefit study). Every run writes a CSV and a JSON manifest
 holding the fully resolved configuration; re-running with the manifest
 as the config reproduces the CSV byte for byte. A run whose manifest
-cannot be written removes the CSV it wrote.
+cannot be written removes the CSV it wrote. A subcommand is its
+_DEFAULTS and _COMMANDS entries plus a runner that returns rows of plain
+values; main alone writes them in the CSV format.
 
 A flag (--seed, --ec, --grid) is a config entry, its text read as JSON
 (else kept as a string); only the subcommands whose config has that
@@ -158,12 +160,6 @@ def _build_instance(cfg: dict) -> Instance:
     )
 
 
-def _csv_bytes(header: list[str], rows: list[list[str]]) -> bytes:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
 def _write_manifest(
     out: Path, command: str, cfg: dict, started: float, csv_path: Path, csv: bytes
 ) -> None:
@@ -193,143 +189,83 @@ def _policy(inst: Instance, ec: float) -> tuple:
     return result, per_instance_errors(inst, result)
 
 
-def cmd_frontier(cfg: dict) -> list[list[str]]:
+def cmd_frontier(cfg: dict) -> list[tuple]:
     inst = _build_instance(cfg)
     count = cfg["grid"]
     if count < 2:
         raise ConfigurationError("grid must be at least 2")
     seg = frontier(inst)
-    schema = "privcal.frontier.v1"
-    rows = []
     if seg.kind is SegmentKind.POINT:
-        rows.append([schema, "point", _fmt(seg.start.ec), _fmt(seg.start.ea)])
-        return rows
-    rows.append([schema, "start", _fmt(seg.start.ec), _fmt(seg.start.ea)])
-    rows.append([schema, "end", _fmt(seg.end.ec), _fmt(seg.end.ea)])
+        return [("point", seg.start.ec, seg.start.ea)]
+    rows = [("start", seg.start.ec, seg.start.ea), ("end", seg.end.ec, seg.end.ea)]
     lo, hi = seg.min_feasible_ec, instance_geometry(inst).ec_intercept
     for i in range(count):
         # Roundoff can carry the last point one ulp past hi.
         ec = min(lo + (hi - lo) * i / (count - 1), hi)
-        ea = max_adversary_error_curve(inst, ec)
-        rows.append([schema, "curve", _fmt(ec), _fmt(ea)])
+        rows.append(("curve", ec, max_adversary_error_curve(inst, ec)))
     return rows
 
 
-_FRONTIER_HEADER = ["schema", "row_type", "ec", "ea"]
-_POLICY_HEADER = [
-    "schema",
-    "feasible",
-    "q1",
-    "q2",
-    "forced",
-    "ec",
-    "ea",
-    "min_feasible_ec",
-]
-
-
-def cmd_policy(cfg: dict) -> list[list[str]]:
-    schema = "privcal.policy.v1"
+def cmd_policy(cfg: dict) -> list[tuple]:
     result, errs = _policy(_build_instance(cfg), cfg["ec"])
     if errs is None:
-        return [
-            [schema, "false", "", "", "", "", "", _fmt(result.min_feasible_ec)]
-        ]
-    return [
-        [
-            schema,
-            "true",
-            _fmt(result.q1),
-            _fmt(result.q2),
-            result.forced.name.lower() if result.forced else "",
-            _fmt(errs.ec),
-            _fmt(errs.ea),
-            "",
-        ]
-    ]
+        return [("false", "", "", "", "", "", result.min_feasible_ec)]
+    forced = result.forced.name.lower() if result.forced else ""
+    return [("true", result.q1, result.q2, forced, errs.ec, errs.ea, "")]
 
 
-_SIMULATE_HEADER = [
-    "schema",
-    "feasible",
-    "n",
-    "seed",
-    "q1",
-    "q2",
-    "ec_analytic",
-    "ea_analytic",
-    "ec_empirical",
-    "ea_empirical",
-    "stderr_ec",
-    "stderr_ea",
-]
-
-
-def cmd_simulate(cfg: dict) -> list[list[str]]:
+def cmd_simulate(cfg: dict) -> list[tuple]:
     inst = _build_instance(cfg)
     n, seed = cfg["simulate.n"], cfg["seed"]
-    schema = "privcal.simulate.v1"
     result, errs = _policy(inst, cfg["ec"])
     if errs is None:
-        return [[schema, "false", str(n), str(seed)] + [""] * 8]
+        return [("false", n, seed) + ("",) * 8]
     sim = simulate_instance(inst, result, n, seed)
     return [
-        [
-            schema,
-            "true",
-            str(n),
-            str(seed),
-            _fmt(result.q1),
-            _fmt(result.q2),
-            _fmt(errs.ec),
-            _fmt(errs.ea),
-            _fmt(sim.empirical.ec),
-            _fmt(sim.empirical.ea),
-            _fmt(sim.stderr_ec),
-            _fmt(sim.stderr_ea),
-        ]
+        ("true", n, seed, result.q1, result.q2, errs.ec, errs.ea)
+        + (sim.empirical.ec, sim.empirical.ea, sim.stderr_ec, sim.stderr_ea)
     ]
 
 
-_STUDY_HEADER = [
-    "schema",
-    "method",
-    "noise_variance",
-    "mean_kendall_tau",
-    "se_kendall_tau",
-    "mean_messy_middle",
-    "se_messy_middle",
-]
-
-
-def cmd_study(cfg: dict) -> list[list[str]]:
+def cmd_study(cfg: dict) -> list[tuple]:
     study_cfg = StudyConfig(
         **{f.name: cfg[_study_key(f.name)] for f in dataclasses.fields(StudyConfig)}
     )
     result = run_calibration_study(study_cfg)
-    schema = "privcal.study.v2"
-    rows = []
-    for method, var in sorted(result.cells):
-        cell = result.cells[(method, var)]
-        rows.append(
-            [
-                schema,
-                method,
-                _fmt(var),
-                _fmt(cell.mean_kendall_tau),
-                _fmt(cell.se_kendall_tau),
-                _fmt(cell.mean_messy_middle),
-                _fmt(cell.se_messy_middle),
-            ]
-        )
-    return rows
+    return [
+        (method, var, c.mean_kendall_tau, c.se_kendall_tau, c.mean_messy_middle, c.se_messy_middle)
+        for (method, var), c in sorted(result.cells.items())
+    ]
 
 
+# Per subcommand: (runner, schema tag, column names after "schema", help).
 _COMMANDS = {
-    "frontier": (cmd_frontier, _FRONTIER_HEADER, "Pareto endpoints and max-adversary curve"),
-    "policy": (cmd_policy, _POLICY_HEADER, "one policy with its analytic errors"),
-    "simulate": (cmd_simulate, _SIMULATE_HEADER, "seeded Monte Carlo of one instance"),
-    "study": (cmd_study, _STUDY_HEADER, "reviewer-calibration benefit study"),
+    "frontier": (
+        cmd_frontier,
+        "privcal.frontier.v1",
+        ("row_type", "ec", "ea"),
+        "Pareto endpoints and max-adversary curve",
+    ),
+    "policy": (
+        cmd_policy,
+        "privcal.policy.v1",
+        ("feasible", "q1", "q2", "forced", "ec", "ea", "min_feasible_ec"),
+        "one policy with its analytic errors",
+    ),
+    "simulate": (
+        cmd_simulate,
+        "privcal.simulate.v1",
+        ("feasible", "n", "seed", "q1", "q2", "ec_analytic", "ea_analytic")
+        + ("ec_empirical", "ea_empirical", "stderr_ec", "stderr_ea"),
+        "seeded Monte Carlo of one instance",
+    ),
+    "study": (
+        cmd_study,
+        "privcal.study.v2",
+        ("method", "noise_variance", "mean_kendall_tau", "se_kendall_tau")
+        + ("mean_messy_middle", "se_messy_middle"),
+        "reviewer-calibration benefit study",
+    ),
 }
 
 
@@ -346,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Privacy-preserving calibration: frontiers, policies, simulations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, help_text) in _COMMANDS.items():
+    for name, (_, _, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config (flat dotted keys) or a manifest")
         p.add_argument("--out", default=".", help="output directory (default: .)")
@@ -372,10 +308,14 @@ def main(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigurationError(f"cannot create --out {out}: {exc.strerror}") from None
-        runner, header, _ = _COMMANDS[args.command]
-        rows = runner(typed)
+        runner, tag, columns, _ = _COMMANDS[args.command]
+        # Ints (n, seed) are written exactly: %.17g would round a 64-bit seed.
+        lines = [",".join(("schema",) + columns)]
+        for row in runner(typed):
+            cells = (str(v) if isinstance(v, (str, int)) else _fmt(v) for v in row)
+            lines.append(",".join((tag, *cells)))
+        csv = ("\n".join(lines) + "\n").encode("utf-8")
         csv_path = out / f"{args.command}.csv"
-        csv = _csv_bytes(header, rows)
         try:
             csv_path.write_bytes(csv)
             try:

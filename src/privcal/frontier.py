@@ -249,9 +249,4 @@ def max_adversary_error_curve(
     span = geom.alpha1 + geom.alpha2
     t = min(max(geom.ec_intercept - ec, 0.0), span)
     wmin, wmax, _, _ = _w_interval(geom, t)
-    small, big = geom.m, max(geom.pu, geom.pv)
-    if wmax < small:
-        return wmax
-    if wmin > big:
-        return 1.0 - wmin
-    return small
+    return min(wmax, geom.m, 1.0 - wmin)

@@ -72,23 +72,11 @@ def _affine(x, a: float, b: float, out=None):
     return np.add(np.multiply(x, a, out=out), b, out=out)
 
 
-def _norm_logpdf(x, mean: float, var: float, out=None):
-    """Normal log-density; x may be a float or an array (element by element).
-
-    With out, the same operations run in place in out, so both forms
-    agree bit for bit. d is squared before it is halved, which needs no
-    second array; (0.5 * d) * d gives the same double unless 0.5 d^2 is
-    subnormal or d^2 alone overflows (|d| between 1.34e154 and 1.9e154).
-    """
+def _norm_logpdf(x, mean: float, var: float):
+    """Normal log-density; x may be a float or an array (element by element)."""
     c = _LOG_INV_SQRT_2PI - 0.5 * math.log(var)
-    if out is None:
-        d = x - mean
-        return c - d * d * 0.5 / var
-    d = np.subtract(x, mean, out=out)
-    d *= d
-    d *= 0.5
-    d /= var
-    return np.subtract(c, d, out=d)
+    d = x - mean
+    return c - d * d * 0.5 / var
 
 
 class ProfileKind(Enum):
@@ -318,14 +306,13 @@ class QualityPosterior:
         return _affine(z, math.sqrt(self.variance), self.mean, out)
 
 
-def log_marginal_score_density(profile: ReviewerProfile, sigma2: float, s, out=None):
+def log_marginal_score_density(profile: ReviewerProfile, sigma2: float, s):
     """Log of the marginal density of a reported score under a standard-normal quality.
 
     Affine profiles give a normal with mean b and variance a^2 + sigma2.
     General monotone profiles (noiseless only) use the change of
     variables through the inverse map; a zero derivative of the inverse
-    gives -inf. s may be a float or an array (element by element); out,
-    an array to write the result into.
+    gives -inf. s may be a float or an array (element by element).
     """
     if profile.kind is ProfileKind.GENERAL_MONOTONE:
         if sigma2 != 0.0:
@@ -333,8 +320,8 @@ def log_marginal_score_density(profile: ReviewerProfile, sigma2: float, s, out=N
         theta = profile.inverse_fn(s)
         with np.errstate(divide="ignore"):
             log_jac = np.log(np.abs(profile.inverse_derivative_fn(s)))
-        return _into(out, _LOG_INV_SQRT_2PI - 0.5 * theta * theta + log_jac)
-    return _norm_logpdf(s, profile.b, profile.a * profile.a + sigma2, out)
+        return _LOG_INV_SQRT_2PI - 0.5 * theta * theta + log_jac
+    return _norm_logpdf(s, profile.b, profile.a * profile.a + sigma2)
 
 
 def log_likelihoods(inst: Instance) -> tuple[float, float]:
@@ -374,8 +361,9 @@ def log_ratio(model, s, out=None):
     """
     r1, r2, g2 = model.reviewer1, model.reviewer2, model.sigma2
     if r1.kind is not ProfileKind.AFFINE or r2.kind is not ProfileKind.AFFINE:
-        k = log_marginal_score_density(r1, g2, s, out)
-        return np.subtract(k, log_marginal_score_density(r2, g2, s), out=out)
+        k1 = log_marginal_score_density(r1, g2, s)
+        k2 = log_marginal_score_density(r2, g2, s)
+        return np.subtract(k1, k2, out=out)
     v1, v2 = r1.a * r1.a + g2, r2.a * r2.a + g2
     a = 0.5 / v2 - 0.5 / v1
     b = r1.b / v1 - r2.b / v2

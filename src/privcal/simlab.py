@@ -259,7 +259,6 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
     """
     geom = instance_geometry(inst)
     noisy = not inst.noiseless
-    d1_p1 = geom.d1 is Decision.PAPER1
     cells = scenario_table(inst, policy).cells
     adv_table = np.array([c.adversary_wrong_prob for c in cells])
     # Per assignment: q, whether its MAP decision accepts paper 1, and in

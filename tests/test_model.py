@@ -71,9 +71,20 @@ class TestReviewerProfile:
             )
 
     def test_monotone_rejects_decreasing_inverse(self):
-        with pytest.raises(ConfigurationError):
+        """A decreasing pair fails the forward check first."""
+        with pytest.raises(ConfigurationError, match="forward map is not strictly increasing"):
             ReviewerProfile.monotone(
                 lambda t: -t, lambda s: -s, lambda s: -1.0
+            )
+
+    def test_monotone_rejects_an_inverse_that_decreases_on_the_probe_grid(self):
+        """The forward map increases on the probe grid (it turns only past
+        1000) and the inverse round-trips there, but the inverse decreases."""
+        with pytest.raises(ConfigurationError, match="inverse map is not strictly increasing"):
+            ReviewerProfile.monotone(
+                lambda t: np.where(np.asarray(t) > 1000.0, 2000.0 - np.asarray(t), np.asarray(t)),
+                lambda s: 2000.0 - np.asarray(s),
+                lambda s: -np.ones_like(np.asarray(s, dtype=float)),
             )
 
     @pytest.mark.parametrize("float_only", ["forward", "inverse", "inverse_derivative"])

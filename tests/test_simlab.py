@@ -356,6 +356,7 @@ def _oracle_populations() -> dict:
         "affine_noisy": Population(aff(1.2, -0.3), aff(0.8, 0.6), 0.4),
         "identical": Population(aff(1.0, 0.0), aff(1.0, 0.0), 0.0),
         "sinh": Population(sinh_profile(), aff(1.0, 0.5), 0.0),
+        "affine_sinh": Population(aff(1.0, 0.5), sinh_profile(), 0.0),
     }
 
 
