@@ -22,7 +22,13 @@ from enum import Enum
 
 import numpy as np
 
-from .model import Assignment, ConfigurationError, Decision, Instance
+from .model import (
+    Assignment,
+    ConfigurationError,
+    Decision,
+    Instance,
+    weights_of_log_odds,
+)
 from .frontier import ErrorPair, Infeasible, InstanceGeometry, instance_geometry
 
 
@@ -96,36 +102,45 @@ def map_guess(inst: Instance, policy, observed: Decision) -> Guess:
     return _observe(instance_geometry(inst), *_q(policy), observed)[2]
 
 
-def map_guess_arrays(pu, pv, idx, wu, wv, q1, q2, d1, acc, out=None):
+# Outside this band of log odds the forced guess is the sign of d: for
+# d < -_FIRM, fl(exp(d)) < 1 - 2^-52, so pu > 1/2 and pv = 1 - pu is
+# exact (Sterbenz), whence pu > pv; d > _FIRM is the mirror case.
+_FIRM = 1e-12
+
+
+def map_guess_arrays(d, idx, wu, wv, q1, q2, d1, acc, out=None):
     """Array twin of map_guess: (guesses A1, guesses A2) per replicate, neither a tie.
 
-    idx indexes the randomizing replicates of pu and pv, whose weights
-    pu[idx] and pv[idx] are given as wu and wv, with their q1, q2, d1
-    (paper 1 is A1's MAP decision, map_decisions; A2's is the other
-    paper) and acc (paper 1 accepted). The observed decision's likelihood
-    under an assignment is q where it is that assignment's MAP decision
-    and 1 - q otherwise, the same floats _observe forms. A forced
-    decision carries no information, so there pu and pv alone compare.
+    d is every replicate's log odds log v - log u (model.log_odds). idx
+    indexes the randomizing replicates, whose weights pu and pv
+    (model.weights_of_log_odds) are given as wu and wv, with their q1,
+    q2, d1 (paper 1 is A1's MAP decision, map_decisions; A2's is the
+    other paper) and acc (paper 1 accepted). The observed decision's
+    likelihood under an assignment is q where it is that assignment's
+    MAP decision and 1 - q otherwise, the same floats _observe forms.
+    A forced decision carries no information, so there pu and pv alone
+    compare: by the sign of d, and where |d| <= _FIRM or d is NaN by
+    the weights themselves, so each guess is the one pu and pv give.
     out, if given, is two float arrays of idx's length, none of them an
     input, that the call uses as scratch; the guesses are the same.
     """
-    guess_a1, guess_a2 = pu > pv, pu < pv
+    guess_a1, guess_a2 = d < -_FIRM, d > _FIRM
+    near = np.flatnonzero(guess_a1 == guess_a2)
+    if near.size:
+        pu, pv = weights_of_log_odds(d[near])
+        guess_a1[near], guess_a2[near] = pu > pv, pu < pv
     l1, l2 = np.empty((2, idx.size)) if out is None else out
+    # Where the observed decision is A1's MAP decision it is not A2's:
+    # pu q1 against pv (1 - q2); elsewhere pu (1 - q1) against pv q2.
     own1 = np.equal(acc, d1)
-    l1 = _observed_likelihood(wu, q1, own1, l1)
-    l2 = _observed_likelihood(wv, q2, ~own1, l2)
-    guess_a1[idx], guess_a2[idx] = l1 > l2, l1 < l2
+    l1 = np.multiply(wu, q1, out=l1)
+    l2 = np.multiply(wv, np.subtract(1.0, q2, out=l2), out=l2)
+    a1_own, a2_own = l1 > l2, l1 < l2
+    l1 = np.multiply(wu, np.subtract(1.0, q1, out=l1), out=l1)
+    l2 = np.multiply(wv, q2, out=l2)
+    guess_a1[idx] = (own1 & a1_own) | (~own1 & (l1 > l2))
+    guess_a2[idx] = (own1 & a2_own) | (~own1 & (l1 < l2))
     return guess_a1, guess_a2
-
-
-def _observed_likelihood(w, q, own, out):
-    """w * (q where own, else 1 - q), written into out: the weight times
-    Pr(observed decision | an assignment), own marking the replicates
-    whose observed decision is the assignment's MAP decision."""
-    p = np.subtract(1.0, q, out=out)
-    np.copyto(p, q, where=own)
-    p *= w
-    return p
 
 
 def scenario_table(inst: Instance, policy) -> ScenarioTable:

@@ -118,8 +118,8 @@ class InstanceGeometry:
         setattr_(self, "forced_ec", pu * phi1 + pv * (1.0 - phi2))
 
     def conference_error(self, q1: float, q2: float) -> float:
-        if not self.part2:
-            return self.forced_ec
+        """The conference error of (q1, q2) on a part-2 instance; a forced
+        one's is forced_ec."""
         return self.ec_intercept - self.alpha1 * q1 - self.alpha2 * q2
 
 

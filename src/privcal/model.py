@@ -11,10 +11,11 @@ and the Gaussian quality posteriors.
 
 The posterior depends on the scores through one log ratio per score,
 log_ratio(model, s) = log f1(s) - log f2(s) for reviewer j's marginal
-score density f_j, as log v - log u = log_ratio(s2) - log_ratio(s1);
-two affine reviewers make it a quadratic in s. The simulators'
-posterior_weight_arrays and mechanism's zeta/eta integrand read it; the
-scalar log_likelihoods and posterior_weights keep the four log densities.
+score density f_j, as log v - log u = log_odds(s1, s2) = log_ratio(s2)
+- log_ratio(s1); two affine reviewers make it a quadratic in s. The
+array path (log_odds, weights_of_log_odds and posterior_weight_arrays)
+and mechanism's zeta/eta integrand read it; the scalar log_likelihoods
+and posterior_weights keep the four log densities.
 """
 
 from __future__ import annotations
@@ -376,26 +377,44 @@ def log_ratio(model, s, out=None):
     return k
 
 
+def log_odds(model, s1, s2, out=None):
+    """log v - log u = log_ratio(s2) - log_ratio(s1), the log odds of A2
+    against A1 at the scores; floats or arrays. out, if given, is two
+    arrays of the scores' shape, neither of them s1 or s2: the first
+    receives the log odds, the second is scratch.
+    """
+    d_out, scratch = (None, None) if out is None else out
+    d = log_ratio(model, s2, d_out)
+    d -= log_ratio(model, s1, scratch)
+    return d
+
+
+def weights_of_log_odds(d: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """(pu, pv) = (1 / (1 + exp(d)), 1 - pu) at log odds d, an array that
+    receives pu; pv is written into out when given.
+
+    exp overflows to inf above about 709.78, where pu = 0 all the same,
+    and underflows below about -745, where pu = 1; NaN passes through.
+    """
+    with np.errstate(over="ignore"):
+        e = np.exp(d, out=d)
+    e += 1.0
+    pu = np.divide(1.0, e, out=e)
+    return pu, np.subtract(1.0, pu, out=out)
+
+
 def posterior_weight_arrays(
     pop: Population, s1: np.ndarray, s2: np.ndarray, out=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (pu, pv) over score arrays: the array twin of posterior_weights.
 
-    Reads log v - log u as log_ratio(s2) - log_ratio(s1). out, if given,
-    is two arrays of the scores' shape, neither of them s1 or s2, which
-    receive pu and pv. The values are those of the allocating call, bit
-    for bit.
+    Reads log v - log u from log_odds and the weights from
+    weights_of_log_odds. out, if given, is two arrays of the scores'
+    shape, neither of them s1 or s2, which receive pu and pv. The values
+    are those of the allocating call, bit for bit.
     """
-    pu, pv = (None, None) if out is None else out
-    d = log_ratio(pop, s2, pu)
-    d -= log_ratio(pop, s1, pv)
-    # exp overflows to inf above about 709.78, where pu = 0 all the same,
-    # and underflows below about -745, where pu = 1.
-    with np.errstate(over="ignore"):
-        e = np.exp(d, out=d)
-    e += 1.0
-    pu = np.divide(1.0, e, out=e)
-    return pu, np.subtract(1.0, pu, out=pv)
+    d = log_odds(pop, s1, s2, out)
+    return weights_of_log_odds(d, None if out is None else out[1])
 
 
 def thresholds(model, s2, out=None):
@@ -404,14 +423,18 @@ def thresholds(model, s2, out=None):
     Under an assumed A1 the MAP decision accepts paper 1 exactly when
     s1 > tb; under an assumed A2, exactly when s1 > ta. model is any
     object with reviewer1, reviewer2 and sigma2 (an Instance or a
-    Population); s2 is a float or an array. Noiseless mode maps s2
-    through one reviewer's inverse and the other's forward map; noisy
-    mode solves Phi1 = 1/2 and Phi2 = 1/2 for s1 (affine profiles).
-    out, if given, is two arrays of s2's shape, other than s2, for ta
-    and tb; identical reviewers leave them unused.
+    Population); s2 is a float or an array. An affine pair, in either
+    noise mode, gives ta = b2 + slope_a (s2 - b1) and tb = b1 + slope_b
+    (s2 - b2), the scores where Phi2 and Phi1 cross 1/2: slope_a =
+    a1 t2 / (a2 t1) and slope_b = a2 t1 / (a1 t2), t_j = a_j^2 + sigma2.
+    Noiseless mode forms them as a2 / a1 and a1 / a2, which cannot
+    overflow. A general monotone pair (noiseless only) maps s2 through
+    one reviewer's inverse and the other's forward map. out, if given,
+    is two arrays of s2's shape, other than s2, for ta and tb; identical
+    reviewers leave them unused.
 
-    map_decisions turns them into the regime. The noisy slope ratio is
-    formed first, so it is exactly 1 for equal slopes.
+    map_decisions turns them into the regime. Each slope is a ratio
+    formed before it multiplies, so it is exactly 1 for equal slopes.
     """
     r1, r2 = model.reviewer1, model.reviewer2
     if r1 == r2:
@@ -419,13 +442,17 @@ def thresholds(model, s2, out=None):
         # scores themselves; this keeps equal scores an exact tie.
         return s2, s2
     ta, tb = (None, None) if out is None else out
-    if model.sigma2 == 0.0:
+    a1, b1, a2, b2, g2 = r1.a, r1.b, r2.a, r2.b, model.sigma2
+    if g2 > 0.0:
+        # Noisy mode admits affine profiles only.
+        t1v, t2v = a1 * a1 + g2, a2 * a2 + g2
+        slope_a, slope_b = (a1 * t2v) / (a2 * t1v), (a2 * t1v) / (a1 * t2v)
+    elif r1.kind is ProfileKind.AFFINE and r2.kind is ProfileKind.AFFINE:
+        slope_a, slope_b = a2 / a1, a1 / a2
+    else:
         ta = r2.apply(r1.invert(s2, ta), ta)
         tb = r1.apply(r2.invert(s2, tb), tb)
         return ta, tb
-    a1, b1, a2, b2, g2 = r1.a, r1.b, r2.a, r2.b, model.sigma2
-    t1v, t2v = a1 * a1 + g2, a2 * a2 + g2
-    slope_a, slope_b = (a1 * t2v) / (a2 * t1v), (a2 * t1v) / (a1 * t2v)
     if out is None:
         return b2 + slope_a * (s2 - b1), b1 + slope_b * (s2 - b2)
     ta = _affine(np.subtract(s2, b1, out=ta), slope_a, b2, ta)

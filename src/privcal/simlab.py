@@ -19,22 +19,26 @@ PRIVCAL_THREADS, by default one per core the process may use, the
 calling thread among them. stream owns the seed rule and _run_blocks the
 replicate-count rule, for every caller.
 
-A block draws exactly what it reads, in a fixed order, before it
-evaluates any of it. Its assignments are one draw, the count k of A1
-replicates, Binomial(cnt, pu) in simulate_instance and Binomial(cnt,
-1/2) in simulate_average: replicates [0, k) are A1 and [k, cnt) A2. The
-replicates are i.i.d. and a block keeps only sums over them, so putting
-them in assignment order changes the draws, not the law. A run of one
+A block draws exactly what it reads, in a fixed order. Its assignments
+are one draw, the count k of A1 replicates, Binomial(cnt, pu) in
+simulate_instance and Binomial(cnt, 1/2) in simulate_average:
+replicates [0, k) are A1 and [k, cnt) A2. simulate_instance draws all
+of a block before it evaluates any of it: k, the coins where the
+instance randomizes, then the quality differences where it is noisy.
+simulate_average draws the qualities, k and, where it is noisy, the
+score noise; each run then draws one coin per randomizing replicate
+once its regime is known, the A1 run before the A2 run. The replicates
+are i.i.d. and a block keeps only sums over them, so putting them in
+assignment order changes the draws, not the law. A run of one
 assignment has fixed profiles and q, and a block is evaluated as its
 two runs, one pass each, an empty run included. A block reduces its
-replicates to exact counts:
-conference errors, firm wrong guesses of the adversary, and its ties at
-half an error. Every running total is an integer or half-integer of at
-most n, and 2n <= 2^53, so it equals the float sum of per-replicate
-errors bit for bit.
+replicates to exact counts: conference errors, firm wrong guesses of
+the adversary, and its ties at half an error. Every running total is an
+integer or half-integer of at most n, and 2n <= 2^53, so it equals the
+float sum of per-replicate errors bit for bit.
 
 Workspace: each thread keeps, for as long as it lives, the arrays its
-blocks use (_Workspace, touched only as far as a block needs): 2.5 MiB
+blocks use (_Workspace, touched only as far as a block needs): 2 MiB
 of draws, up to _DRAW_ROWS rows that a block draws into with out=, and
 2 MiB of rows, four float64 rows of a run's arithmetic. They stay two
 arrays because numpy asks for transparent huge pages on any array of
@@ -54,8 +58,10 @@ q2), arrays or scalars. Each call sees at most one run, up to _BLOCK
 (2^16) replicates, usually about 2^15, and possibly none, so it must
 act element by element; pu and pv are read-only views of the
 workspace, which the next run overwrites. Elsewhere the decision is
-forced and no q is needed. A rule that carries a population (pop) must
-carry the simulated one.
+forced and no q is needed: a forced replicate's guess reads the sign of
+its log odds, so a run forms the weights at randomizing replicates
+only. A rule that carries a population (pop) must carry the simulated
+one.
 """
 
 from __future__ import annotations
@@ -80,9 +86,10 @@ from .model import (
     ModeError,
     Population,
     QualityPosterior,
+    log_odds,
     map_decisions,
-    posterior_weight_arrays,
     quality_posterior,
+    weights_of_log_odds,
 )
 from .frontier import ErrorPair, instance_geometry
 from .adversary import map_guess_arrays, scenario_table
@@ -90,9 +97,9 @@ from .mechanism import Policy, QuadratureSettings, alg2_policy
 
 _BLOCK = 1 << 16
 # Float64 rows of _BLOCK a block carves at most: simulate_average's two of
-# qualities, one of coins and two of score noise. simulate_instance
-# carves two: one of coins and one of quality differences.
-_DRAW_ROWS = 5
+# qualities and two of score noise. simulate_instance carves two: one of
+# coins and one of quality differences.
+_DRAW_ROWS = 4
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
@@ -125,7 +132,7 @@ class _Workspace:
     """The arrays one thread reuses for every block it runs.
 
     draws holds a block's draws, up to _DRAW_ROWS rows of _BLOCK
-    (2.5 MiB), which carve lays out as contiguous rows of the block's
+    (2 MiB), which carve lays out as contiguous rows of the block's
     count; rows holds four float64 rows of a run's arithmetic (2 MiB).
     Each stays under 4 MiB, where numpy starts to ask for transparent
     huge pages, and each is touched only as far as a block uses it.
@@ -161,13 +168,6 @@ def _workspace():
         yield ws
     finally:
         free.append(ws)
-
-
-def _gather(a: np.ndarray, idx: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """a[idx], written into row, as a read-only view."""
-    view = np.take(a, idx, out=row[: idx.size], mode="clip")
-    view.flags.writeable = False
-    return view
 
 
 def _count_wrong(acc_p1, p1_worse, p2_worse) -> int:
@@ -336,15 +336,16 @@ class Alg1Rule:
 
     def batch(self, pu: np.ndarray, pv: np.ndarray):
         # alg1_policy's q2, clip((1 - min(ec_value, pu, pv) - pu) / pv, 0, 1),
-        # in one array. Where pv underflowed to 0, truthful play is optimal.
+        # in one array. Where pv underflowed to 0 (or is not a number),
+        # truthful play is optimal, whatever the division gave there.
         q2 = np.minimum(pu, pv)
         np.minimum(self.ec_value, q2, out=q2)
         np.subtract(1.0, q2, out=q2)
         q2 -= pu
-        positive = pv > 0.0
-        q2 /= np.where(positive, pv, 1.0)
-        np.clip(q2, 0.0, 1.0, out=q2)
-        q2[~positive] = 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q2 /= pv
+            np.clip(q2, 0.0, 1.0, out=q2)
+        q2[~(pv > 0.0)] = 1.0
         return 1.0, q2
 
 
@@ -390,13 +391,14 @@ def simulate_average(
     noisy = not pop.noiseless
     sd = math.sqrt(pop.sigma2)
 
-    def run(th, coin, eps, rows, a1: bool) -> tuple:
+    def run(rng, th, eps, rows, a1: bool) -> tuple:
         """Conference, firm and wrong-guess counts of one run, whose
         replicates all have assignment A1 (a1) or all A2, in place: its
         scores are written over its qualities th and its noise eps; its
-        rows hold the thresholds, then the posterior weights, then the
-        adversary's likelihoods; the rule reads the randomizing
-        replicates' weights from th."""
+        rows hold the thresholds, then the log odds and the coins, then
+        the adversary's likelihoods; the randomizing replicates' weights,
+        which the rule reads, are written over the scores. The run draws
+        one coin per randomizing replicate."""
         th1, th2 = th
         rows = rows[:, : th1.size]
         p1_worse, p2_worse = th1 < th2, th2 < th1
@@ -407,22 +409,25 @@ def simulate_average(
             s1 += np.multiply(eps[0], sd, out=eps[0])
             s2 += np.multiply(eps[1], sd, out=eps[1])
         d1_p1, d2_p1 = map_decisions(pop, s1, s2, out=rows[:2])
-        pu, pv = posterior_weight_arrays(pop, s1, s2, out=rows[:2])
-        # Only the randomizing replicates need q; the rest are forced.
+        d = log_odds(pop, s1, s2, out=rows[:2])
+        # Only the randomizing replicates need q and the weights; the
+        # rest are forced, and their guesses read the sign of d.
         idx = np.flatnonzero(d1_p1 != d2_p1)
         d1 = d1_p1[idx]
-        wu, wv = _gather(pu, idx, s1), _gather(pv, idx, s2)
+        d_idx = np.take(d, idx, out=s1[: idx.size], mode="clip")
+        wu, wv = weights_of_log_odds(d_idx, s2[: idx.size])
+        wu.flags.writeable = wv.flags.writeable = False
         q1, q2 = policy_rule.batch(wu, wv)
         # From here the rows hold randomizing replicates only.
         rows = rows[:, : idx.size]
-        c = np.take(coin, idx, out=rows[2], mode="clip")
+        c = rng.random(out=rows[1])
         # Truthful play, coin < q, accepts d1 under A1 and d2, the other
         # paper, under A2.
         acc = np.equal(c < q1, d1) if a1 else np.not_equal(c < q2, d1)
         acc_p1 = d1_p1
         acc_p1[idx] = acc
         guess_a1, guess_a2 = map_guess_arrays(
-            pu, pv, idx, wu, wv, q1, q2, d1, acc, out=rows[2:]
+            d, idx, wu, wv, q1, q2, d1, acc, out=rows[2:]
         )
         n_a1, n_a2 = np.count_nonzero(guess_a1), np.count_nonzero(guess_a2)
         wrong = n_a2 if a1 else n_a1
@@ -431,15 +436,14 @@ def simulate_average(
     def worker(block: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
         with _workspace() as ws:
-            th, (coin,), eps = ws.carve(cnt, 2, 1, 2)
+            th, eps = ws.carve(cnt, 2, 2)
             rng.standard_normal(out=th)
             # Replicates [0, k) are A1 and [k, cnt) are A2.
             k = rng.binomial(cnt, 0.5)
-            rng.random(out=coin)
             if noisy:
                 rng.standard_normal(out=eps)
-            a1_run = run(th[:, :k], coin[:k], eps[:, :k], ws.rows, True)
-            a2_run = run(th[:, k:], coin[k:], eps[:, k:], ws.rows, False)
+            a1_run = run(rng, th[:, :k], eps[:, :k], ws.rows, True)
+            a2_run = run(rng, th[:, k:], eps[:, k:], ws.rows, False)
             conf, firm, wrong = map(sum, zip(a1_run, a2_run))
         return np.array([conf, wrong + 0.5 * (cnt - firm)])
 

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
@@ -563,7 +569,8 @@ def reference_simulate_average(
     the decision from nested np.where, and the adversary's error from a
     float array of 0, 1/2 and 1 per replicate. A block draws what the
     library draws: the qualities, its count K of A1 replicates, which
-    are its first K, the coins, then the score noise when it is noisy.
+    are its first K, the score noise when it is noisy, then one coin per
+    randomizing replicate, first the A1 ones, then the A2 ones.
     """
     if n < 1:
         raise ConfigurationError("n must be at least 1")
@@ -575,7 +582,6 @@ def reference_simulate_average(
         rng = stream(seed, block)
         th = rng.standard_normal((2, cnt))
         is_a1 = np.arange(cnt) < rng.binomial(cnt, 0.5)
-        coin = rng.random(cnt)
         s1 = np.where(is_a1, r1.apply(th[0]), r2.apply(th[0]))
         s2 = np.where(is_a1, r2.apply(th[1]), r1.apply(th[1]))
         if noisy:
@@ -587,6 +593,9 @@ def reference_simulate_average(
         d1_p1 = s1 > tb
         d2_p1 = s1 > ta
         part2 = d1_p1 != d2_p1
+        coin = np.full(cnt, np.nan)
+        for run in (is_a1, ~is_a1):
+            coin[run & part2] = rng.random(np.count_nonzero(run & part2))
         q1, q2 = _reference_rule_q(policy_rule, s1, s2)
 
         truthful = coin < np.where(is_a1, q1, q2)
@@ -621,3 +630,110 @@ def reference_simulate_average(
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20230817)
+
+
+# The --line-probe option: which lines of src/privcal no test reaches.
+# The coverage package is not a dependency, so a sys.settrace tracer is
+# installed before every test (hypothesis replaces one installed once)
+# and for every thread started later. Lines that run when privcal is
+# imported are set aside: a fresh interpreter imports every module under
+# the same tracer and reports them.
+
+_SRC = Path(__file__).resolve().parent.parent / "src" / "privcal"
+_IMPORT_PROBE = """
+import importlib, json, pkgutil, sys
+src = sys.argv[1]
+hits = set()
+
+def trace(frame, event, arg):
+    if not frame.f_code.co_filename.startswith(src):
+        return None
+
+    def line(frame, event, arg):
+        if event == "line":
+            hits.add((frame.f_code.co_filename, frame.f_lineno))
+        return line
+
+    return line(frame, event, arg)
+
+sys.settrace(trace)
+import privcal
+for mod in pkgutil.iter_modules(privcal.__path__):
+    importlib.import_module("privcal." + mod.name)
+sys.settrace(None)
+print(json.dumps(sorted(hits)))
+"""
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--line-probe",
+        action="store_true",
+        default=False,
+        help="list the lines of src/privcal that no test reaches",
+    )
+
+
+class _LineProbe:
+    def __init__(self):
+        self.hits = set()
+
+    def trace(self, frame, event, arg):
+        if not frame.f_code.co_filename.startswith(str(_SRC)):
+            return None
+        return self._line(frame, event, arg)
+
+    def _line(self, frame, event, arg):
+        if event == "line":
+            self.hits.add((frame.f_code.co_filename, frame.f_lineno))
+        return self._line
+
+    @pytest.hookimpl(hookwrapper=True)
+    def pytest_runtest_call(self, item):
+        sys.settrace(self.trace)
+        try:
+            yield
+        finally:
+            sys.settrace(None)
+
+    def pytest_terminal_summary(self, terminalreporter):
+        env = dict(os.environ, PYTHONPATH=str(_SRC.parent))
+        out = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, str(_SRC)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        seen = self.hits | {tuple(hit) for hit in json.loads(out)}
+        missed = []
+        for path in sorted(_SRC.glob("*.py")):
+            lines = _code_lines(compile(path.read_text(), str(path), "exec"))
+            lines -= {line for name, line in seen if name == str(path)}
+            missed += [f"{path.name}:{span}" for span in _spans(sorted(lines))]
+        terminalreporter.write_sep("-", "line probe: lines of src/privcal no test reached")
+        terminalreporter.write_line(" ".join(missed) if missed else "none")
+
+
+def _code_lines(code) -> set:
+    """The line numbers of code's instructions and of every nested code object's."""
+    lines = {line for *_, line in code.co_lines() if line}
+    for const in code.co_consts:
+        if hasattr(const, "co_lines"):
+            lines |= _code_lines(const)
+    return lines
+
+
+def _spans(lines: list) -> list:
+    """Runs of consecutive line numbers, as "a" or "a-b"."""
+    spans = []
+    for line in lines:
+        if spans and spans[-1][1] == line - 1:
+            spans[-1][1] = line
+        else:
+            spans.append([line, line])
+    return [str(a) if a == b else f"{a}-{b}" for a, b in spans]
+
+
+def pytest_configure(config):
+    if config.getoption("--line-probe"):
+        probe = _LineProbe()
+        threading.settrace(probe.trace)
+        config.pluginmanager.register(probe, "privcal-line-probe")

@@ -1,6 +1,7 @@
 """Tests for the MAP adversary and the exact error accounting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ class TestMapGuessArrays:
         acc = np.array([d is Decision.PAPER1 for *_, d in picked])
         out = np.full((2, idx.size), np.nan) if scratch else None
         guess_a1, guess_a2 = map_guess_arrays(
-            pu, pv, idx, pu[idx], pv[idx], q1, q2, d1, acc, out=out
+            np.log(pv) - np.log(pu), idx, pu[idx], pv[idx], q1, q2, d1, acc, out=out
         )
         for k, (geom, a, b, d) in enumerate(cases):
             want = _observe(geom, a, b, d)[2].kind
@@ -124,6 +125,49 @@ class TestMapGuessArrays:
         assert geom.pu * p_a1 == geom.pv * p_a2 == 0.09000000000000001
         assert guess.kind is GuessKind.UNIFORM_TIE
         self._check([(geom, 0.1, 0.1, Decision.PAPER2)], scratch=True)
+
+
+class TestForcedGuessReading:
+    """A forced replicate's guess reads the sign of the log odds d outside
+    a band of 1e-12 and the weights inside it; either way it is the one
+    the weights pu = 1 / (1 + exp(d)), pv = 1 - pu give."""
+
+    EDGES = [
+        1e-12,
+        np.nextafter(1e-12, 0.0),
+        np.nextafter(1e-12, 1.0),
+        2.0**-52,
+        1e-300,
+        0.0,
+        709.78,
+        745.2,
+        np.inf,
+    ]
+
+    @staticmethod
+    def _weights(d):
+        # The weights as posterior_weight_arrays forms them.
+        with np.errstate(over="ignore"):
+            pu = 1.0 / (1.0 + np.exp(d))
+        return pu, 1.0 - pu
+
+    def _check(self, d):
+        none = np.empty(0, dtype=np.intp)
+        empty, no = np.empty(0), np.empty(0, dtype=bool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            guess_a1, guess_a2 = map_guess_arrays(d, none, empty, empty, 1.0, 1.0, no, no)
+        pu, pv = self._weights(d)
+        assert guess_a1.tolist() == (pu > pv).tolist()
+        assert guess_a2.tolist() == (pu < pv).tolist()
+
+    def test_edges(self):
+        # -x of 0.0 is -0.0.
+        self._check(np.array(self.EDGES + [-x for x in self.EDGES] + [np.nan]))
+
+    def test_either_side_of_the_band(self, rng):
+        d = 10.0 ** rng.uniform(-17.0, -8.0, 100_000)
+        self._check(np.concatenate([d, -d]))
 
 
 class TestScenarioTable:

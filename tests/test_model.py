@@ -413,6 +413,43 @@ class TestThresholds:
             ta, tb = thresholds(pop, float(s))
             assert ta_arr[i] == ta and tb_arr[i] == tb
 
+    # Units of roundoff (2^-53) of M = |b| + |slope (s2 - b')|: the
+    # slope's own roundings, one noiseless and seven noisy, one each for
+    # s2 - b', the product and the sum, and one for second-order terms.
+    ROUNDOFFS = {False: 5, True: 11}
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_affine_thresholds_match_exact_rationals(self, noisy):
+        """Both paths of an affine pair's thresholds, ta = b2 + slope_a (s2 -
+        b1) and tb = b1 + slope_b (s2 - b2) with slope_a = a1 t2 / (a2 t1),
+        slope_b its reciprocal and t_j = a_j^2 + sigma2, against Fraction
+        arithmetic on the same float inputs."""
+        rng = np.random.default_rng(13 + noisy)
+        aff = ReviewerProfile.affine
+        bound = Fraction(self.ROUNDOFFS[noisy], 2**53)
+        for k in range(300):
+            a1, a2 = np.exp(rng.uniform(math.log(0.05), math.log(20.0), 2))
+            if k % 10 == 0:
+                a2 = a1  # slope exactly 1
+            b1, b2 = rng.normal(0.0, 1.0, 2)
+            sigma2 = float(10.0 ** rng.uniform(-6.0, 1.0)) if noisy else 0.0
+            s2 = rng.choice([-1.0, 1.0], 8) * 10.0 ** rng.uniform(-3.0, 3.0, 8)
+            pop = Population(aff(a1, b1), aff(a2, b2), sigma2)
+            t1 = Fraction(a1) ** 2 + Fraction(sigma2)
+            t2 = Fraction(a2) ** 2 + Fraction(sigma2)
+            slope_a = Fraction(a1) * t2 / (Fraction(a2) * t1)
+            ta_arr, tb_arr = thresholds(pop, s2, np.empty((2, s2.size)))
+            for i, s in enumerate(s2.tolist()):
+                ta, tb = thresholds(pop, s)
+                assert ta_arr[i] == ta and tb_arr[i] == tb
+                for got, b, slope, other_b in (
+                    (ta, b2, slope_a, b1),
+                    (tb, b1, 1 / slope_a, b2),
+                ):
+                    term = slope * (Fraction(s) - Fraction(other_b))
+                    m = abs(Fraction(b)) + abs(term)
+                    assert abs(Fraction(got) - Fraction(b) - term) <= bound * m, (k, pop, s)
+
     def test_noisy_thresholds_are_where_phi_crosses_one_half(self, rng):
         for _ in range(50):
             inst = random_noisy_instance(rng)

@@ -224,6 +224,33 @@ class TestSimulateAverage:
         with pytest.raises(ConfigurationError):
             Alg1Rule(self.POP, ec_value)
 
+    @pytest.mark.parametrize("ec_value", [0.0, 0.3, 1.0])
+    def test_alg1_rule_batch_equals_the_guarded_division(self, rng, ec_value):
+        """Where pv > 0 fails (0 or NaN) q2 is 1, as in the form that divided
+        by np.where(pv > 0, pv, 1) and set those entries after clipping."""
+        pv = np.concatenate([rng.uniform(0.0, 1.0, 200), [1e-300, 5e-324, 1.0]])
+        pu = 1.0 - pv
+        special = [(1.0, 0.0), (0.5, 0.0), (0.0, 0.0), (np.nan, 0.0)]
+        special += [(0.5, np.nan), (1.0, np.nan), (np.nan, np.nan)]
+        pu = np.concatenate([pu, [u for u, _ in special]])
+        pv = np.concatenate([pv, [v for _, v in special]])
+        order = rng.permutation(pu.size)
+        pu, pv = pu[order], pv[order]
+
+        want = np.minimum(pu, pv)
+        np.minimum(ec_value, want, out=want)
+        np.subtract(1.0, want, out=want)
+        want -= pu
+        positive = pv > 0.0
+        want /= np.where(positive, pv, 1.0)
+        np.clip(want, 0.0, 1.0, out=want)
+        want[~positive] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q1, q2 = Alg1Rule(self.POP, ec_value).batch(pu, pv)
+        assert q1 == 1.0
+        assert q2.view(np.int64).tolist() == want.view(np.int64).tolist()
+
     def test_endpoint_rule_average_errors(self):
         zeta, eta, _ = zeta_eta(self.POP)
         res = simulate_average(self.POP, Alg1Rule(self.POP, 1.0), 400_000, seed=2)
@@ -513,10 +540,29 @@ class TestDrawOrder:
             assert sorted(logs) == list(range(len(self._counts(n))))
             for block, cnt in enumerate(self._counts(n)):
                 normals = ("standard_normal", (2, cnt))
-                # Qualities, the A1 count, coin, then the score noise.
-                want = [normals, ("binomial", cnt, 0.5), ("random", cnt)]
+                # Qualities, the A1 count, the score noise, then the coins
+                # of the A1 run's randomizing replicates and of the A2 run's.
+                want = [normals, ("binomial", cnt, 0.5)]
                 want += [normals] if not pop.noiseless else []
+                want += [("random", m) for m in self._randomizing(pop, n, block, cnt)]
                 assert logs[block] == want, (name, n, block)
+
+    @staticmethod
+    def _randomizing(pop, seed, block, cnt):
+        """The randomizing replicates of a block's A1 and A2 runs, counted
+        from its own draws."""
+        rng = stream(seed, block)
+        th = rng.standard_normal((2, cnt))
+        k = rng.binomial(cnt, 0.5)
+        eps = rng.standard_normal((2, cnt)) if not pop.noiseless else np.zeros((2, cnt))
+        r1, r2, sd = pop.reviewer1, pop.reviewer2, math.sqrt(pop.sigma2)
+        counts = []
+        for run, (rev1, rev2) in ((slice(0, k), (r1, r2)), (slice(k, cnt), (r2, r1))):
+            s1 = rev1.apply(th[0, run]) + sd * eps[0, run]
+            s2 = rev2.apply(th[1, run]) + sd * eps[1, run]
+            d1_p1, d2_p1 = map_decisions(pop, s1, s2)
+            counts.append(int(np.count_nonzero(d1_p1 != d2_p1)))
+        return counts
 
 
 class TestTieReading:
