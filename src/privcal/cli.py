@@ -22,8 +22,8 @@ StudyConfig.
 Exit codes: 0 success (infeasible policy targets included), 2
 configuration error (parser errors included), 3 numerical failure: a
 quadrature accuracy failure, or a degenerate instance whose scores are
-so extreme that both assignment likelihoods underflow to zero. Exits 2
-and 3 print one line to stderr.
+so extreme that the log odds of the assignments overflow to NaN. Exits
+2 and 3 print one line to stderr.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ and the Gaussian quality posteriors.
 The posterior depends on the scores through one log ratio per score,
 log_ratio(model, s) = log f1(s) - log f2(s) for reviewer j's marginal
 score density f_j, as log v - log u = log_odds(s1, s2) = log_ratio(s2)
-- log_ratio(s1); two affine reviewers make it a quadratic in s. The
-array path (log_odds, weights_of_log_odds and posterior_weight_arrays)
-and mechanism's zeta/eta integrand read it; the scalar log_likelihoods
-and posterior_weights keep the four log densities.
+- log_ratio(s1); two affine reviewers make it a quadratic in s. It is
+the posterior's only expression: weights_of_log_odds turns it into
+(pu, pv) on arrays, posterior_weights on one instance, bit for bit
+alike, and mechanism's zeta/eta integrand reads log_ratio too.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ class ModeError(ConfigurationError):
 
 
 class DegenerateInstanceError(ArithmeticError):
-    """Scores or noise so extreme that a statistic is lost: both assignment
-    likelihoods underflowed to zero, or Phi1 or Phi2 overflowed to NaN."""
+    """Scores or noise so extreme that a statistic is lost: the log odds of
+    the assignments, or Phi1 or Phi2, overflowed to NaN."""
 
 
 def std_normal_cdf(x: float) -> float:
@@ -325,30 +325,6 @@ def log_marginal_score_density(profile: ReviewerProfile, sigma2: float, s):
     return _norm_logpdf(s, profile.b, profile.a * profile.a + sigma2)
 
 
-def log_likelihoods(inst: Instance) -> tuple[float, float]:
-    """(log u, log v), computed in log space so extreme scores stay usable."""
-    s1, s2 = inst.scores.s1, inst.scores.s2
-    lf1_s1 = log_marginal_score_density(inst.reviewer1, inst.sigma2, s1)
-    lf2_s2 = log_marginal_score_density(inst.reviewer2, inst.sigma2, s2)
-    lf2_s1 = log_marginal_score_density(inst.reviewer2, inst.sigma2, s1)
-    lf1_s2 = log_marginal_score_density(inst.reviewer1, inst.sigma2, s2)
-    return lf1_s1 + lf2_s2, lf2_s1 + lf1_s2
-
-
-def posterior_weights(inst: Instance) -> tuple[float, float]:
-    """(pu, pv) = (u, v) / (u + v), evaluated stably from log likelihoods."""
-    logu, logv = log_likelihoods(inst)
-    if logu == -math.inf and logv == -math.inf:
-        raise DegenerateInstanceError("both assignment likelihoods underflowed")
-    if logu >= logv:
-        r = math.exp(logv - logu)
-        pu = 1.0 / (1.0 + r)
-        return pu, 1.0 - pu
-    r = math.exp(logu - logv)
-    pv = 1.0 / (1.0 + r)
-    return 1.0 - pv, pv
-
-
 def log_ratio(model, s, out=None):
     """log f1(s) - log f2(s), f_j reviewer j's marginal score density.
 
@@ -403,18 +379,22 @@ def weights_of_log_odds(d: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray
     return pu, np.subtract(1.0, pu, out=out)
 
 
-def posterior_weight_arrays(
-    pop: Population, s1: np.ndarray, s2: np.ndarray, out=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (pu, pv) over score arrays: the array twin of posterior_weights.
+def posterior_weights(inst: Instance) -> tuple[float, float]:
+    """(pu, pv) at the instance's scores: weights_of_log_odds on one float.
 
-    Reads log v - log u from log_odds and the weights from
-    weights_of_log_odds. out, if given, is two arrays of the scores'
-    shape, neither of them s1 or s2, which receive pu and pv. The values
-    are those of the allocating call, bit for bit.
+    pu = 1 / (1 + exp(d)) and pv = 1 - pu at d = log_odds(s1, s2). exp is
+    numpy's, which rounds some values unlike math.exp, so the weights
+    equal the array path's bit for bit. A NaN d, as when both log ratios
+    overflow, raises DegenerateInstanceError.
     """
-    d = log_odds(pop, s1, s2, out)
-    return weights_of_log_odds(d, None if out is None else out[1])
+    d = log_odds(inst, inst.scores.s1, inst.scores.s2)
+    if math.isnan(d):
+        raise DegenerateInstanceError("the log odds of the assignments are NaN")
+    if d > 709.782712893384:
+        # Past log(DBL_MAX) exp overflows to inf, and pu = 0.
+        return 0.0, 1.0
+    pu = 1.0 / (1.0 + float(np.exp(d)))
+    return pu, 1.0 - pu
 
 
 def thresholds(model, s2, out=None):

@@ -29,11 +29,11 @@ from privcal.mechanism import Policy
 from privcal.model import (
     ConfigurationError,
     Population,
-    log_likelihoods,
     log_marginal_score_density,
-    posterior_weight_arrays,
+    log_odds,
     posterior_weights,
     thresholds,
+    weights_of_log_odds,
 )
 from privcal.adversary import map_guess
 from privcal.simlab import (
@@ -51,6 +51,24 @@ class LikelihoodPair:
 
     u: float
     v: float
+
+
+def log_likelihoods(inst: Instance) -> tuple[float, float]:
+    """(log u, log v) as sums of four log densities: an oracle independent
+    of the log ratio that the library's posterior reads."""
+    s1, s2 = inst.scores.s1, inst.scores.s2
+    lf1_s1 = log_marginal_score_density(inst.reviewer1, inst.sigma2, s1)
+    lf2_s2 = log_marginal_score_density(inst.reviewer2, inst.sigma2, s2)
+    lf2_s1 = log_marginal_score_density(inst.reviewer2, inst.sigma2, s1)
+    lf1_s2 = log_marginal_score_density(inst.reviewer1, inst.sigma2, s2)
+    return lf1_s1 + lf2_s2, lf2_s1 + lf1_s2
+
+
+def posterior_weight_arrays(pop, s1, s2, out=None):
+    """(pu, pv) over score arrays, composed from the library's two kernels;
+    out, if given, is two arrays of the scores' shape that receive them."""
+    d = log_odds(pop, s1, s2, out)
+    return weights_of_log_odds(d, None if out is None else out[1])
 
 
 def likelihoods(inst: Instance) -> LikelihoodPair:

@@ -146,7 +146,7 @@ class TestForcedGuessReading:
 
     @staticmethod
     def _weights(d):
-        # The weights as posterior_weight_arrays forms them.
+        # The weights as weights_of_log_odds forms them.
         with np.errstate(over="ignore"):
             pu = 1.0 / (1.0 + np.exp(d))
         return pu, 1.0 - pu

@@ -16,6 +16,7 @@ import privcal
 from privcal import max_adversary_error_curve
 from privcal.cli import _DEFAULTS, main
 from privcal.frontier import frontier, instance_geometry
+from privcal.model import posterior_weights
 from conftest import make_instance
 
 
@@ -230,7 +231,7 @@ class TestFrontierCommand:
     def test_last_grid_point_is_the_intercept(self, tmp_path):
         # A noisy instance on which lo + (hi - lo) * 100 / 100 exceeds hi by
         # one ulp; it was found by a seeded search over one-decimal configs.
-        values = (1.0, -0.1, 0.8, 0.8, 1.0, 1.8, 1.9)
+        values = (1.7, -0.5, 1.6, 0.1, 0.1, 0.8, 1.1)
         keys = ("a1", "b1", "a2", "b2", "sigma2", "s1", "s2")
         entries = {f"instance.{k}": v for k, v in zip(keys, values)}
         inst = make_instance(*values)
@@ -248,14 +249,30 @@ class TestFrontierCommand:
 
     @pytest.mark.parametrize("command", ["frontier", "policy", "simulate"])
     def test_degenerate_instance_exits_3(self, command, tmp_path, capsys):
+        # Unequal slopes: both log ratios overflow, and the log odds are NaN.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"instance.s1": 1e200, "instance.s2": -1e200}))
+        entries = {"instance.s1": 1e200, "instance.s2": -1e200, "instance.a2": 2.0}
+        cfg.write_text(json.dumps(entries))
         code = main([command, "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("degenerate instance:")
         assert err.count("\n") == 1
         assert not (tmp_path / f"{command}.csv").exists()
+
+    def test_extreme_scores_with_equal_slopes_are_not_degenerate(self, tmp_path):
+        # Every log density is -inf here, but with equal slopes the log
+        # odds are linear in the scores and finite: d = 2e200, so A2 is
+        # certain and paper 1, with the far higher score, is accepted.
+        entries = {"instance.s1": 1e200, "instance.s2": -1e200}
+        inst = make_instance(1.0, 0.0, 1.0, 1.0, 0.0, 1e200, -1e200)
+        assert posterior_weights(inst) == (0.0, 1.0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        for command in ("frontier", "policy", "simulate"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        _, rows = _read_csv(tmp_path / "policy.csv")
+        assert rows == [["privcal.policy.v1", "true", "1", "1", "paper1", "0", "0", ""]]
 
     @pytest.mark.parametrize("command", ["frontier", "policy", "simulate"])
     @pytest.mark.parametrize(

@@ -214,7 +214,8 @@ class TestStoredGeometry:
 
     @pytest.mark.parametrize("sigma2", [0.0, 0.5])
     def test_degenerate_instance_raises_on_every_call(self, sigma2):
-        inst = make_instance(1.0, 0.0, 1.0, 1.0, sigma2, 1e200, -1e200)
+        # Unequal slopes: both log ratios overflow, and the log odds are NaN.
+        inst = make_instance(1.0, 0.0, 2.0, 1.0, sigma2, 1e200, -1e200)
         for _ in range(2):
             with pytest.raises(DegenerateInstanceError):
                 instance_geometry(inst)

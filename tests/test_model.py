@@ -24,8 +24,11 @@ from privcal import (
 from privcal.model import (
     Population,
     log_marginal_score_density,
+    log_odds,
     log_ratio,
+    posterior_weights,
     thresholds,
+    weights_of_log_odds,
 )
 from conftest import (
     assignment_posterior,
@@ -223,6 +226,56 @@ class TestAssignmentPosterior:
         inst = make_instance(a1, b1, a2, b2, 0.0, s1, s2)
         total = assignment_posterior(inst) + assignment_posterior(inst.swap_reviewers())
         assert abs(total - 1.0) <= 1e-12
+
+
+class TestPosteriorWeights:
+    """posterior_weights is weights_of_log_odds on one instance."""
+
+    AFFINE = (ReviewerProfile.affine(1.2, -0.3), ReviewerProfile.affine(0.8, 0.6))
+    POPS = {
+        "affine": Population(*AFFINE),
+        "affine_noisy": Population(*AFFINE, 0.4),
+        "sinh": Population(sinh_profile(), ReviewerProfile.affine(1.0, 0.5)),
+    }
+
+    @pytest.mark.parametrize("name", POPS)
+    def test_equals_the_array_kernel_bit_for_bit(self, rng, name):
+        """== element by element, also where d = log v - log u lies past
+        exp's overflow (709.78) and underflow (-745) points. Affine scores
+        of 1e160 overflow the log ratio itself, to d = +-inf; the sinh
+        profile's density is lost there, so its scores stop short."""
+        pop = self.POPS[name]
+        sweep = np.linspace(-80.0, 80.0, 641)
+        if name != "sinh":
+            sweep = np.concatenate([sweep, [-1e160, 1e160]])
+        zeros = np.zeros_like(sweep)
+        s1 = np.concatenate([rng.normal(0, 3, 300), sweep, zeros])
+        s2 = np.concatenate([rng.normal(0, 3, 300), zeros, sweep])
+        with np.errstate(over="ignore"):
+            d = log_odds(pop, s1, s2)
+        inf = math.inf
+        for lo, hi in [(709.79, 745.0), (745.0, inf), (-745.0, -709.79), (-inf, -745.0)]:
+            assert np.any((lo < d) & (d < hi)), (lo, hi)
+        if name != "sinh":
+            assert inf in d and -inf in d
+        pu, pv = weights_of_log_odds(d)
+        for i in range(s1.size):
+            inst = pop.instance(float(s1[i]), float(s2[i]))
+            assert posterior_weights(inst) == (pu[i], pv[i]), (s1[i], s2[i])
+
+    def test_exp_overflow_point(self):
+        """Equal noiseless slopes with b = (0, 1) give d = s1 - s2 exactly,
+        so d lands on log(DBL_MAX), the last float exp keeps finite, and on
+        the next float, where it overflows; neither call warns."""
+        pop = Population(
+            ReviewerProfile.affine(1.0, 0.0), ReviewerProfile.affine(1.0, 1.0)
+        )
+        top = math.log(np.finfo(float).max)
+        for s1 in (top, math.nextafter(top, math.inf)):
+            d = log_odds(pop, np.array([s1]), np.zeros(1))
+            assert d[0] == s1
+            pu, pv = weights_of_log_odds(d)
+            assert posterior_weights(pop.instance(s1, 0.0)) == (pu[0], pv[0])
 
 
 class TestPhiPair:

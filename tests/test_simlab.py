@@ -44,12 +44,14 @@ from privcal.simlab import (
     stream,
 )
 from privcal.adversary import per_instance_errors, scenario_table
-from privcal.model import Decision, map_decisions, posterior_weight_arrays
+from privcal.model import Decision, map_decisions
 from privcal.mechanism import alg1_policy, alg3_policy
 from privcal.frontier import ErrorPair, instance_geometry
 from conftest import (
     kendall_tau_pairs,
+    log_likelihoods,
     make_instance,
+    posterior_weight_arrays,
     random_part2_instance,
     reference_simulate_average,
     reference_simulate_instance,
@@ -337,7 +339,7 @@ class TestPosteriorWeightArrays:
 
     @pytest.mark.parametrize("sigma2", [0.0, 0.4])
     def test_affine_log_likelihoods_match_scalar_exactly(self, rng, sigma2):
-        from privcal.model import log_likelihoods, log_marginal_score_density as logf
+        from privcal.model import log_marginal_score_density as logf
 
         pop = Population(
             ReviewerProfile.affine(1.2, -0.3), ReviewerProfile.affine(0.8, 0.6), sigma2
