@@ -6,7 +6,9 @@ who knows the policy incurs a deanonymization error E_A. This module
 computes, per instance, the geometry shared by both error functionals,
 the Pareto frontier (a point when the decision is forced by the scores,
 a rising segment otherwise), and the full curve of maximum E_A over
-policies with E_C pinned to a target value.
+policies with E_C pinned to a target value. That curve is a trapezoid
+read from the frontier's vertices: its rising edge is the frontier
+segment and its falling edge the segment's mirror image.
 
 The algebra is organized around two scalars of a policy:
 
@@ -160,7 +162,9 @@ def _endpoint(geom: InstanceGeometry) -> tuple[float, tuple[float, float]]:
 
     Returns (ec, (q1, q2)) for the policy of largest t on the boundary
     w = max(pu, pv), which is where the adversary error first reaches
-    its ceiling m = min(pu, pv).
+    its ceiling m = min(pu, pv). One of its q is 1. This is the end
+    vertex every reader takes: frontier(), max_adversary_error_curve and
+    mechanism.alg3_policy all read end_ec here and nowhere else.
     """
     big = max(geom.pu, geom.pv)
     candidates = []
@@ -193,48 +197,19 @@ def frontier(inst: Instance) -> FrontierSegment:
     return FrontierSegment(SegmentKind.SEGMENT, start, end, geom.truthful_ec)
 
 
-def _w_interval(geom: InstanceGeometry, t: float) -> tuple[float, float, float, float]:
-    """Range of w over policies with alpha1 q1 + alpha2 q2 = t.
-
-    Returns (wmin, wmax, q1_at_wmin, q1_at_wmax). The constraint set is
-    a segment of the unit square, so the extremes sit at its endpoints.
-    In noiseless mode t and w are the same linear functional and the
-    interval collapses.
-    """
-    a1, a2 = geom.alpha1, geom.alpha2
-    # A slope is 0 when its posterior weight underflowed or its phi
-    # rounded to 1/2; its q then leaves t unchanged and is free.
-    if a1 == 0.0:
-        if a2 == 0.0:
-            # t is 0 and every policy meets it.
-            return 0.0, 1.0, 0.0, 1.0
-        w = geom.pv * (t / a2)
-        return w, w + geom.pu, 0.0, 1.0
-    if a2 == 0.0:
-        w = geom.pu * (t / a1)
-        return w, w + geom.pv, t / a1, t / a1
-    q1_lo = max(0.0, (t - a2) / a1)
-    q1_hi = min(1.0, t / a1)
-    ws = []
-    for q1 in (q1_lo, q1_hi):
-        q2 = (t - a1 * q1) / a2
-        ws.append((geom.pu * q1 + geom.pv * q2, q1))
-    (w_a, qa), (w_b, qb) = ws
-    if w_a <= w_b:
-        return w_a, w_b, qa, qb
-    return w_b, w_a, qb, qa
-
-
 def max_adversary_error_curve(
     inst: Instance, ec: float
 ) -> Union[float, Infeasible]:
     """Maximum adversary error over policies with conference error exactly ec.
 
-    The curve is a trapezoid in ec: a rising edge, a flat top at the
-    score-only ceiling m, and a falling edge. Outside the feasible
-    conference-error range the result is an Infeasible value rather
-    than an exception, since callers routinely probe infeasible
-    targets.
+    The curve is the trapezoid through four vertices: frontier()'s start
+    (truthful_ec, 0) and end (end_ec, m), and their mirror images
+    (truthful_ec + ec_intercept - end_ec, m) and (ec_intercept, 0). The
+    mirror q -> 1 - q sends ec to truthful_ec + ec_intercept - ec and w
+    to 1 - w, which leaves min(w, m, 1 - w) unchanged. Where end_ec is
+    not above truthful_ec a slope alpha1 or alpha2 is 0, its q moves w
+    but not ec, and the curve is m. An infeasible ec gives an Infeasible
+    value, not an exception, since callers routinely probe them.
     """
     geom = instance_geometry(inst)
     if not geom.part2:
@@ -242,11 +217,10 @@ def max_adversary_error_curve(
         if ec == fec:
             return geom.m
         return Infeasible(fec, fec)
-    lo_ec = geom.truthful_ec
-    hi_ec = geom.ec_intercept
-    if not (lo_ec <= ec <= hi_ec):
-        return Infeasible(lo_ec, hi_ec)
-    span = geom.alpha1 + geom.alpha2
-    t = min(max(geom.ec_intercept - ec, 0.0), span)
-    wmin, wmax, _, _ = _w_interval(geom, t)
-    return min(wmax, geom.m, 1.0 - wmin)
+    lo, hi, m = geom.truthful_ec, geom.ec_intercept, geom.m
+    if not (lo <= ec <= hi):
+        return Infeasible(lo, hi)
+    rise = _endpoint(geom)[0] - lo
+    if rise <= 0.0:
+        return m
+    return min(m, m * ((ec - lo) / rise), m * ((hi - ec) / rise))

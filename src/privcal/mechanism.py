@@ -24,7 +24,7 @@ from .model import (
     log_ratio,
     std_normal_cdf,
 )
-from .frontier import Infeasible, _endpoint, _w_interval, instance_geometry
+from .frontier import Infeasible, _endpoint, instance_geometry
 
 
 class AccuracyError(RuntimeError):
@@ -132,10 +132,15 @@ def alg3_policy(inst: Instance, ec_max: float) -> Union[Policy, Infeasible]:
 
     Below the truthful conference error nothing is feasible and the
     feasible range is returned as data. At or above the frontier
-    endpoint the endpoint policy is returned. In between, the policy
-    realizes conference error ec_max exactly while minimizing the
-    adversary's information, which places the error pair on the
-    frontier segment.
+    endpoint the endpoint policy end_q, one of whose q is 1, is
+    returned. In between, the policy walks the square's edge from the
+    truthful policy (1, 1) to end_q: q = 1 + f (end_q - 1) with
+    f = (ec_max - truthful_ec) / (end_ec - truthful_ec), so one q stays
+    exactly 1. Along that edge t and w are linear in f: the conference
+    error is ec_max and the adversary error 1 - w rises from 0 to m. Of
+    the policies with t pinned, the min-w end maximizes the adversary
+    error, and it stays on that edge until w reaches max(pu, pv), the
+    endpoint. The error pair therefore lies on the frontier segment.
     """
     if inst.noiseless:
         raise ModeError("alg3_policy requires sigma2 > 0")
@@ -146,13 +151,11 @@ def alg3_policy(inst: Instance, ec_max: float) -> Union[Policy, Infeasible]:
         return Policy(1.0, 1.0, forced=geom.d1)
     if ec_max < geom.truthful_ec:
         return Infeasible(geom.truthful_ec, geom.ec_intercept)
-    end_ec, end_q = _endpoint(geom)
+    end_ec, (q1, q2) = _endpoint(geom)
     if ec_max >= end_ec:
-        return Policy(end_q[0], end_q[1])
-    t = geom.ec_intercept - ec_max
-    _, _, q1, _ = _w_interval(geom, t)
-    q2 = (t - geom.alpha1 * q1) / geom.alpha2
-    return Policy(min(max(q1, 0.0), 1.0), min(max(q2, 0.0), 1.0))
+        return Policy(q1, q2)
+    f = (ec_max - geom.truthful_ec) / (end_ec - geom.truthful_ec)
+    return Policy(1.0 + f * (q1 - 1.0), 1.0 + f * (q2 - 1.0))
 
 
 # Gauss-Legendre nodes per panel. Each integral is also taken with twice

@@ -24,7 +24,7 @@ from privcal import (
     ScorePair,
     phi_pair,
 )
-from privcal.frontier import _w_interval, instance_geometry
+from privcal.frontier import InstanceGeometry, instance_geometry
 from privcal.mechanism import Policy
 from privcal.model import (
     ConfigurationError,
@@ -388,14 +388,47 @@ def piecewise_adversary_error(inst: Instance, q1: float, q2: float) -> float:
     return small
 
 
+def _w_interval(geom: InstanceGeometry, t: float) -> tuple[float, float, float, float]:
+    """Range of w over policies with alpha1 q1 + alpha2 q2 = t.
+
+    Returns (wmin, wmax, q1_at_wmin, q1_at_wmax). The constraint set is
+    a segment of the unit square, so the extremes sit at its endpoints.
+    In noiseless mode t and w are the same linear functional and the
+    interval collapses.
+    """
+    a1, a2 = geom.alpha1, geom.alpha2
+    # A slope is 0 when its posterior weight underflowed or its phi
+    # rounded to 1/2; its q then leaves t unchanged and is free.
+    if a1 == 0.0:
+        if a2 == 0.0:
+            # t is 0 and every policy meets it.
+            return 0.0, 1.0, 0.0, 1.0
+        w = geom.pv * (t / a2)
+        return w, w + geom.pu, 0.0, 1.0
+    if a2 == 0.0:
+        w = geom.pu * (t / a1)
+        return w, w + geom.pv, t / a1, t / a1
+    q1_lo = max(0.0, (t - a2) / a1)
+    q1_hi = min(1.0, t / a1)
+    ws = []
+    for q1 in (q1_lo, q1_hi):
+        q2 = (t - a1 * q1) / a2
+        ws.append((geom.pu * q1 + geom.pv * q2, q1))
+    (w_a, qa), (w_b, qb) = ws
+    if w_a <= w_b:
+        return w_a, w_b, qa, qb
+    return w_b, w_a, qb, qa
+
+
 def curve_policy(inst: Instance, ec: float) -> Union[tuple[float, float], Infeasible]:
     """A policy attaining max_adversary_error_curve(inst, ec).
 
-    The curve's attainment witness: it solves the same pinned-EC problem
-    again and returns the policy instead of the error. It exists for
-    part-2 instances at feasible ec; for forced instances
-    the only feasible ec is the forced conference error and every
-    policy attains the curve there.
+    The curve's attainment witness: it solves the pinned-EC problem over
+    the range of w that _w_interval finds, apart from the vertices the
+    library reads, and returns the policy instead of the error. It
+    exists for part-2 instances at feasible ec; for forced instances the
+    only feasible ec is the forced conference error and every policy
+    attains the curve there.
     """
     geom = instance_geometry(inst)
     if not geom.part2:

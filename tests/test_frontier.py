@@ -496,3 +496,38 @@ class TestCurveProperties:
             end.ec - start.ec
         )
         assert abs(cross) <= 1e-12
+
+    @given(inst=_instances)
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    def test_curve_passes_through_the_frontier_vertices(self, inst):
+        _assert_curve_meets_frontier(inst)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1, 0, 1, 1, 1, 1, 1.5),
+            # alpha1 = 1.2e-13: a pinned-t solve divided by it.
+            (1, 0.5, 2, 0, 2, 0.5, 9.044073169300818e-13),
+        ],
+    )
+    def test_curve_meets_frontier_at_pinned_instances(self, args):
+        _assert_curve_meets_frontier(make_instance(*args))
+
+    def test_vertical_edge_reads_m(self):
+        """Both slopes are 0, so the segment is vertical at ec = 0.5 and
+        every policy there reaches the ceiling m = 0.5."""
+        inst = make_instance(1, 5.76e-182, 1, 0, 1, 0, 0)
+        seg = frontier(inst)
+        assert seg.kind is SegmentKind.SEGMENT
+        assert seg.start.ec == seg.end.ec == 0.5
+        assert max_adversary_error_curve(inst, seg.start.ec) == seg.end.ea == 0.5
+
+
+def _assert_curve_meets_frontier(inst):
+    """The curve reads frontier()'s end vertex to 1e-15 and, unless the
+    segment is vertical, its start vertex exactly."""
+    seg = frontier(inst)
+    start, end = seg.start, seg.end
+    assert abs(max_adversary_error_curve(inst, end.ec) - end.ea) <= 1e-15
+    if end.ec > start.ec:
+        assert max_adversary_error_curve(inst, start.ec) == 0.0

@@ -34,3 +34,22 @@ def test_every_module_level_definition_is_used_or_exported():
         if isinstance(node, definitions) and node.name not in named | exported
     )
     assert unused == []
+
+
+def test_conftest_oracles_import_no_private_library_names():
+    """The oracles in tests/conftest.py check the library, so they share
+    none of its private helpers: no underscore name is imported from
+    privcal. _run_blocks is the one exception. The reference simulators
+    must draw exactly what the library draws, so they share its block
+    split and per-block seeding on purpose."""
+    conftest = Path(__file__).with_name("conftest.py")
+    tree = ast.parse(conftest.read_text(encoding="utf-8"))
+    private = sorted(
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "privcal"
+        for alias in node.names
+        if alias.name.startswith("_") and alias.name != "_run_blocks"
+    )
+    assert private == []

@@ -276,6 +276,23 @@ class TestAlg3Policy:
                 )
                 assert err.ea == pytest.approx(on_line, abs=1e-9)
 
+    def test_one_q_stays_exactly_one_on_the_rising_edge(self, rng):
+        """Below the endpoint Alg. 3 walks the square's edge from (1, 1)
+        to the endpoint policy: one q is exactly 1, and the exact errors
+        are (ec, curve(ec))."""
+        insts = [random_part2_instance(rng, noisy=True) for _ in range(100)]
+        # A pinned-t solve gave q2 = 0.9999999999999919 here at mid-edge.
+        insts.append(make_instance(1, 0, 0.25, 1, 0.125, -1, 0))
+        for inst in insts:
+            seg = frontier(inst)
+            for ec in np.linspace(seg.start.ec, seg.end.ec, 8, endpoint=False):
+                ec = float(ec)
+                pol = alg3_policy(inst, ec)
+                assert pol.q1 == 1.0 or pol.q2 == 1.0
+                err = per_instance_errors(inst, pol)
+                assert abs(err.ec - ec) <= 1e-12
+                assert abs(err.ea - max_adversary_error_curve(inst, ec)) <= 1e-12
+
     def test_forced_instance(self):
         inst = make_instance(1, 0, 1.4, 0.3, 0.8, 6.0, 0.2)
         pol = alg3_policy(inst, 0.5)
