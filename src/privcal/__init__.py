@@ -30,6 +30,7 @@ from .frontier import (
     FrontierSegment,
     Infeasible,
     SegmentKind,
+    curve_vertices,
     frontier,
     instance_geometry,
     max_adversary_error_curve,

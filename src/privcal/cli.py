@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Four subcommands: frontier (Pareto endpoints plus the max-adversary
-curve on a grid), policy (one policy with its analytic errors),
+Four subcommands: frontier (Pareto endpoints plus the vertices of the
+max-adversary curve), policy (one policy with its analytic errors),
 simulate (seeded Monte Carlo of one instance), and study (the
 calibration benefit study). Every run writes a CSV and a JSON manifest
 holding the fully resolved configuration; re-running with the manifest
@@ -10,7 +10,7 @@ cannot be written removes the CSV it wrote. A subcommand is its
 _DEFAULTS and _COMMANDS entries plus a runner that returns rows of plain
 values; main alone writes them in the CSV format.
 
-A flag (--seed, --ec, --grid) is a config entry, its text read as JSON
+A flag (--seed, --ec) is a config entry, its text read as JSON
 (else kept as a string); only the subcommands whose config has that
 entry accept it, and --mode only those that build an instance. _coerce
 alone converts each value to the type of its default: floats, or
@@ -44,13 +44,7 @@ from .model import (
     ReviewerProfile,
     ScorePair,
 )
-from .frontier import (
-    Infeasible,
-    SegmentKind,
-    frontier,
-    instance_geometry,
-    max_adversary_error_curve,
-)
+from .frontier import Infeasible, SegmentKind, curve_vertices, frontier
 from .mechanism import AccuracyError, alg1_policy, alg3_policy
 from .adversary import per_instance_errors
 from .simlab import StudyConfig, run_calibration_study, simulate_instance
@@ -71,7 +65,7 @@ def _study_key(name: str) -> str:
 
 
 _DEFAULTS = {
-    "frontier": {**_INSTANCE_DEFAULTS, "grid": 101},
+    "frontier": _INSTANCE_DEFAULTS,
     "policy": {**_INSTANCE_DEFAULTS, "ec": 0.2},
     "simulate": {**_INSTANCE_DEFAULTS, "ec": 0.2, "simulate.n": 200_000, "seed": 0},
     "study": {
@@ -81,11 +75,7 @@ _DEFAULTS = {
 }
 
 
-_FLAGS = {
-    "seed": "64-bit unsigned seed",
-    "ec": "conference-error target",
-    "grid": "grid point count",
-}
+_FLAGS = {"seed": "64-bit unsigned seed", "ec": "conference-error target"}
 
 
 def _fmt(x: float) -> str:
@@ -191,19 +181,11 @@ def _policy(inst: Instance, ec: float) -> tuple:
 
 def cmd_frontier(cfg: dict) -> list[tuple]:
     inst = _build_instance(cfg)
-    count = cfg["grid"]
-    if count < 2:
-        raise ConfigurationError("grid must be at least 2")
     seg = frontier(inst)
     if seg.kind is SegmentKind.POINT:
         return [("point", seg.start.ec, seg.start.ea)]
     rows = [("start", seg.start.ec, seg.start.ea), ("end", seg.end.ec, seg.end.ea)]
-    lo, hi = seg.min_feasible_ec, instance_geometry(inst).ec_intercept
-    for i in range(count):
-        # Roundoff can carry the last point one ulp past hi.
-        ec = min(lo + (hi - lo) * i / (count - 1), hi)
-        rows.append(("curve", ec, max_adversary_error_curve(inst, ec)))
-    return rows
+    return rows + [("vertex", v.ec, v.ea) for v in curve_vertices(inst)]
 
 
 def cmd_policy(cfg: dict) -> list[tuple]:
@@ -242,9 +224,9 @@ def cmd_study(cfg: dict) -> list[tuple]:
 _COMMANDS = {
     "frontier": (
         cmd_frontier,
-        "privcal.frontier.v1",
+        "privcal.frontier.v2",
         ("row_type", "ec", "ea"),
-        "Pareto endpoints and max-adversary curve",
+        "Pareto endpoints and max-adversary curve vertices",
     ),
     "policy": (
         cmd_policy,

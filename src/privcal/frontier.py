@@ -6,9 +6,9 @@ who knows the policy incurs a deanonymization error E_A. This module
 computes, per instance, the geometry shared by both error functionals,
 the Pareto frontier (a point when the decision is forced by the scores,
 a rising segment otherwise), and the full curve of maximum E_A over
-policies with E_C pinned to a target value. That curve is a trapezoid
-read from the frontier's vertices: its rising edge is the frontier
-segment and its falling edge the segment's mirror image.
+policies with E_C pinned to a target value. That curve is a trapezoid,
+exactly given by its vertices (curve_vertices): its rising edge is the
+frontier segment and its falling edge the segment's mirror image.
 
 The algebra is organized around two scalars of a policy:
 
@@ -54,6 +54,7 @@ class SegmentKind(Enum):
 class FrontierSegment:
     """The Pareto set of one instance: a point, or a rising segment.
 
+    The segment is a single point, start == end, where a slope alpha is 0.
     min_feasible_ec is the smallest conference error any policy can
     achieve for these scores (0 in the noiseless segment case).
     """
@@ -186,15 +187,36 @@ def frontier(inst: Instance) -> FrontierSegment:
     Forced instances give the point (forced_ec, m). Otherwise the
     frontier is the rising segment from the truthful policy's errors
     (truthful_ec, 0) to the endpoint where the adversary error reaches
-    the score-only ceiling m.
+    the score-only ceiling m. Where end_ec <= truthful_ec, a slope alpha is
+    0: its q moves w but not ec, and the segment is (truthful_ec, m) alone.
     """
     geom = instance_geometry(inst)
     if not geom.part2:
         p = ErrorPair(geom.forced_ec, geom.m)
         return FrontierSegment(SegmentKind.POINT, p, p, p.ec)
-    end = ErrorPair(_endpoint(geom)[0], geom.m)
-    start = ErrorPair(geom.truthful_ec, 0.0)
-    return FrontierSegment(SegmentKind.SEGMENT, start, end, geom.truthful_ec)
+    lo, end_ec = geom.truthful_ec, _endpoint(geom)[0]
+    if end_ec <= lo:
+        start = end = ErrorPair(lo, geom.m)
+    else:
+        start, end = ErrorPair(lo, 0.0), ErrorPair(end_ec, geom.m)
+    return FrontierSegment(SegmentKind.SEGMENT, start, end, lo)
+
+
+def curve_vertices(inst: Instance) -> tuple[ErrorPair, ...]:
+    """The vertices of max_adversary_error_curve, in order of ec.
+
+    A forced instance gives frontier()'s point. Otherwise they are
+    frontier()'s start and end and their mirror images, with consecutive
+    repeats dropped. The mirror q -> 1 - q sends ec to truthful_ec +
+    ec_intercept - ec and w to 1 - w, which leaves min(w, m, 1 - w)
+    unchanged. Where the segment is a single point, every vertex reads m.
+    """
+    seg = frontier(inst)
+    if seg.kind is SegmentKind.POINT:
+        return (seg.start,)
+    start, end, hi = seg.start, seg.end, instance_geometry(inst).ec_intercept
+    corners = (start, end, ErrorPair(start.ec + hi - end.ec, end.ea), ErrorPair(hi, start.ea))
+    return tuple(v for i, v in enumerate(corners) if i == 0 or v != corners[i - 1])
 
 
 def max_adversary_error_curve(
@@ -202,13 +224,7 @@ def max_adversary_error_curve(
 ) -> Union[float, Infeasible]:
     """Maximum adversary error over policies with conference error exactly ec.
 
-    The curve is the trapezoid through four vertices: frontier()'s start
-    (truthful_ec, 0) and end (end_ec, m), and their mirror images
-    (truthful_ec + ec_intercept - end_ec, m) and (ec_intercept, 0). The
-    mirror q -> 1 - q sends ec to truthful_ec + ec_intercept - ec and w
-    to 1 - w, which leaves min(w, m, 1 - w) unchanged. Where end_ec is
-    not above truthful_ec a slope alpha1 or alpha2 is 0, its q moves w
-    but not ec, and the curve is m. An infeasible ec gives an Infeasible
+    Linear between curve_vertices. An infeasible ec gives an Infeasible
     value, not an exception, since callers routinely probe them.
     """
     geom = instance_geometry(inst)

@@ -22,6 +22,7 @@ from privcal import (
     Instance,
     ReviewerProfile,
     ScorePair,
+    frontier,
     phi_pair,
 )
 from privcal.frontier import InstanceGeometry, instance_geometry
@@ -463,6 +464,16 @@ def curve_policy(inst: Instance, ec: float) -> Union[tuple[float, float], Infeas
             q1 = min(max(q1, min(q1_min, q1_max)), max(q1_min, q1_max))
     q2 = (t - geom.alpha1 * q1) / geom.alpha2
     return (min(max(q1, 0.0), 1.0), min(max(q2, 0.0), 1.0))
+
+
+def vertex_tolerance(inst: Instance) -> float:
+    """How far linear interpolation between curve_vertices may read from
+    max_adversary_error_curve: 1e-15, plus 4 ulp of ec at the rising
+    edge's slope m / (end_ec - truthful_ec). The mirror vertex's ec is
+    rounded, and one ulp of ec costs the slope times that ulp in ea."""
+    seg = frontier(inst)
+    rise = seg.end.ec - seg.start.ec
+    return 1e-15 + (4 * 2.0**-52 * seg.end.ea / rise if rise > 0.0 else 0.0)
 
 
 def kendall_tau_pairs(rank_a, rank_b) -> float:

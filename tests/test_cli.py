@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from privcal import max_adversary_error_curve
 from privcal.cli import _DEFAULTS, main
 from privcal.frontier import frontier, instance_geometry
 from privcal.model import posterior_weights
-from conftest import make_instance
+from conftest import make_instance, vertex_tolerance
 
 
 def _read_csv(path):
@@ -25,6 +26,9 @@ def _read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+_NO_GRID = "unknown config key for frontier: grid"
 
 
 class TestConfigResolution:
@@ -81,8 +85,8 @@ class TestConfigResolution:
             ("simulate", {"seed": 2**64}, "seed"),
             ("simulate", {"simulate.n": 2.7}, "simulate.n"),
             ("simulate", {"simulate.n": "many"}, "simulate.n"),
-            ("frontier", {"grid": 3.9}, "grid"),
-            ("frontier", {"grid": math.inf}, "grid"),
+            ("simulate", {"simulate.n": 3.9}, "simulate.n"),
+            ("simulate", {"simulate.n": math.inf}, "simulate.n"),
             ("study", {"seed": -1}, "seed"),
             ("study", {"study.iterations": 2.5}, "study.iterations"),
             ("study", {"study.noise_variances": ["abc"]}, "study.noise_variances"),
@@ -90,10 +94,12 @@ class TestConfigResolution:
             ("study", {"study.noise_variances": 0.5}, "study.noise_variances"),
             ("study", {"study.noise_variances": []}, "study.noise_variances"),
             ("simulate", {"simulate.n": 1e18}, "n must be an integer"),
-            ("frontier", {"grid": -5}, "grid"),
-            # A forced instance has no curve, and its grid is checked all the same.
-            ("frontier", {"grid": -5, "instance.s1": 5.0}, "grid"),
-            ("frontier", {"grid": 1, "instance.s1": 5.0}, "grid"),
+            # The frontier writes its curve's vertices and has no grid: a
+            # config, or a privcal.frontier.v1 run's manifest, holding one
+            # is refused.
+            ("frontier", {"grid": -5}, _NO_GRID),
+            ("frontier", {"grid": 11, "instance.s1": 5.0}, _NO_GRID),
+            ("frontier", {"schema": "privcal.manifest.v1", "config": {"grid": 101}}, _NO_GRID),
             ("policy", [1, 2], "config must be a JSON object"),
             # A manifest's config entry is held to the same rule.
             *(
@@ -179,7 +185,7 @@ class TestConfigResolution:
     @pytest.mark.parametrize(
         "command, entries",
         [
-            ("frontier", {"grid": 11.0}),
+            ("frontier", {"instance.sigma2": 1, "instance.s2": 2}),
             ("simulate", {"simulate.n": 1000.0, "seed": 2**64 - 1}),
             ("policy", {"instance.s1": 1, "ec": 0}),
         ],
@@ -189,11 +195,9 @@ class TestConfigResolution:
         cfg.write_text(json.dumps(entries))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
-    @pytest.mark.parametrize(
-        "command, flag, text", [("frontier", "grid", "11.0"), ("simulate", "seed", "1e3")]
-    )
+    @pytest.mark.parametrize("command, flag, text", [("simulate", "seed", "1e3")])
     def test_integral_flag_values_accepted(self, command, flag, text, tmp_path):
-        """A flag reads as its config entry: --grid 11.0 runs as {"grid": 11.0}."""
+        """A flag reads as its config entry: --seed 1e3 runs as {"seed": 1000.0}."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({flag: json.loads(text)}))
         by_flag, by_file = tmp_path / "flag", tmp_path / "file"
@@ -208,18 +212,19 @@ class TestFrontierCommand:
         assert main(["frontier", "--out", str(tmp_path)]) == 0
         header, rows = _read_csv(tmp_path / "frontier.csv")
         assert header == ["schema", "row_type", "ec", "ea"]
-        assert all(r[0] == "privcal.frontier.v1" for r in rows)
-        kinds = [r[1] for r in rows]
-        assert kinds[0] == "start" and kinds[1] == "end"
-        assert kinds.count("curve") == 101
+        assert all(r[0] == "privcal.frontier.v2" for r in rows)
+        assert [r[1] for r in rows] == ["start", "end"] + ["vertex"] * 4
         manifest = json.loads((tmp_path / "frontier_manifest.json").read_text())
         assert manifest["schema"] == "privcal.manifest.v1"
         assert manifest["command"] == "frontier"
 
-    def test_grid_flag(self, tmp_path):
-        assert main(["frontier", "--grid", "11", "--out", str(tmp_path)]) == 0
-        _, rows = _read_csv(tmp_path / "frontier.csv")
-        assert sum(1 for r in rows if r[1] == "curve") == 11
+    def test_grid_flag(self, tmp_path, capsys):
+        """The frontier writes its curve's vertices, so there is no grid to set."""
+        assert main(["frontier", "--grid", "11", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "--grid" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "frontier.csv").exists()
 
     def test_forced_instance_gives_point_row(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -230,7 +235,9 @@ class TestFrontierCommand:
 
     def test_last_grid_point_is_the_intercept(self, tmp_path):
         # A noisy instance on which lo + (hi - lo) * 100 / 100 exceeds hi by
-        # one ulp; it was found by a seeded search over one-decimal configs.
+        # one ulp, so that the last point of a 101-point grid would leave
+        # the curve's domain; it was found by a seeded search over
+        # one-decimal configs. The last vertex is hi itself.
         values = (1.7, -0.5, 1.6, 0.1, 0.1, 0.8, 1.1)
         keys = ("a1", "b1", "a2", "b2", "sigma2", "s1", "s2")
         entries = {f"instance.{k}": v for k, v in zip(keys, values)}
@@ -241,11 +248,11 @@ class TestFrontierCommand:
         cfg.write_text(json.dumps(entries))
         assert main(["frontier", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         _, rows = _read_csv(tmp_path / "frontier.csv")
-        curve = [(float(r[2]), float(r[3])) for r in rows if r[1] == "curve"]
-        assert len(curve) == 101
-        assert curve[-1] == (hi, 0.0)
-        for ec, ea in curve:
-            assert max_adversary_error_curve(inst, ec) == ea
+        vertices = [(float(r[2]), float(r[3])) for r in rows if r[1] == "vertex"]
+        assert len(vertices) == 4
+        assert vertices[-1] == (hi, 0.0)
+        for ec, ea in vertices:
+            assert abs(max_adversary_error_curve(inst, ec) - ea) <= vertex_tolerance(inst)
 
     @pytest.mark.parametrize("command", ["frontier", "policy", "simulate"])
     def test_degenerate_instance_exits_3(self, command, tmp_path, capsys):
@@ -471,6 +478,18 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert (tmp_path / "policy.csv").exists()
 
+    def test_main_block_runs_main(self, tmp_path, monkeypatch):
+        """The module's __main__ block exits with main's code, in process."""
+        monkeypatch.setattr(sys, "argv", ["privcal", "frontier", "--out", str(tmp_path)])
+        # runpy warns that it runs a module already imported, and pyproject
+        # turns a RuntimeWarning into an error.
+        with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+            with pytest.raises(SystemExit) as stop:
+                runpy.run_module("privcal.cli", run_name="__main__")
+        assert stop.value.code == 0
+        golden = TestGoldenCsv.GOLDEN / "frontier_default.csv"
+        assert (tmp_path / "frontier.csv").read_bytes() == golden.read_bytes()
+
     def test_entry_point_exits_2_with_one_line(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "privcal.cli", "policy", "--ec", "abc", "--out", str(tmp_path)],
@@ -545,7 +564,7 @@ def _bounded(hi: int):
     )
 
 
-_COUNT_KEYS = {"grid": _bounded(40), "simulate.n": _bounded(3000)}
+_COUNT_KEYS = {"simulate.n": _bounded(3000)}
 
 
 @st.composite
@@ -657,7 +676,6 @@ class TestConfigFuzz:
     @pytest.mark.parametrize(
         "command, key",
         [
-            ("frontier", "grid"),
             ("policy", "ec"),
             ("simulate", "ec"),
             ("simulate", "seed"),
@@ -670,10 +688,9 @@ class TestConfigFuzz:
         --KEY=TEXT token: argparse reads a separate token such as -1e-05 or
         -Infinity as an option rather than as the flag's value."""
         base = {"simulate": {"simulate.n": 2000}, "study": _TINY_STUDY}.get(command, {})
-        values = _COUNT_KEYS["grid"] if key == "grid" else _ANY_VALUE
 
         @settings(max_examples=100, deadline=None, derandomize=True)
-        @given(values)
+        @given(_ANY_VALUE)
         def run(value):
             flag = [f"--{key}={json.dumps(value)}"]
             by_flag = _outcome(command, base, flag, tmp_path / "flag")

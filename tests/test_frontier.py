@@ -11,10 +11,12 @@ from scipy.stats import norm
 
 from privcal import (
     DegenerateInstanceError,
+    ErrorPair,
     Infeasible,
     Instance,
     ScorePair,
     SegmentKind,
+    curve_vertices,
     frontier,
     max_adversary_error_curve,
 )
@@ -29,6 +31,7 @@ from conftest import (
     random_noiseless_instance,
     random_noisy_instance,
     random_part2_instance,
+    vertex_tolerance,
 )
 
 
@@ -461,6 +464,12 @@ _instances = st.builds(
 )
 
 
+# A slope alpha is 0, so the rising edge is vertical: both slopes at
+# the first instance, alpha1 at the second (alpha2 5.6e-11).
+_VERTICAL = [(1, 5.76e-182, 1, 0, 1, 0, 0), (1, 0, 1, 1, 1e10, 0.5000001, 1.5)]
+_ALPHA1_PIN = (1, 0.5, 2, 0, 2, 0.5, 9.044073169300818e-13)
+
+
 class TestCurveProperties:
     @given(inst=_instances)
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -507,27 +516,88 @@ class TestCurveProperties:
         [
             (1, 0, 1, 1, 1, 1, 1.5),
             # alpha1 = 1.2e-13: a pinned-t solve divided by it.
-            (1, 0.5, 2, 0, 2, 0.5, 9.044073169300818e-13),
+            _ALPHA1_PIN,
         ],
     )
     def test_curve_meets_frontier_at_pinned_instances(self, args):
         _assert_curve_meets_frontier(make_instance(*args))
 
     def test_vertical_edge_reads_m(self):
-        """Both slopes are 0, so the segment is vertical at ec = 0.5 and
-        every policy there reaches the ceiling m = 0.5."""
-        inst = make_instance(1, 5.76e-182, 1, 0, 1, 0, 0)
-        seg = frontier(inst)
-        assert seg.kind is SegmentKind.SEGMENT
-        assert seg.start.ec == seg.end.ec == 0.5
-        assert max_adversary_error_curve(inst, seg.start.ec) == seg.end.ea == 0.5
+        """A slope alpha is 0 on both instances: its q moves the adversary
+        error but not the conference error, so every policy at
+        truthful_ec reaches the ceiling m, and the Pareto set is the
+        single point (truthful_ec, m)."""
+        for args in _VERTICAL:
+            inst = make_instance(*args)
+            geom = instance_geometry(inst)
+            seg = frontier(inst)
+            assert seg.kind is SegmentKind.SEGMENT
+            assert seg.start == seg.end == ErrorPair(geom.truthful_ec, geom.m)
+            assert max_adversary_error_curve(inst, seg.start.ec) == seg.end.ea == geom.m
+
+
+class TestCurveVertices:
+    @given(inst=_instances)
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    def test_vertices_of_random_instances(self, inst):
+        _assert_vertices(inst)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # Forced: identical reviewers, and a score far outside the
+            # thresholds, noiseless and noisy.
+            (1, 0, 1, 0, 0.0, 0.3, 0.7),
+            (1, 0, 1, 2, 0.0, 5.0, 1.0),
+            (1, 0, 1, 1, 0.5, 4.0, 0.0),
+            *_VERTICAL,
+            _ALPHA1_PIN,
+        ],
+    )
+    def test_vertices_of_pinned_instances(self, args):
+        _assert_vertices(make_instance(*args))
+
+    def test_noiseless_reference_vertices(self):
+        inst = make_instance(1, 0, 1, 1, 0.0, 0.5, 1.0)
+        m = frontier(inst).end.ea
+        assert curve_vertices(inst) == (
+            ErrorPair(0.0, 0.0),
+            ErrorPair(m, m),
+            ErrorPair(1.0 - m, m),
+            ErrorPair(1.0, 0.0),
+        )
+
+
+def _assert_vertices(inst):
+    """curve_vertices starts at frontier()'s start and end, rises in ec
+    with no repeats, ends at ec_intercept, and linear interpolation
+    between its vertices reads the curve."""
+    seg = frontier(inst)
+    vertices = curve_vertices(inst)
+    if seg.kind is SegmentKind.POINT:
+        assert vertices == (seg.start,)
+        return
+    geom = instance_geometry(inst)
+    vertical = seg.start == seg.end
+    first = (seg.start,) if vertical else (seg.start, seg.end)
+    assert vertices[: len(first)] == first
+    assert vertices[-1] == ErrorPair(geom.ec_intercept, geom.m if vertical else 0.0)
+    pairs = list(zip(vertices, vertices[1:]))
+    assert all(a.ec <= b.ec and a != b for a, b in pairs)
+    tol = vertex_tolerance(inst)
+    for a, b in pairs:
+        for k, ec in enumerate(np.linspace(a.ec, b.ec, 9)):
+            want = a.ea + (b.ea - a.ea) * k / 8
+            assert abs(max_adversary_error_curve(inst, float(ec)) - want) <= tol
+    ecs = np.linspace(geom.truthful_ec, geom.ec_intercept, 4001)
+    top = max(max_adversary_error_curve(inst, float(ec)) for ec in ecs)
+    assert top <= max(v.ea for v in vertices) + tol
 
 
 def _assert_curve_meets_frontier(inst):
-    """The curve reads frontier()'s end vertex to 1e-15 and, unless the
-    segment is vertical, its start vertex exactly."""
+    """The curve reads frontier()'s start vertex exactly and its end
+    vertex to 1e-15."""
     seg = frontier(inst)
     start, end = seg.start, seg.end
     assert abs(max_adversary_error_curve(inst, end.ec) - end.ea) <= 1e-15
-    if end.ec > start.ec:
-        assert max_adversary_error_curve(inst, start.ec) == 0.0
+    assert max_adversary_error_curve(inst, start.ec) == start.ea
