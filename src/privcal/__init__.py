@@ -18,7 +18,6 @@ from .model import (
     ModeError,
     PhiPair,
     Population,
-    ProfileKind,
     QualityPosterior,
     ReviewerProfile,
     ScorePair,

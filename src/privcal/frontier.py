@@ -210,12 +210,14 @@ def curve_vertices(inst: Instance) -> tuple[ErrorPair, ...]:
     repeats dropped. The mirror q -> 1 - q sends ec to truthful_ec +
     ec_intercept - ec and w to 1 - w, which leaves min(w, m, 1 - w)
     unchanged. Where the segment is a single point, every vertex reads m.
+    Rounding can move the mirror of end an ulp out of [end.ec, ec_intercept].
     """
     seg = frontier(inst)
     if seg.kind is SegmentKind.POINT:
         return (seg.start,)
     start, end, hi = seg.start, seg.end, instance_geometry(inst).ec_intercept
-    corners = (start, end, ErrorPair(start.ec + hi - end.ec, end.ea), ErrorPair(hi, start.ea))
+    mirror = ErrorPair(min(max(start.ec + hi - end.ec, end.ec), hi), end.ea)
+    corners = (start, end, mirror, ErrorPair(hi, start.ea))
     return tuple(v for i, v in enumerate(corners) if i == 0 or v != corners[i - 1])
 
 

@@ -220,11 +220,11 @@ def _quality_zeta_eta(pop: Population, span: float) -> tuple[float, float, float
     the inner integral is exact: phi(y) dy = d Phi(y) where g >= K(x),
     and exp(g(y)) phi(y) dy = d Phi(h^-1(y)) where g < K(x). There the
     outer weight is exp(log phi(x) - K(x)) = f2(r1(x)) r1'(x), a bounded
-    density, so nothing overflows. The outer panels are cut at the
-    grid and its images under h, h^-1 and h^-1 o h^-1, which resolve g,
-    K and g o h o h along x, and at the events where the inner cuts meet,
-    leave the box or appear. Events are bracketed on the fine grid and
-    the same images of it, so a steep h cannot hide two in one bracket.
+    density unless K has lost its digits. The outer panels are cut at the
+    grid and its images under h, h^-1 and h^-1 o h^-1, which resolve g, K
+    and g o h o h along x, and at the events where the inner cuts meet,
+    leave the box or appear. Events are bracketed on the fine grid and the
+    same images of it, so a steep h cannot hide two in one bracket.
     """
     r1, r2 = pop.reviewer1, pop.reviewer2
 
@@ -312,8 +312,9 @@ def zeta_eta(
         settings = QuadratureSettings()
     if not pop.noiseless:
         raise ModeError("zeta/eta are defined for the noiseless average case")
-    # Maps that leave each other's range give NaN, which raises below.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # NaN from maps that leave each other's range, and inf from a weight
+    # that a log ratio which has lost its digits overflows, raise below.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         zeta, eta, err = _quality_zeta_eta(pop, settings.theta_span)
     # The box leaves out at most this much of min(u, v)/2.
     err += 4.0 * std_normal_cdf(-settings.theta_span)

@@ -80,11 +80,6 @@ def _norm_logpdf(x, mean: float, var: float):
     return c - d * d * 0.5 / var
 
 
-class ProfileKind(Enum):
-    AFFINE = "affine"
-    GENERAL_MONOTONE = "general_monotone"
-
-
 class Assignment(Enum):
     """Which reviewer reviews which paper. A1 routes reviewer 1 to paper 1."""
 
@@ -109,7 +104,6 @@ class ReviewerProfile:
     attempted, so densities stay exact.
     """
 
-    kind: ProfileKind
     a: float = 1.0
     b: float = 0.0
     forward_fn: Optional[Callable[[float], float]] = None
@@ -122,7 +116,7 @@ class ReviewerProfile:
             raise ConfigurationError("affine parameters must be finite")
         if a <= 0.0:
             raise ConfigurationError("affine slope must be strictly positive")
-        return ReviewerProfile(ProfileKind.AFFINE, a=a, b=b)
+        return ReviewerProfile(a=a, b=b)
 
     @staticmethod
     def monotone(
@@ -175,11 +169,14 @@ class ReviewerProfile:
             if not np.all(back[1:] > back[:-1]):
                 raise ConfigurationError("inverse map is not strictly increasing")
         return ReviewerProfile(
-            ProfileKind.GENERAL_MONOTONE,
             forward_fn=forward,
             inverse_fn=inverse,
             inverse_derivative_fn=inverse_derivative,
         )
+
+    @property
+    def is_affine(self) -> bool:
+        return self.forward_fn is None
 
     def apply(self, theta, out=None):
         """Map a latent quality to the reported score (before noise).
@@ -187,13 +184,13 @@ class ReviewerProfile:
         theta is a float or an array; out, an array to write the scores
         into (theta itself may be it), with the same values bit for bit.
         """
-        if self.kind is ProfileKind.AFFINE:
+        if self.is_affine:
             return _affine(theta, self.a, self.b, out)
         return _into(out, self.forward_fn(theta))
 
     def invert(self, s, out=None):
         """Recover the latent quality from a noiseless score; out as in apply."""
-        if self.kind is ProfileKind.AFFINE:
+        if self.is_affine:
             if out is None:
                 return (s - self.b) / self.a
             return np.divide(np.subtract(s, self.b, out=out), self.a, out=out)
@@ -228,17 +225,12 @@ class _NoiseModel:
     def __post_init__(self) -> None:
         if not math.isfinite(self.sigma2) or self.sigma2 < 0.0:
             raise ConfigurationError("sigma2 must be finite and nonnegative")
-        if self.sigma2 > 0.0 and not (
-            self.reviewer1.kind is ProfileKind.AFFINE
-            and self.reviewer2.kind is ProfileKind.AFFINE
-        ):
-            raise ConfigurationError(
-                "positive noise variance requires affine reviewer profiles"
-            )
         r1, r2, g2 = self.reviewer1, self.reviewer2, self.sigma2
+        if g2 > 0.0 and not (r1.is_affine and r2.is_affine):
+            raise ConfigurationError("positive noise variance requires affine reviewer profiles")
         for r in (r1, r2):
             # The score density's variance; a^2 can underflow or overflow.
-            if r.kind is ProfileKind.AFFINE and not 0.0 < r.a * r.a + g2 < math.inf:
+            if r.is_affine and not 0.0 < r.a * r.a + g2 < math.inf:
                 raise ConfigurationError("a^2 + sigma2 must be positive and finite")
         if g2 > 0.0:
             # The slopes of the noisy thresholds are p / q and q / p.
@@ -315,7 +307,7 @@ def log_marginal_score_density(profile: ReviewerProfile, sigma2: float, s):
     variables through the inverse map; a zero derivative of the inverse
     gives -inf. s may be a float or an array (element by element).
     """
-    if profile.kind is ProfileKind.GENERAL_MONOTONE:
+    if not profile.is_affine:
         if sigma2 != 0.0:
             raise ModeError("general monotone profiles are noiseless only")
         theta = profile.inverse_fn(s)
@@ -337,7 +329,7 @@ def log_ratio(model, s, out=None):
     pair gives the difference of the two log_marginal_score_density terms.
     """
     r1, r2, g2 = model.reviewer1, model.reviewer2, model.sigma2
-    if r1.kind is not ProfileKind.AFFINE or r2.kind is not ProfileKind.AFFINE:
+    if not (r1.is_affine and r2.is_affine):
         k1 = log_marginal_score_density(r1, g2, s)
         k2 = log_marginal_score_density(r2, g2, s)
         return np.subtract(k1, k2, out=out)
@@ -427,7 +419,7 @@ def thresholds(model, s2, out=None):
         # Noisy mode admits affine profiles only.
         t1v, t2v = a1 * a1 + g2, a2 * a2 + g2
         slope_a, slope_b = (a1 * t2v) / (a2 * t1v), (a2 * t1v) / (a1 * t2v)
-    elif r1.kind is ProfileKind.AFFINE and r2.kind is ProfileKind.AFFINE:
+    elif r1.is_affine and r2.is_affine:
         slope_a, slope_b = a2 / a1, a1 / a2
     else:
         ta = r2.apply(r1.invert(s2, ta), ta)
@@ -464,17 +456,22 @@ def phi_pair(inst: Instance) -> PhiPair:
         raise ModeError("phi_pair is defined only for positive noise variance")
     a1, b1 = inst.reviewer1.a, inst.reviewer1.b
     a2, b2 = inst.reviewer2.a, inst.reviewer2.b
-    s1, s2 = inst.scores.s1, inst.scores.s2
-    g2 = inst.sigma2
-    t1 = a1 * a1 + g2
-    t2 = a2 * a2 + g2
-    denom = math.sqrt(g2 * (a1 * a1 + a2 * a2 + 2.0 * g2) * t1 * t2)
+    s1, s2, g2 = inst.scores.s1, inst.scores.s2, inst.sigma2
+    t1, t2 = a1 * a1 + g2, a2 * a2 + g2
+    factors = (g2, a1 * a1 + a2 * a2 + 2.0 * g2, t1, t2)
+    denom = math.sqrt(math.prod(factors))
     if not 0.0 < denom < math.inf:
         # The product under- or overflowed; its square roots do not.
-        denom = math.prod(map(math.sqrt, (g2, a1 * a1 + a2 * a2 + 2.0 * g2, t1, t2)))
-    num1 = a2 * t1 * (s2 - b2) - a1 * t2 * (s1 - b1)
-    num2 = a1 * t2 * (s2 - b1) - a2 * t1 * (s1 - b2)
-    x1, x2 = num1 / denom, num2 / denom
+        denom = math.prod(map(math.sqrt, factors))
+    p, q = a2 * t1, a1 * t2
+    if denom == 0.0:
+        # So did their product. Divided through by sqrt(t1 t2 (t1 + t2)),
+        # p and q are at most a_j / sqrt(t_j) <= 1, and denom is sqrt(g2).
+        p = a2 / math.sqrt(t2) / math.sqrt(1.0 + t2 / t1)
+        q = a1 / math.sqrt(t1) / math.sqrt(1.0 + t1 / t2)
+        denom = math.sqrt(g2)
+    x1 = (p * (s2 - b2) - q * (s1 - b1)) / denom
+    x2 = (q * (s2 - b1) - p * (s1 - b2)) / denom
     if math.isnan(x1) or math.isnan(x2):
         raise DegenerateInstanceError("Phi1 or Phi2 overflowed to NaN")
     return PhiPair(std_normal_cdf(x1), std_normal_cdf(x2))

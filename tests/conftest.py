@@ -36,7 +36,6 @@ from privcal.model import (
     thresholds,
     weights_of_log_odds,
 )
-from privcal.adversary import map_guess
 from privcal.simlab import (
     Alg1Rule,
     Alg2Rule,
@@ -562,8 +561,16 @@ def reference_simulate_instance(
     d2_p1 = geom.d2 is Decision.PAPER1
 
     def adversary_wrong(d: Decision) -> tuple[float, float]:
-        guess = map_guess(inst, policy, d)
-        return tuple(guess.wrong_probability(a) for a in (Assignment.A1, Assignment.A2))
+        """The adversary's error under A1 and under A2 once it sees d: it
+        guesses by pu Pr(d | A1) against pv Pr(d | A2), and is wrong half
+        the time on a tie. Pr(d | A) is q where d is A's MAP decision, else
+        1 - q; a forced decision carries no information."""
+        po_a1 = po_a2 = 1.0
+        if geom.part2:
+            po_a1 = policy.q1 if d is geom.d1 else 1.0 - policy.q1
+            po_a2 = policy.q2 if d is geom.d2 else 1.0 - policy.q2
+        l1, l2 = pu * po_a1, geom.pv * po_a2
+        return (0.0, 1.0) if l1 > l2 else (1.0, 0.0) if l1 < l2 else (0.5, 0.5)
 
     wrong_p1 = adversary_wrong(Decision.PAPER1)
     wrong_p2 = adversary_wrong(Decision.PAPER2)

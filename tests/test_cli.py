@@ -233,6 +233,24 @@ class TestFrontierCommand:
         _, rows = _read_csv(tmp_path / "frontier.csv")
         assert len(rows) == 1 and rows[0][1] == "point"
 
+    def test_underflowing_phi_denominator_gives_a_csv(self, tmp_path, capsys):
+        """The product of phi's four square roots underflows to 0 here, yet
+        the ratio it divides is finite: a result, not a traceback."""
+        values = (
+            1.7279889467572657e-73, -1.1086098787300444e-282,
+            1.7325726654343732e-168, 4.073267281433621,
+            3.0033406851515627e-182, 0.7241782567958, 6.047463332384874e19,
+        )
+        keys = ("a1", "b1", "a2", "b2", "sigma2", "s1", "s2")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({f"instance.{k}": v for k, v in zip(keys, values)}))
+        assert main(["frontier", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = _read_csv(tmp_path / "frontier.csv")
+        vertices = [(float(r[2]), float(r[3])) for r in rows if r[1] == "vertex"]
+        want = privcal.curve_vertices(make_instance(*values))
+        assert vertices == [(v.ec, v.ea) for v in want]
+
     def test_last_grid_point_is_the_intercept(self, tmp_path):
         # A noisy instance on which lo + (hi - lo) * 100 / 100 exceeds hi by
         # one ulp, so that the last point of a 101-point grid would leave

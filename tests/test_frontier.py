@@ -279,6 +279,25 @@ class TestRegimeRule:
             assert geom.d1 is geom.d2 is Decision.PAPER1
 
 
+# Affine instances in either noise mode: sigma2 = 0 about one time in four.
+_instances = st.builds(
+    make_instance,
+    st.floats(0.2, 3.0),
+    st.floats(-2.0, 2.0),
+    st.floats(0.2, 3.0),
+    st.floats(-2.0, 2.0),
+    st.one_of(st.just(0.0), st.floats(0.01, 4.0), st.floats(0.01, 4.0), st.floats(0.01, 4.0)),
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+)
+
+
+# A slope alpha is 0, so the rising edge is vertical: both slopes at
+# the first instance, alpha1 at the second (alpha2 5.6e-11).
+_VERTICAL = [(1, 5.76e-182, 1, 0, 1, 0, 0), (1, 0, 1, 1, 1e10, 0.5000001, 1.5)]
+_ALPHA1_PIN = (1, 0.5, 2, 0, 2, 0.5, 9.044073169300818e-13)
+
+
 class TestMaxAdversaryErrorCurve:
     @pytest.mark.parametrize("s1, s2, sigma2", [(0.5, 1.0, 1e16), (0.5000001, 1.5, 1e10)])
     def test_a_zero_slope_leaves_its_q_free(self, s1, s2, sigma2):
@@ -308,6 +327,15 @@ class TestMaxAdversaryErrorCurve:
             m = instance_geometry(inst).m
             for ec in np.linspace(0.0, m, 11):
                 assert abs(max_adversary_error_curve(inst, float(ec)) - ec) <= 1e-12
+
+    @given(inst=_instances)
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    def test_end_vertex_law(self, inst):
+        _assert_end_vertex_law(inst)
+
+    @pytest.mark.parametrize("args", [*_VERTICAL, _ALPHA1_PIN])
+    def test_end_vertex_law_at_pinned_instances(self, args):
+        _assert_end_vertex_law(make_instance(*args))
 
     def test_ceiling_law(self, rng):
         for _ in range(100):
@@ -451,25 +479,6 @@ class TestMaxAdversaryErrorCurve:
         assert checked == 200 * 101
 
 
-# Affine instances in either noise mode: sigma2 = 0 about one time in four.
-_instances = st.builds(
-    make_instance,
-    st.floats(0.2, 3.0),
-    st.floats(-2.0, 2.0),
-    st.floats(0.2, 3.0),
-    st.floats(-2.0, 2.0),
-    st.one_of(st.just(0.0), st.floats(0.01, 4.0), st.floats(0.01, 4.0), st.floats(0.01, 4.0)),
-    st.floats(-3.0, 3.0),
-    st.floats(-3.0, 3.0),
-)
-
-
-# A slope alpha is 0, so the rising edge is vertical: both slopes at
-# the first instance, alpha1 at the second (alpha2 5.6e-11).
-_VERTICAL = [(1, 5.76e-182, 1, 0, 1, 0, 0), (1, 0, 1, 1, 1e10, 0.5000001, 1.5)]
-_ALPHA1_PIN = (1, 0.5, 2, 0, 2, 0.5, 9.044073169300818e-13)
-
-
 class TestCurveProperties:
     @given(inst=_instances)
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -552,6 +561,13 @@ class TestCurveVertices:
             (1, 0, 1, 1, 0.5, 4.0, 0.0),
             *_VERTICAL,
             _ALPHA1_PIN,
+            # A vertical rising edge whose mirror, start.ec + ec_intercept
+            # - end.ec, rounds one ulp past ec_intercept.
+            (
+                4.447305328433578, 3.1961373494522804e-18, 2.785269848075557e-35,
+                1.4366816795236163e-253, 1.6591986328477348, -2.4346381251532536,
+                1.080179915473938e-199,
+            ),
         ],
     )
     def test_vertices_of_pinned_instances(self, args):
@@ -601,3 +617,18 @@ def _assert_curve_meets_frontier(inst):
     start, end = seg.start, seg.end
     assert abs(max_adversary_error_curve(inst, end.ec) - end.ea) <= 1e-15
     assert max_adversary_error_curve(inst, start.ec) == start.ea
+
+
+def _assert_end_vertex_law(inst):
+    """On a randomizing instance the rising edge spans end.ec - start.ec =
+    m min(1 - 2 phi1, 2 phi2 - 1) in conference error, which is m in
+    noiseless mode (the slope-one law). The bound is absolute, a few ulps
+    of 1: both sides are differences of errors no larger than 1, and
+    _endpoint forms end_ec as ec_intercept - t, which cancels where a
+    slope is small (at _ALPHA1_PIN the two differ by 1.9e-17)."""
+    geom = instance_geometry(inst)
+    if not geom.part2:
+        return
+    seg = frontier(inst)
+    law = geom.m * min(1.0 - 2.0 * geom.phi1, 2.0 * geom.phi2 - 1.0)
+    assert abs((seg.end.ec - seg.start.ec) - law) <= 1e-15

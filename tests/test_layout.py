@@ -53,3 +53,32 @@ def test_conftest_oracles_import_no_private_library_names():
         if alias.name.startswith("_") and alias.name != "_run_blocks"
     )
     assert private == []
+
+
+def test_conftest_oracles_import_nothing_from_the_adversary():
+    """The reference simulators form the adversary's errors themselves, so
+    they check privcal.adversary instead of sharing its code: conftest
+    imports neither that module nor a name privcal re-exports from it."""
+    conftest = Path(__file__).with_name("conftest.py")
+    tree = ast.parse(conftest.read_text(encoding="utf-8"))
+    adversary = {
+        name
+        for name, obj in vars(privcal).items()
+        if getattr(obj, "__module__", None) == "privcal.adversary"
+    }
+    imported = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if node.module == "privcal.adversary"
+        or (node.module == "privcal" and alias.name in adversary)
+    ]
+    imported += [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.startswith("privcal.adversary")
+    ]
+    assert adversary and imported == []

@@ -471,6 +471,19 @@ class TestZetaEta:
         with pytest.raises(AccuracyError):
             zeta_eta(pop)
 
+    def test_an_overflowing_outer_weight_raises_without_a_warning(self):
+        """At a slope ratio of 7.6e12 the quadratic log ratio loses its
+        digits, K reads as low as -1.3e8, and exp(log phi(x) - K(x))
+        overflows. That is an AccuracyError, with no warning before it."""
+        pop = Population(
+            ReviewerProfile.affine(2.486704230818834e-08, -29381.13017036591),
+            ReviewerProfile.affine(188232.64780105292, -55488355.56192368),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AccuracyError):
+                zeta_eta(pop)
+
     @pytest.mark.parametrize(
         "pop",
         [SLOPE_RATIO_10, Population(SLOPE_RATIO_10.reviewer2, SLOPE_RATIO_10.reviewer1), SINH],

@@ -124,6 +124,13 @@ class TestReviewerProfile:
         prof = ReviewerProfile.affine(2.0, -1.0)
         assert prof.invert(prof.apply(0.7)) == pytest.approx(0.7, abs=1e-14)
 
+    def test_a_profile_is_affine_exactly_when_it_carries_no_maps(self):
+        """The kind is read from the maps, so it cannot disagree with them."""
+        assert ReviewerProfile.affine(2.0, -1.0).is_affine
+        assert not sinh_profile().is_affine
+        fields = {f.name for f in dataclasses.fields(ReviewerProfile)}
+        assert "kind" not in fields
+
     def test_noisy_instance_requires_affine(self):
         with pytest.raises(ConfigurationError):
             Instance(sinh_profile(), ReviewerProfile.affine(1, 0), 0.5, ScorePair(0, 0))
@@ -302,6 +309,35 @@ class TestPhiPair:
         its square roots do not, and phi keeps its value at sigma2 = 1e-300."""
         tiny, small = (make_instance(1, 0, 0.5, 1, g2, 0.5, 1.0) for g2 in (5e-324, 1e-300))
         assert phi_pair(tiny) == phi_pair(small)
+
+    def test_underflowing_root_product_gives_the_exact_limits(self):
+        """Here the product of phi's four square roots underflows too. In
+        exact arithmetic x1 = -4.2e72 and x2 = 1.1e92: x^2 = num^2 /
+        (g2 (a1^2 + a2^2 + 2 g2) t1 t2) in Fractions, its sign num's."""
+        args = (
+            1.7279889467572657e-73, -1.1086098787300444e-282,
+            1.7325726654343732e-168, 4.073267281433621,
+            3.0033406851515627e-182, 0.7241782567958, 6.047463332384874e19,
+        )
+        a1, b1, a2, b2, g2, s1, s2 = map(Fraction, args)
+        t1, t2 = a1 * a1 + g2, a2 * a2 + g2
+        den2 = g2 * (a1 * a1 + a2 * a2 + 2 * g2) * t1 * t2
+        num1 = a2 * t1 * (s2 - b2) - a1 * t2 * (s1 - b1)
+        num2 = a1 * t2 * (s2 - b1) - a2 * t1 * (s1 - b2)
+        assert num1 < 0 < num2
+        assert num1 * num1 > 10**145 * den2 and num2 * num2 > 10**185 * den2
+        pp = phi_pair(make_instance(*args))
+        assert (pp.phi1, pp.phi2) == (0.0, 1.0)
+
+    def test_scaling_every_input_keeps_phi(self):
+        """x is unchanged when a1, a2, sqrt(sigma2), b and s scale together.
+        At 2^-300 the product under the square root and the product of its
+        roots both underflow; phi keeps its value at scale 1 to 1e-15."""
+        c = 2.0**-300
+        want = phi_pair(make_instance(1, 0, 2, 0, 1, 1, 1))
+        got = phi_pair(make_instance(c, 0, 2 * c, 0, c * c, c, c))
+        assert got.phi1 == pytest.approx(want.phi1, abs=1e-15)
+        assert got.phi2 == pytest.approx(want.phi2, abs=1e-15)
 
     def test_overflow_to_nan_raises(self):
         with pytest.raises(DegenerateInstanceError):
