@@ -320,7 +320,9 @@ def zeta_eta(
     err += 4.0 * std_normal_cdf(-settings.theta_span)
     if not (math.isfinite(zeta + eta) and err <= settings.abs_tol):
         raise AccuracyError("quadrature tolerance unmet", zeta, err)
-    return zeta, eta, err
+    # Both integrands are nonnegative: the clamp moves an estimate toward
+    # the truth, so err still bounds it.
+    return max(zeta, 0.0), max(eta, 0.0), err
 
 
 def alg2_policy(

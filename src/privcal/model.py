@@ -464,7 +464,7 @@ def phi_pair(inst: Instance) -> PhiPair:
         # The product under- or overflowed; its square roots do not.
         denom = math.prod(map(math.sqrt, factors))
     p, q = a2 * t1, a1 * t2
-    if denom == 0.0:
+    if not 0.0 < denom < math.inf:
         # So did their product. Divided through by sqrt(t1 t2 (t1 + t2)),
         # p and q are at most a_j / sqrt(t_j) <= 1, and denom is sqrt(g2).
         p = a2 / math.sqrt(t2) / math.sqrt(1.0 + t2 / t1)

@@ -23,19 +23,21 @@ A block draws exactly what it reads, in a fixed order. Its assignments
 are one draw, the count k of A1 replicates, Binomial(cnt, pu) in
 simulate_instance and Binomial(cnt, 1/2) in simulate_average:
 replicates [0, k) are A1 and [k, cnt) A2. simulate_instance draws all
-of a block before it evaluates any of it: k, the coins where the
-instance randomizes, then the quality differences where it is noisy.
-simulate_average draws the qualities, k and, where it is noisy, the
-score noise; each run then draws one coin per randomizing replicate
-once its regime is known, the A1 run before the A2 run. The replicates
-are i.i.d. and a block keeps only sums over them, so putting them in
-assignment order changes the draws, not the law. A run of one
-assignment has fixed profiles and q, and a block is evaluated as its
-two runs, one pass each, an empty run included. A block reduces its
-replicates to exact counts: conference errors, firm wrong guesses of
-the adversary, and its ties at half an error. Every running total is an
-integer or half-integer of at most n, and 2n <= 2^53, so it equals the
-float sum of per-replicate errors bit for bit.
+of a block before it evaluates any of it: k, each run's count of
+truthful plays where the instance randomizes, then the quality
+differences where it is noisy. simulate_average draws the qualities, k
+and, where it is noisy, the score noise; each run then draws one coin
+per randomizing replicate once its regime is known, the A1 run before
+the A2 run. The replicates are i.i.d., the coin is independent of the
+qualities, and a block keeps only sums over them, so putting them in
+assignment order, and a run's truthful plays first, changes the draws,
+not the law. A run of one assignment has fixed profiles and q, and a
+block is evaluated as its two runs, one pass each, an empty run
+included. A block reduces its replicates to exact counts: conference
+errors, firm wrong guesses of the adversary, and its ties at half an
+error. Every running total is an integer or half-integer of at most n,
+and 2n <= 2^53, so it equals the float sum of per-replicate errors bit
+for bit.
 
 Workspace: each thread keeps, for as long as it lives, the arrays its
 blocks use (_Workspace, touched only as far as a block needs): 2 MiB
@@ -96,9 +98,9 @@ from .adversary import map_guess_arrays, scenario_table
 from .mechanism import Policy, QuadratureSettings, alg2_policy
 
 _BLOCK = 1 << 16
-# Float64 rows of _BLOCK a block carves at most: simulate_average's two of
-# qualities and two of score noise. simulate_instance carves two: one of
-# coins and one of quality differences.
+# Float64 rows of _BLOCK a block draws into at most: simulate_average's two
+# of qualities and two of score noise. simulate_instance draws one of
+# quality differences, in noisy mode only.
 _DRAW_ROWS = 4
 
 
@@ -132,8 +134,8 @@ class _Workspace:
     """The arrays one thread reuses for every block it runs.
 
     draws holds a block's draws, up to _DRAW_ROWS rows of _BLOCK
-    (2 MiB), which carve lays out as contiguous rows of the block's
-    count; rows holds four float64 rows of a run's arithmetic (2 MiB).
+    (2 MiB), laid out as contiguous rows of the block's count; rows
+    holds four float64 rows of a run's arithmetic (2 MiB).
     Each stays under 4 MiB, where numpy starts to ask for transparent
     huge pages, and each is touched only as far as a block uses it.
     """
@@ -141,14 +143,6 @@ class _Workspace:
     def __init__(self):
         self.draws = np.empty(_DRAW_ROWS * _BLOCK)
         self.rows = np.empty((4, _BLOCK))
-
-    def carve(self, cnt: int, *heights: int) -> list:
-        """Consecutive (height, cnt) views of draws, one per height."""
-        views, pos = [], 0
-        for h in heights:
-            views.append(self.draws[pos : pos + h * cnt].reshape(h, cnt))
-            pos += h * cnt
-        return views
 
 
 _spaces = threading.local()
@@ -248,14 +242,16 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
     qualities from the score-conditioned posteriors, runs the
     randomized decision, and lets the MAP adversary guess. Adversary
     ties are tallied as half an error. A block draws its count k of A1
-    replicates, Binomial(cnt, pu), and counts replicates [0, k) as A1
-    and [k, cnt) as A2 in the four (assignment, accepted paper) cells;
-    each cell's adversary error is read from scenario_table, and in
-    noiseless mode its conference error is fixed by the qualities the
-    scores invert to. Noisy mode draws th1 - th2, whose posterior under
-    an assignment is normal with the difference of the two papers'
-    means and the sum of their variances. An Infeasible target is not a
-    policy and raises ConfigurationError.
+    replicates, Binomial(cnt, pu), replicates [0, k) being A1 and
+    [k, cnt) A2, then, where the instance randomizes, each run's count
+    of truthful plays, Binomial(size, q), which are the run's first
+    replicates. The counts fill the four (assignment, accepted paper)
+    cells; each cell's adversary error is read from scenario_table, and
+    in noiseless mode its conference error is fixed by the qualities
+    the scores invert to. Noisy mode draws th1 - th2, whose posterior
+    under an assignment is normal with the difference of the two
+    papers' means and the sum of their variances. An Infeasible target
+    is not a policy and raises ConfigurationError.
     """
     geom = instance_geometry(inst)
     noisy = not inst.noiseless
@@ -280,30 +276,26 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
     def worker(block: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
         k = rng.binomial(cnt, geom.pu)
+        sizes = (k, cnt - k)
+        # The first n_own replicates of a run accept its assignment's own
+        # MAP decision: Binomial(size, q) truthful plays where the instance
+        # randomizes, every replicate where it is forced.
+        owns = [rng.binomial(m, q) if geom.part2 else m for m, (q, _, _) in zip(sizes, plays)]
+        conf = 0
+        if noisy:
+            with _workspace() as ws:
+                diff = rng.standard_normal(out=ws.draws[:cnt])
+                for run, n_own, (_, own_p1, diff_post) in zip((diff[:k], diff[k:]), owns, plays):
+                    d = diff_post.draw(run, out=run)
+                    # A replicate that accepts paper 1 errs where th1 < th2.
+                    acc_p1, acc_p2 = (d[:n_own], d[n_own:]) if own_p1 else (d[n_own:], d[:n_own])
+                    conf += np.count_nonzero(acc_p1 < 0.0) + np.count_nonzero(acc_p2 > 0.0)
         # The counts of the scenario table's cells: (A1, paper 1),
         # (A1, paper 2), (A2, paper 1), (A2, paper 2).
-        counts, conf = [], 0
-        with _workspace() as ws:
-            (coin,), (diff,) = ws.carve(cnt, 1, 1)
-            if geom.part2:
-                rng.random(out=coin)
-            if noisy:
-                rng.standard_normal(out=diff)
-            for sl, (q, own_p1, diff_post) in zip((slice(0, k), slice(k, cnt)), plays):
-                size = sl.stop - sl.start
-                # own marks the replicates that accept the assignment's own
-                # MAP decision: truthful play, coin < q, where the instance
-                # randomizes, and every replicate where it is forced.
-                if geom.part2:
-                    own = np.less(coin[sl], q)
-                    n_own = np.count_nonzero(own)
-                else:
-                    own, n_own = np.True_, size
-                n_p1 = n_own if own_p1 else size - n_own
-                counts += [n_p1, size - n_p1]
-                if noisy:
-                    d = diff_post.draw(diff[sl], out=diff[sl])
-                    conf += _count_wrong(own == own_p1, d < 0.0, d > 0.0)
+        counts = []
+        for m, n_own, (_, own_p1, _) in zip(sizes, owns, plays):
+            n_p1 = n_own if own_p1 else m - n_own
+            counts += [n_p1, m - n_p1]
         counts = np.array(counts)
         if not noisy:
             conf = counts @ conf_table
@@ -436,7 +428,7 @@ def simulate_average(
     def worker(block: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
         with _workspace() as ws:
-            th, eps = ws.carve(cnt, 2, 2)
+            th, eps = ws.draws[: 4 * cnt].reshape(2, 2, cnt)
             rng.standard_normal(out=th)
             # Replicates [0, k) are A1 and [k, cnt) are A2.
             k = rng.binomial(cnt, 0.5)

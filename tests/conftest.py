@@ -519,9 +519,10 @@ def reference_simulate_instance(
     float and each block sums the arrays. The library reduces a block
     to exact counts instead; both must give equal results. A block
     draws exactly what the library draws: its count K of A1 replicates,
-    which are its first K, then the coins only when the instance
-    randomizes, then one deviate of th1 - th2 per replicate only when it
-    is noisy.
+    which are its first K, then, only when the instance randomizes, the
+    A1 run's and the A2 run's counts of truthful plays, which are each
+    run's first replicates, then one deviate of th1 - th2 per replicate
+    only when it is noisy.
     """
     if n < 1:
         raise ConfigurationError("n must be at least 1")
@@ -577,9 +578,11 @@ def reference_simulate_instance(
 
     def worker(block: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
-        is_a1 = np.arange(cnt) < rng.binomial(cnt, pu)
+        pos = np.arange(cnt)
+        k = rng.binomial(cnt, pu)
+        is_a1 = pos < k
         if geom.part2:
-            coin = rng.random(cnt)
+            own_a1, own_a2 = rng.binomial(k, policy.q1), rng.binomial(cnt - k, policy.q2)
         if noisy:
             z = rng.standard_normal(cnt)
             diff = np.where(is_a1, m_a1, m_a2) + np.where(is_a1, sd_a1, sd_a2) * z
@@ -590,7 +593,7 @@ def reference_simulate_instance(
             p1_worse, p2_worse = th1 < th2, th2 < th1
 
         if geom.part2:
-            truthful = coin < np.where(is_a1, policy.q1, policy.q2)
+            truthful = np.where(is_a1, pos < own_a1, pos - k < own_a2)
             acc_p1 = np.where(
                 truthful,
                 np.where(is_a1, d1_p1, d2_p1),

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import privcal
-from privcal import max_adversary_error_curve
+from privcal import AccuracyError, cli, max_adversary_error_curve
 from privcal.cli import _DEFAULTS, main
 from privcal.frontier import frontier, instance_geometry
 from privcal.model import posterior_weights
@@ -311,8 +311,11 @@ class TestFrontierCommand:
             ({"instance.a1": 1e300, "instance.b1": -1e300}, 2),
             # The product under phi's square root underflows.
             ({"instance.a2": 0.5, "instance.sigma2": 5e-324}, 0),
-            # Phi2's numerator overflows, and Phi2 would be NaN.
-            ({"instance.sigma2": 1.2e308}, 3),
+            # Both terms of Phi1's numerator overflow, and inf - inf is NaN.
+            ({"instance.sigma2": 1e100, "instance.s1": 1e300, "instance.s2": 1e300}, 3),
+            # Phi2's numerator and the product of phi's roots overflow; the
+            # divided-through ratio is finite.
+            ({"instance.sigma2": 1.2e308}, 0),
         ],
     )
     def test_extreme_instance_exits_cleanly(self, command, entries, code, tmp_path, capsys):
@@ -320,6 +323,17 @@ class TestFrontierCommand:
         cfg.write_text(json.dumps(entries))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == code
         assert capsys.readouterr().err.count("\n") == (code != 0)
+
+    def test_accuracy_error_exits_3_with_one_line(self, monkeypatch, tmp_path, capsys):
+        def unmet(typed):
+            raise AccuracyError("quadrature tolerance unmet", 0.25, 1e-3)
+
+        _, tag, columns, help_text = cli._COMMANDS["policy"]
+        monkeypatch.setitem(cli._COMMANDS, "policy", (unmet, tag, columns, help_text))
+        assert main(["policy", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "accuracy error: quadrature tolerance unmet (estimate 0.25, bound 0.001)\n"
+        assert not (tmp_path / "policy.csv").exists()
 
 
 class TestPolicyCommand:

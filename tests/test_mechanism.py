@@ -484,6 +484,17 @@ class TestZetaEta:
             with pytest.raises(AccuracyError):
                 zeta_eta(pop)
 
+    def test_integrals_of_nonnegative_functions_are_nonnegative(self):
+        """At a slope ratio of 1.2e4 the quadrature's eta reads -4.6e-41,
+        inside its err of 3e-23. Both integrands are nonnegative, so zeta
+        and eta are clamped at 0, and err still bounds them."""
+        pop = Population(
+            ReviewerProfile.affine(137468.2, -1314866.2),
+            ReviewerProfile.affine(11.67, -5e-8),
+        )
+        zeta, eta, _ = zeta_eta(pop)
+        assert zeta >= 0.0 and eta >= 0.0
+
     @pytest.mark.parametrize(
         "pop",
         [SLOPE_RATIO_10, Population(SLOPE_RATIO_10.reviewer2, SLOPE_RATIO_10.reviewer1), SINH],

@@ -2,8 +2,10 @@
 
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +46,13 @@ from conftest import (
 finite_scores = st.floats(-6.0, 6.0)
 slopes = st.floats(0.3, 3.0)
 offsets = st.floats(-2.0, 2.0)
+# Slopes and noise variances log-uniform in 1e-300..1e300; offsets and
+# scores moderate, or of magnitude 1e-300..1e300 with either sign.
+_magnitudes = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+_locations = st.one_of(
+    st.floats(-5.0, 5.0),
+    st.builds(lambda sign, m: sign * m, st.sampled_from([-1.0, 1.0]), _magnitudes),
+)
 
 
 class TestReviewerProfile:
@@ -285,6 +294,20 @@ class TestPosteriorWeights:
             assert posterior_weights(pop.instance(s1, 0.0)) == (pu[0], pv[0])
 
 
+def _phi_oracle(a1, b1, a2, b2, g2, s1, s2) -> tuple[float, float]:
+    """(Phi1, Phi2) as Pr(th1 < th2) under A1 and A2, from the quality
+    posteriors N(a (s - b) / t, g2 / t), t = a^2 + g2, in 60 digits."""
+    with mpmath.workdps(60):
+        a1, b1, a2, b2, g2, s1, s2 = map(mpmath.mpf, (a1, b1, a2, b2, g2, s1, s2))
+        t1, t2 = a1 * a1 + g2, a2 * a2 + g2
+        sd = mpmath.sqrt(g2 / t1 + g2 / t2)
+        x1 = (a2 * (s2 - b2) / t2 - a1 * (s1 - b1) / t1) / sd
+        x2 = (a1 * (s2 - b1) / t1 - a2 * (s1 - b2) / t2) / sd
+        # Beyond |x| = 100, Phi is within 1e-2000 of 0 or 1, and mpmath's
+        # erfc fails on arguments near 1e300.
+        return tuple(float(mpmath.ncdf(max(-100, min(x, 100)))) for x in (x1, x2))
+
+
 class TestPhiPair:
     def test_symmetric_instance_gives_half(self):
         inst = make_instance(1, 0, 1, 0, 1.0, 0.0, 0.0)
@@ -339,9 +362,15 @@ class TestPhiPair:
         assert got.phi1 == pytest.approx(want.phi1, abs=1e-15)
         assert got.phi2 == pytest.approx(want.phi2, abs=1e-15)
 
-    def test_overflow_to_nan_raises(self):
-        with pytest.raises(DegenerateInstanceError):
-            phi_pair(make_instance(1, 0, 1, 1, 1.2e308, 0.5, 1.0))
+    def test_overflowing_root_product_gives_the_ratio(self):
+        """At sigma2 = 1.2e308, a1^2 + a2^2 + 2 sigma2 overflows, so the
+        product of phi's four square roots does too, and so does Phi2's
+        numerator; the ratio x2 = 8.8e-309 is finite. Phi1 and Phi2 match
+        a 60-digit oracle of the quality posteriors to 1e-15."""
+        args = (1, 0, 1, 1, 1.2e308, 0.5, 1.0)
+        pp, want = phi_pair(make_instance(*args)), _phi_oracle(*args)
+        assert pp.phi1 == pytest.approx(want[0], abs=1e-15)
+        assert pp.phi2 == pytest.approx(want[1], abs=1e-15)
 
     def test_noiseless_mode_rejected(self):
         inst = make_instance(1, 0, 1, 1, 0.0, 0.5, 1.0)
@@ -385,6 +414,28 @@ class TestPhiPair:
         lp, lq = likelihoods(inst), likelihoods(swapped)
         assert lq.u == pytest.approx(lp.v, rel=1e-12, abs=1e-300)
         assert lq.v == pytest.approx(lp.u, rel=1e-12, abs=1e-300)
+
+    @given(
+        a1=_magnitudes, b1=_locations, a2=_magnitudes, b2=_locations,
+        sigma2=_magnitudes, s1=_locations, s2=_locations,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_extreme_magnitudes_give_a_result_or_a_documented_error(
+        self, a1, b1, a2, b2, sigma2, s1, s2
+    ):
+        """Each instance is rejected when built, or gives Phi1 and Phi2 in
+        [0, 1], or raises DegenerateInstanceError, with no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                inst = make_instance(a1, b1, a2, b2, sigma2, s1, s2)
+            except ConfigurationError:
+                return
+            try:
+                pp = phi_pair(inst)
+            except DegenerateInstanceError:
+                return
+        assert 0.0 <= pp.phi1 <= 1.0 and 0.0 <= pp.phi2 <= 1.0
 
 
 class TestLogRatio:

@@ -162,6 +162,15 @@ class TestSimulateInstance:
         assert res.empirical.ec == 0.0
         assert res.empirical.ea == 0.0
 
+    def test_never_truthful_noiseless_part2_is_exactly_wrong_and_revealing(self):
+        inst = make_instance(1, 0, 1, 1, 0.0, 0.5, 1.0)
+        res = simulate_instance(inst, Policy(0.0, 0.0), 2000, seed=5)
+        # Every run's count of truthful plays is 0: each replicate accepts
+        # the paper its MAP decision rejects, and each decision still names
+        # the assignment.
+        assert res.empirical.ec == 1.0
+        assert res.empirical.ea == 0.0
+
     def test_determinism_is_bitwise(self):
         inst = make_instance(1, 0, 1, 1, 0.0, 0.5, 1.0)
         pol = Policy(1.0, 0.47)
@@ -409,6 +418,21 @@ class TestKernelsMatchReference:
                 got = simulate_instance(inst, pol, n, seed)
                 assert got == reference_simulate_instance(inst, pol, n, seed)
 
+    @pytest.mark.parametrize(
+        "sigma2, s1, s2", [(0.0, -8.0, -2.7), (0.0, -2.7, -8.0), (0.5, -8.0, -3.8), (0.5, -3.8, -8.0)]
+    )
+    def test_simulate_instance_with_an_empty_run(self, sigma2, s1, s2):
+        """pu lies within 1e-6 of 0 or 1, so every block's A1 count is 0 or
+        its whole count, and one of its two runs is empty."""
+        inst = make_instance(1, 0, 3, 0, sigma2, s1, s2)
+        geom = instance_geometry(inst)
+        assert geom.part2
+        n, seed, pol = _BLOCK + 1000, 17, Policy(0.3, 0.8)
+        for block, cnt in enumerate((_BLOCK, 1000)):
+            assert stream(seed, block).binomial(cnt, geom.pu) in (0, cnt)
+        got = simulate_instance(inst, pol, n, seed)
+        assert got == reference_simulate_instance(inst, pol, n, seed)
+
     def test_simulate_instance_random_cases(self, rng):
         for k in range(60):
             inst = random_part2_instance(rng, noisy=bool(k % 2))
@@ -516,15 +540,16 @@ class TestDrawOrder:
             assert sorted(logs) == list(range(len(self._counts(n))))
             for block, cnt in enumerate(self._counts(n)):
                 count = ("binomial", cnt, pu)
-                draw = ("random", cnt)
+                k = stream(n, block).binomial(cnt, pu)
+                truthful = [("binomial", k, 0.3), ("binomial", cnt - k, 0.8)]
                 normals = ("standard_normal", (cnt,))
-                # The A1 count, the coin where randomizing, then th1 - th2
-                # where noisy.
+                # The A1 count, each run's count of truthful plays where
+                # randomizing, then th1 - th2 where noisy.
                 want = {
-                    "noiseless_part2": [count, draw],
+                    "noiseless_part2": [count, *truthful],
                     "noiseless_forced": [count],
                     "noiseless_tie": [count],
-                    "noisy_part2": [count, draw, normals],
+                    "noisy_part2": [count, *truthful, normals],
                     "noisy_forced": [count, normals],
                     "noisy_tie": [count, normals],
                     "noiseless_distinct_tie": [count],
