@@ -182,7 +182,9 @@ def rr_epsilon(gamma: float) -> float:
 
 def rr_gamma(epsilon: float) -> float:
     """Odds parameter of binary randomized response at privacy level epsilon."""
-    if not math.isfinite(epsilon):
-        raise ValueError("epsilon must be finite")
-    return math.exp(epsilon)
+    # Past log(DBL_MAX) math.exp raises OverflowError.
+    gamma = math.exp(epsilon) if epsilon <= 709.782712893384 else math.inf
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("exp(epsilon) must be a positive finite double")
+    return gamma
 

@@ -30,6 +30,8 @@ import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_INV_SQRT_2PI = -0.5 * math.log(2.0 * math.pi)
+# The smallest normal double; below it a float holds fewer than 53 bits.
+_TINY = 2.0**-1022
 # The quality range and point count of ReviewerProfile.monotone's probe.
 _PROBE_SPAN = 6.0
 _PROBE_POINTS = 25
@@ -293,11 +295,6 @@ class QualityPosterior:
     mean: float
     variance: float
 
-    def draw(self, z, out=None):
-        """The qualities mean + sqrt(variance) * z at standard-normal deviates z
-        (a float or an array); out as in ReviewerProfile.apply."""
-        return _affine(z, math.sqrt(self.variance), self.mean, out)
-
 
 def log_marginal_score_density(profile: ReviewerProfile, sigma2: float, s):
     """Log of the marginal density of a reported score under a standard-normal quality.
@@ -459,16 +456,19 @@ def phi_pair(inst: Instance) -> PhiPair:
     s1, s2, g2 = inst.scores.s1, inst.scores.s2, inst.sigma2
     t1, t2 = a1 * a1 + g2, a2 * a2 + g2
     factors = (g2, a1 * a1 + a2 * a2 + 2.0 * g2, t1, t2)
-    denom = math.sqrt(math.prod(factors))
-    if not 0.0 < denom < math.inf:
-        # The product under- or overflowed; its square roots do not.
+    prod = math.prod(factors)
+    denom = math.sqrt(prod)
+    if denom == math.inf:
+        # The product overflowed; its square roots may not.
         denom = math.prod(map(math.sqrt, factors))
     p, q = a2 * t1, a1 * t2
-    if not 0.0 < denom < math.inf:
-        # So did their product. Divided through by sqrt(t1 t2 (t1 + t2)),
-        # p and q are at most a_j / sqrt(t_j) <= 1, and denom is sqrt(g2).
-        p = a2 / math.sqrt(t2) / math.sqrt(1.0 + t2 / t1)
-        q = a1 / math.sqrt(t1) / math.sqrt(1.0 + t1 / t2)
+    if denom == math.inf or prod < _TINY or p < _TINY or q < _TINY:
+        # So did their product, or one underflowed and lost digits. Divided
+        # through by sqrt(t1 t2 (t1 + t2)) = r1 r2 h, p and q are at most 1
+        # and denom is sqrt(g2); hypot and no ratio of t1, t2 avoid overflow.
+        r1, r2 = math.sqrt(t1), math.sqrt(t2)
+        h = math.hypot(r1, r2)
+        p, q = a2 / r2 * (r1 / h), a1 / r1 * (r2 / h)
         denom = math.sqrt(g2)
     x1 = (p * (s2 - b2) - q * (s1 - b1)) / denom
     x2 = (q * (s2 - b1) - p * (s1 - b2)) / denom

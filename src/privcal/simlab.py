@@ -22,37 +22,38 @@ replicate-count rule, for every caller.
 A block draws exactly what it reads, in a fixed order. Its assignments
 are one draw, the count k of A1 replicates, Binomial(cnt, pu) in
 simulate_instance and Binomial(cnt, 1/2) in simulate_average:
-replicates [0, k) are A1 and [k, cnt) A2. simulate_instance draws all
-of a block before it evaluates any of it: k, each run's count of
-truthful plays where the instance randomizes, then the quality
-differences where it is noisy. simulate_average draws the qualities, k
-and, where it is noisy, the score noise; each run then draws one coin
-per randomizing replicate once its regime is known, the A1 run before
-the A2 run. The replicates are i.i.d., the coin is independent of the
+replicates [0, k) are A1 and [k, cnt) A2. simulate_instance draws only
+counts: k, each run's count of truthful plays where the instance
+randomizes, then each (assignment, accepted paper) cell's count of
+conference errors. simulate_average draws the qualities, k and, where
+it is noisy, the score noise; each run then draws one coin per
+randomizing replicate once its regime is known, the A1 run before the
+A2 run. The replicates are i.i.d., the coin is independent of the
 qualities, and a block keeps only sums over them, so putting them in
-assignment order, and a run's truthful plays first, changes the draws,
-not the law. A run of one assignment has fixed profiles and q, and a
-block is evaluated as its two runs, one pass each, an empty run
-included. A block reduces its replicates to exact counts: conference
-errors, firm wrong guesses of the adversary, and its ties at half an
-error. Every running total is an integer or half-integer of at most n,
-and 2n <= 2^53, so it equals the float sum of per-replicate errors bit
-for bit.
+assignment order, a run's truthful plays first, and drawing a cell's
+errors as one count changes the draws, not the law. A run of one
+assignment has fixed profiles and q, and a block is evaluated as its
+two runs, one pass each, an empty run included. A block reduces its
+replicates to exact counts: conference errors, firm wrong guesses of
+the adversary, and its ties at half an error. Every running total is
+an integer or half-integer of at most n, and 2n <= 2^53, so it equals
+the float sum of per-replicate errors bit for bit.
 
-Workspace: each thread keeps, for as long as it lives, the arrays its
-blocks use (_Workspace, touched only as far as a block needs): 2 MiB
-of draws, up to _DRAW_ROWS rows that a block draws into with out=, and
-2 MiB of rows, four float64 rows of a run's arithmetic. They stay two
-arrays because numpy asks for transparent huge pages on any array of
-4 MiB or more, where touching one element can fault in a whole 2 MiB
-page. A run computes in place through the out= forms of the array
-twins in model and adversary, so no float array of a run's size is
-allocated: glibc maps and unmaps each one of 128 KiB or more on its
-own, and a block that freed its arrays had them faulted in again. Two
-large runs per block make few GIL-releasing numpy calls, and so few
-hand-offs of the GIL between threads. Workspaces come from a per-thread
-free list, so a rule that simulates from inside a block gets a second
-one.
+Workspace: each thread keeps, for as long as it lives, the arrays
+simulate_average's blocks use (_Workspace, touched only as far as a
+block needs; simulate_instance draws only counts and needs none):
+2 MiB of draws, up to _DRAW_ROWS rows that a block draws into with
+out=, and 2 MiB of rows, four float64 rows of a run's arithmetic. They
+stay two arrays because numpy asks for transparent huge pages on any
+array of 4 MiB or more, where touching one element can fault in a
+whole 2 MiB page. A run computes in place through the out= forms of
+the array twins in model and adversary, so no float array of a run's
+size is allocated: glibc maps and unmaps each one of 128 KiB or more
+on its own, and a block that freed its arrays had them faulted in
+again. Two large runs per block make few GIL-releasing numpy calls, and
+so few hand-offs of the GIL between threads. Workspaces come from a
+per-thread free list, so a rule that simulates from inside a block gets
+a second one.
 
 Average-case policy rules see only the randomizing replicates of a run:
 rule.batch(pu, pv) maps the posterior weights of their scores to (q1,
@@ -87,10 +88,10 @@ from .model import (
     Instance,
     ModeError,
     Population,
-    QualityPosterior,
     log_odds,
     map_decisions,
     quality_posterior,
+    std_normal_cdf,
     weights_of_log_odds,
 )
 from .frontier import ErrorPair, instance_geometry
@@ -98,9 +99,8 @@ from .adversary import map_guess_arrays, scenario_table
 from .mechanism import Policy, QuadratureSettings, alg2_policy
 
 _BLOCK = 1 << 16
-# Float64 rows of _BLOCK a block draws into at most: simulate_average's two
-# of qualities and two of score noise. simulate_instance draws one of
-# quality differences, in noisy mode only.
+# Float64 rows of _BLOCK a simulate_average block draws into at most: two
+# of qualities and two of score noise.
 _DRAW_ROWS = 4
 
 
@@ -238,40 +238,47 @@ def _binomial_se(p: float, n: int) -> float:
 def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimResult:
     """Replicated simulation of one instance under a fixed policy.
 
-    Each replicate draws the assignment from its score posterior,
-    qualities from the score-conditioned posteriors, runs the
-    randomized decision, and lets the MAP adversary guess. Adversary
-    ties are tallied as half an error. A block draws its count k of A1
+    Each replicate draws the assignment from its score posterior, runs
+    the randomized decision, errs where its accepted paper is the worse
+    one, and lets the MAP adversary guess. Adversary ties are tallied as
+    half an error. A block draws only counts: its count k of A1
     replicates, Binomial(cnt, pu), replicates [0, k) being A1 and
-    [k, cnt) A2, then, where the instance randomizes, each run's count
+    [k, cnt) A2; then, where the instance randomizes, each run's count
     of truthful plays, Binomial(size, q), which are the run's first
-    replicates. The counts fill the four (assignment, accepted paper)
-    cells; each cell's adversary error is read from scenario_table, and
-    in noiseless mode its conference error is fixed by the qualities
-    the scores invert to. Noisy mode draws th1 - th2, whose posterior
-    under an assignment is normal with the difference of the two
-    papers' means and the sum of their variances. An Infeasible target
-    is not a policy and raises ConfigurationError.
+    replicates; then, the A1 run before the A2 run, the conference
+    errors of its paper-1 cell and of its paper-2 cell, Binomial(count,
+    w). Here w is the probability, given the scores and the assignment,
+    that the cell's accepted paper is the worse one: 0 or 1 from the
+    qualities noiseless scores invert to, and in noisy mode Phi of
+    th1 - th2, whose posterior is normal with the difference of the two
+    papers' quality_posterior means and the sum of their variances. Each
+    (assignment, accepted paper) cell's adversary error is read from
+    scenario_table. An Infeasible target is not a policy and raises
+    ConfigurationError.
     """
     geom = instance_geometry(inst)
-    noisy = not inst.noiseless
     cells = scenario_table(inst, policy).cells
     adv_table = np.array([c.adversary_wrong_prob for c in cells])
-    # Per assignment: q, whether its MAP decision accepts paper 1, and in
-    # noisy mode the posterior of th1 - th2.
+    r1, r2 = inst.reviewer1, inst.reviewer2
+    # Per assignment: q, whether its MAP decision accepts paper 1, and the
+    # probabilities that paper 1 and that paper 2 is the worse.
     plays = []
-    for q, d, a in ((policy.q1, geom.d1, Assignment.A1), (policy.q2, geom.d2, Assignment.A2)):
-        diff_post = None
-        if noisy:
+    for q, d, a, (rev1, rev2) in (
+        (policy.q1, geom.d1, Assignment.A1, (r1, r2)),
+        (policy.q2, geom.d2, Assignment.A2, (r2, r1)),
+    ):
+        if inst.noiseless:
+            t1, t2 = rev1.invert(inst.scores.s1), rev2.invert(inst.scores.s2)
+            w = float(t1 < t2), float(t2 < t1)
+        else:
             p1, p2 = (quality_posterior(inst, p, a) for p in (1, 2))
-            diff_post = QualityPosterior(p1.mean - p2.mean, p1.variance + p2.variance)
-        plays.append((q, d is Decision.PAPER1, diff_post))
-    if not noisy:
-        r1, r2 = inst.reviewer1, inst.reviewer2
-        s1, s2 = inst.scores.s1, inst.scores.s2
-        # The qualities of papers 1 and 2: (t1, t2) under A1, (u1, u2) under A2.
-        t1, t2, u1, u2 = r1.invert(s1), r2.invert(s2), r2.invert(s1), r1.invert(s2)
-        conf_table = np.array([t1 < t2, t2 < t1, u1 < u2, u2 < u1], dtype=float)
+            mean, sd = p1.mean - p2.mean, math.sqrt(p1.variance + p2.variance)
+            x = mean / sd if sd > 0.0 else math.nan
+            w = std_normal_cdf(-x), std_normal_cdf(x)
+            if math.isnan(x):
+                # sd underflowed to 0 or the mean is NaN: th1 - th2 is the mean.
+                w = float(mean < 0.0), float(mean > 0.0)
+        plays.append((q, d is Decision.PAPER1, w))
 
     def worker(block: int, cnt: int) -> np.ndarray:
         rng = stream(seed, block)
@@ -281,25 +288,14 @@ def simulate_instance(inst: Instance, policy: Policy, n: int, seed: int) -> SimR
         # MAP decision: Binomial(size, q) truthful plays where the instance
         # randomizes, every replicate where it is forced.
         owns = [rng.binomial(m, q) if geom.part2 else m for m, (q, _, _) in zip(sizes, plays)]
-        conf = 0
-        if noisy:
-            with _workspace() as ws:
-                diff = rng.standard_normal(out=ws.draws[:cnt])
-                for run, n_own, (_, own_p1, diff_post) in zip((diff[:k], diff[k:]), owns, plays):
-                    d = diff_post.draw(run, out=run)
-                    # A replicate that accepts paper 1 errs where th1 < th2.
-                    acc_p1, acc_p2 = (d[:n_own], d[n_own:]) if own_p1 else (d[n_own:], d[:n_own])
-                    conf += np.count_nonzero(acc_p1 < 0.0) + np.count_nonzero(acc_p2 > 0.0)
         # The counts of the scenario table's cells: (A1, paper 1),
         # (A1, paper 2), (A2, paper 1), (A2, paper 2).
-        counts = []
-        for m, n_own, (_, own_p1, _) in zip(sizes, owns, plays):
+        counts, conf = [], 0
+        for m, n_own, (_, own_p1, (w1, w2)) in zip(sizes, owns, plays):
             n_p1 = n_own if own_p1 else m - n_own
             counts += [n_p1, m - n_p1]
-        counts = np.array(counts)
-        if not noisy:
-            conf = counts @ conf_table
-        return np.array([conf, counts @ adv_table], dtype=float)
+            conf += rng.binomial(n_p1, w1) + rng.binomial(m - n_p1, w2)
+        return np.array([conf, np.array(counts) @ adv_table], dtype=float)
 
     return _run_blocks(n, seed, worker)
 

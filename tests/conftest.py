@@ -14,6 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from privcal import (
     Assignment,
@@ -33,6 +34,8 @@ from privcal.model import (
     log_marginal_score_density,
     log_odds,
     posterior_weights,
+    quality_posterior,
+    std_normal_cdf,
     thresholds,
     weights_of_log_odds,
 )
@@ -85,6 +88,15 @@ def assignment_posterior(inst: Instance) -> float:
 def marginal_score_density(profile: ReviewerProfile, sigma2: float, s: float) -> float:
     """Marginal density of a reported score. See log_marginal_score_density."""
     return math.exp(log_marginal_score_density(profile, sigma2, s))
+
+
+# Slopes and noise variances log-uniform in 1e-300..1e300; offsets and
+# scores moderate, or of magnitude 1e-300..1e300 with either sign.
+extreme_magnitudes = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+extreme_locations = st.one_of(
+    st.floats(-5.0, 5.0),
+    st.builds(lambda sign, m: sign * m, st.sampled_from([-1.0, 1.0]), extreme_magnitudes),
+)
 
 
 def make_instance(a1, b1, a2, b2, sigma2, s1, s2) -> Instance:
@@ -521,43 +533,36 @@ def reference_simulate_instance(
     draws exactly what the library draws: its count K of A1 replicates,
     which are its first K, then, only when the instance randomizes, the
     A1 run's and the A2 run's counts of truthful plays, which are each
-    run's first replicates, then one deviate of th1 - th2 per replicate
-    only when it is noisy.
+    run's first replicates, then the count of conference errors of each
+    (assignment, accepted paper) cell, A1's before A2's and paper 1's
+    before paper 2's, which are the cell's first replicates. A cell errs
+    with the probability that its accepted paper is the worse one: in
+    noisy mode Phi of th1 - th2 over its posterior, formed from the two
+    quality posteriors, in noiseless mode by the inverted qualities.
     """
     if n < 1:
         raise ConfigurationError("n must be at least 1")
     geom = instance_geometry(inst)
     pu = geom.pu
-    noisy = not inst.noiseless
 
-    if noisy:
-        from privcal.model import quality_posterior
-
-        post = {
-            (p, a): quality_posterior(inst, p, a)
-            for p in (1, 2)
-            for a in (Assignment.A1, Assignment.A2)
-        }
-        # The mean and standard deviation of th1 - th2 under A1 and A2.
-        (m_a1, sd_a1), (m_a2, sd_a2) = (
-            (
-                post[(1, a)].mean - post[(2, a)].mean,
-                math.sqrt(post[(1, a)].variance + post[(2, a)].variance),
+    def worse(a: Assignment) -> tuple[float, float]:
+        """(Pr(paper 1 worse), Pr(paper 2 worse)) under assignment a."""
+        if inst.noiseless:
+            rev1, rev2 = (
+                (inst.reviewer1, inst.reviewer2) if a is Assignment.A1
+                else (inst.reviewer2, inst.reviewer1)
             )
-            for a in (Assignment.A1, Assignment.A2)
-        )
-    else:
-        inv = {
-            Assignment.A1: (
-                inst.reviewer1.invert(inst.scores.s1),
-                inst.reviewer2.invert(inst.scores.s2),
-            ),
-            Assignment.A2: (
-                inst.reviewer2.invert(inst.scores.s1),
-                inst.reviewer1.invert(inst.scores.s2),
-            ),
-        }
+            th1, th2 = rev1.invert(inst.scores.s1), rev2.invert(inst.scores.s2)
+            return float(th1 < th2), float(th2 < th1)
+        post1, post2 = quality_posterior(inst, 1, a), quality_posterior(inst, 2, a)
+        mean = post1.mean - post2.mean
+        sd = math.sqrt(post1.variance + post2.variance)
+        if not sd > 0.0 or math.isnan(mean / sd):
+            # th1 - th2 is its mean.
+            return float(mean < 0.0), float(mean > 0.0)
+        return std_normal_cdf(-mean / sd), std_normal_cdf(mean / sd)
 
+    worse_a1, worse_a2 = worse(Assignment.A1), worse(Assignment.A2)
     d1_p1 = geom.d1 is Decision.PAPER1
     d2_p1 = geom.d2 is Decision.PAPER1
 
@@ -583,16 +588,6 @@ def reference_simulate_instance(
         is_a1 = pos < k
         if geom.part2:
             own_a1, own_a2 = rng.binomial(k, policy.q1), rng.binomial(cnt - k, policy.q2)
-        if noisy:
-            z = rng.standard_normal(cnt)
-            diff = np.where(is_a1, m_a1, m_a2) + np.where(is_a1, sd_a1, sd_a2) * z
-            p1_worse, p2_worse = diff < 0.0, diff > 0.0
-        else:
-            th1 = np.where(is_a1, inv[Assignment.A1][0], inv[Assignment.A2][0])
-            th2 = np.where(is_a1, inv[Assignment.A1][1], inv[Assignment.A2][1])
-            p1_worse, p2_worse = th1 < th2, th2 < th1
-
-        if geom.part2:
             truthful = np.where(is_a1, pos < own_a1, pos - k < own_a2)
             acc_p1 = np.where(
                 truthful,
@@ -602,7 +597,11 @@ def reference_simulate_instance(
         else:
             acc_p1 = np.full(cnt, d1_p1)
 
-        conf_wrong = np.where(acc_p1, p1_worse, p2_worse)
+        conf_wrong = np.zeros(cnt)
+        for in_run, (w1, w2) in ((is_a1, worse_a1), (~is_a1, worse_a2)):
+            for cell, w in ((in_run & acc_p1, w1), (in_run & ~acc_p1, w2)):
+                members = np.flatnonzero(cell)
+                conf_wrong[members[: rng.binomial(members.size, w)]] = 1.0
         adv_wrong = np.where(
             acc_p1,
             np.where(is_a1, wrong_p1[0], wrong_p1[1]),

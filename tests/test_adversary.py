@@ -298,3 +298,9 @@ class TestRandomizedResponse:
             rr_epsilon(-1.0)
         with pytest.raises(ValueError):
             rr_gamma(math.inf)
+        # exp(epsilon) overflows past log(DBL_MAX) = 709.7827 and underflows
+        # to 0 below about -745.1; rr_epsilon accepts neither.
+        assert rr_epsilon(rr_gamma(709.78)) == pytest.approx(709.78, rel=1e-15)
+        for epsilon in (710.0, -800.0, math.nan):
+            with pytest.raises(ValueError, match="positive finite"):
+                rr_gamma(epsilon)

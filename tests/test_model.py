@@ -35,6 +35,8 @@ from privcal.model import (
 from conftest import (
     assignment_posterior,
     cubic_profile,
+    extreme_locations,
+    extreme_magnitudes,
     likelihoods,
     make_instance,
     marginal_score_density,
@@ -46,13 +48,6 @@ from conftest import (
 finite_scores = st.floats(-6.0, 6.0)
 slopes = st.floats(0.3, 3.0)
 offsets = st.floats(-2.0, 2.0)
-# Slopes and noise variances log-uniform in 1e-300..1e300; offsets and
-# scores moderate, or of magnitude 1e-300..1e300 with either sign.
-_magnitudes = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
-_locations = st.one_of(
-    st.floats(-5.0, 5.0),
-    st.builds(lambda sign, m: sign * m, st.sampled_from([-1.0, 1.0]), _magnitudes),
-)
 
 
 class TestReviewerProfile:
@@ -372,6 +367,38 @@ class TestPhiPair:
         assert pp.phi1 == pytest.approx(want[0], abs=1e-15)
         assert pp.phi2 == pytest.approx(want[1], abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (
+                6.0321024514981624e-294, 0.6460359373820337, 0.71804544466826,
+                6.449628387368859e-121, 1.911832013541697e-160,
+                3.293092365378939e-05, 0.8893745958222476,
+            ),
+            (
+                9.568135895382689e-261, -7.169361365900746e-48,
+                5.984857703334846e-272, 3.9312053088454964e-50,
+                1.2316650738122508e-50, -7.927721489376285e221,
+                -1.4510747437334301e175,
+            ),
+            (
+                2.5210508228426714e-285, 1.0215258609710444e-284,
+                734863.0165576896, -3.5087009396071367, 7.663752025175668e-298,
+                -5.32547773988713e293, 3.8289079618629283e-269,
+            ),
+        ],
+    )
+    def test_subnormal_products_keep_their_digits(self, args):
+        """Here the product under phi's square root, or p = a2 t1 or
+        q = a1 t2, is subnormal, and so holds fewer than 53 bits: read
+        through them, Phi1 of the first instance was 3.7e-5 off and Phi2
+        of the second 3.5e-5. In the third t2 / t1 overflows, so a
+        divided-through form that reads that ratio loses p and gives Phi2
+        = 1/2, not 1. All match a 60-digit oracle to 1e-15."""
+        pp, want = phi_pair(make_instance(*args)), _phi_oracle(*args)
+        assert pp.phi1 == pytest.approx(want[0], abs=1e-15)
+        assert pp.phi2 == pytest.approx(want[1], abs=1e-15)
+
     def test_noiseless_mode_rejected(self):
         inst = make_instance(1, 0, 1, 1, 0.0, 0.5, 1.0)
         with pytest.raises(ModeError):
@@ -416,8 +443,9 @@ class TestPhiPair:
         assert lq.v == pytest.approx(lp.u, rel=1e-12, abs=1e-300)
 
     @given(
-        a1=_magnitudes, b1=_locations, a2=_magnitudes, b2=_locations,
-        sigma2=_magnitudes, s1=_locations, s2=_locations,
+        a1=extreme_magnitudes, b1=extreme_locations, a2=extreme_magnitudes,
+        b2=extreme_locations, sigma2=extreme_magnitudes, s1=extreme_locations,
+        s2=extreme_locations,
     )
     @settings(max_examples=300, deadline=None)
     def test_extreme_magnitudes_give_a_result_or_a_documented_error(
